@@ -36,7 +36,6 @@ from .posedata import (
     PoseDataset,
     PoseSample,
     calibrate_scale,
-    center_root,
     generate_synthetic,
     load_dataset,
     mpjpe,
@@ -48,7 +47,6 @@ from .skeleton import (
     SkeletonGraph,
     adjacency,
     build_skeleton,
-    masked_softmax,
     normalize_adjacency,
     skeleton_hash,
 )

@@ -95,20 +95,6 @@ def report_to_json(report: WeightReport, include_self: bool = False) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def report_from_json(text: str) -> WeightReport:
-    payload = json.loads(text)
-    labels = [entry["label"] for entry in payload["layers"]]
-    matrices = [np.asarray(entry["weights"]) for entry in payload["layers"]]
-    block_idx = [labels.index(lbl) for lbl in payload["block_layer_labels"]]
-    per_channel = {lbl: np.asarray(stack)
-                   for lbl, stack in payload["per_channel"].items()}
-    from .skeleton import build_skeleton
-    return WeightReport(joint_names=payload["joint_names"],
-                        layer_labels=labels, matrices=matrices,
-                        per_channel=per_channel, block_layer_indices=block_idx,
-                        adjacency=adjacency(build_skeleton()))
-
-
 def joint_weight_csv(report: WeightReport, include_self: bool = False) -> str:
     weights = average_joint_weight(report, include_self=include_self)
     lines = ["joint,average_weight"]

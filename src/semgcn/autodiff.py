@@ -70,12 +70,12 @@ class Tensor:
 
     # Arithmetic sugar; scalars are folded in as constants.
     def __add__(self, other):
-        return shift(self, float(other)) if np.isscalar(other) else add(self, other)
+        return add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return shift(self, -float(other)) if np.isscalar(other) else sub(self, other)
+        return sub(self, other)
 
     def __mul__(self, other):
         return scale(self, float(other)) if np.isscalar(other) else mul(self, other)
@@ -91,9 +91,6 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, shape):
         return reshape(self, shape)
 
@@ -104,10 +101,6 @@ class Tensor:
 def parameter(data) -> Tensor:
     """A tensor that accumulates gradients (trainable leaf)."""
     return Tensor(data, requires_grad=True)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
 
 
 class TapeNode:
@@ -350,19 +343,6 @@ def scale(x, c: float) -> Tensor:
     return _maybe_record("scale", (x,), out_data, make_vjp)
 
 
-def shift(x, c: float) -> Tensor:
-    x = _as_tensor(x)
-    out_data = x.data + float(c)
-    _ensure_finite(out_data, "shift")
-
-    def make_vjp():
-        def vjp(g):
-            return (g,)
-        return vjp
-
-    return _maybe_record("shift", (x,), out_data, make_vjp)
-
-
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     out_data = np.maximum(x.data, 0.0)
@@ -403,33 +383,6 @@ def softmax_lastdim(x) -> Tensor:
         return vjp
 
     return _maybe_record("softmax", (x,), out_data, make_vjp)
-
-
-def concat_lastdim(tensors: Sequence) -> Tensor:
-    ts = tuple(_as_tensor(t) for t in tensors)
-    if not ts:
-        raise ShapeError("concat of zero tensors")
-    lead = ts[0].shape[:-1]
-    for t in ts[1:]:
-        if t.shape[:-1] != lead:
-            raise ShapeError(
-                f"concat leading shapes differ: {ts[0].shape} vs {t.shape}")
-    out_data = np.concatenate([t.data for t in ts], axis=-1)
-    _ensure_finite(out_data, "concat")
-
-    def make_vjp():
-        widths = [t.shape[-1] for t in ts]
-
-        def vjp(g):
-            grads = []
-            start = 0
-            for t, w in zip(ts, widths):
-                grads.append(g[..., start:start + w] if t.requires_grad else None)
-                start += w
-            return tuple(grads)
-        return vjp
-
-    return _maybe_record("concat", ts, out_data, make_vjp)
 
 
 def narrow(x, axis: int, start: int, length: int) -> Tensor:
@@ -491,22 +444,6 @@ def reshape(x, shape) -> Tensor:
     return _maybe_record("reshape", (x,), out_data, make_vjp)
 
 
-def expand(x, shape) -> Tensor:
-    """Broadcast to ``shape``; backward sums over the broadcast axes."""
-    x = _as_tensor(x)
-    try:
-        out_data = np.broadcast_to(x.data, shape).copy()
-    except ValueError as exc:
-        raise ShapeError(f"cannot broadcast {x.shape} to {shape}") from exc
-
-    def make_vjp():
-        def vjp(g):
-            return (_sum_to_shape(g, x.shape),)
-        return vjp
-
-    return _maybe_record("expand", (x,), out_data, make_vjp)
-
-
 def transpose(x, axes=None) -> Tensor:
     x = _as_tensor(x)
     if axes is None:
@@ -543,82 +480,40 @@ def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     return _maybe_record("sum", (x,), out_data, make_vjp)
 
 
-def tensor_mean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    if axis is None:
-        count = x.size
-    else:
-        ax = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = 1
-        for a in ax:
-            count *= x.shape[a % x.ndim]
-    return scale(tensor_sum(x, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 def max_over_set(x, groups: Sequence[Sequence[int]]) -> Tensor:
-    """Max-pool node groups along axis -2 of a (..., K, C) tensor.
+    """Max-pool disjoint node pairs along axis -2 of a (..., K, C) tensor.
 
-    Gradient flows only to the arg-max element of each group; ties go to
-    the lowest node index.  Groups may overlap or skip nodes; pooling for
-    the skeleton uses a perfect pairing.
+    Every group must be a pair of distinct nodes, and no node may belong
+    to two pairs; the skeleton's pooling is such a pairing.  Gradient
+    flows only to the arg-max element of each pair; ties go to the lower
+    node index.
     """
     x = _as_tensor(x)
     if x.ndim < 2:
         raise ShapeError(f"max_over_set needs a (..., K, C) tensor, got {x.shape}")
     k = x.shape[-2]
-    norm_groups = []
-    for grp in groups:
-        g = sorted(int(i) for i in grp)
-        if not g or g[0] < 0 or g[-1] >= k:
-            raise ShapeError(f"group {tuple(grp)} out of range for {k} nodes")
-        norm_groups.append(tuple(g))
-    sizes = {len(g) for g in norm_groups}
-    idx_arrays = [np.asarray(g, dtype=np.intp) for g in norm_groups]
-
-    pairwise = sizes == {2} and all(
-        len(set(col)) == len(idx_arrays)
-        for col in zip(*[(ia[0], ia[1]) for ia in idx_arrays]))
-    if pairwise:
-        # pairwise pooling (the skeleton grouping): direct comparison beats
-        # a strided argmax; >= sends ties to the lower index
-        idx = np.stack(idx_arrays)  # (G, 2)
-        first = x.data[..., idx[:, 0], :]
-        second = x.data[..., idx[:, 1], :]
-        first_wins = first >= second
-        out_data = np.where(first_wins, first, second)
-        arg = first_wins
-    elif len(sizes) == 1:
-        idx = np.stack(idx_arrays)  # (G, s)
-        gathered = x.data[..., idx, :]  # (..., G, s, C)
-        arg = gathered.argmax(axis=-2)  # first max = lowest index (sorted groups)
-        out_data = np.take_along_axis(gathered, arg[..., None, :], axis=-2)
-        out_data = np.squeeze(out_data, axis=-2)
-    else:
-        outs, args = [], []
-        for ia in idx_arrays:
-            sub = x.data[..., ia, :]
-            args.append(sub.argmax(axis=-2))
-            outs.append(sub.max(axis=-2))
-        out_data = np.stack(outs, axis=-2)
-        arg = args  # list per group
+    pairs = [sorted(int(i) for i in grp) for grp in groups]
+    members = [i for pair in pairs for i in pair]
+    if not pairs or any(len(pair) != 2 for pair in pairs) \
+            or len(set(members)) != len(members):
+        raise ShapeError(f"groups {groups!r} are not disjoint pairs")
+    if min(members) < 0 or max(members) >= k:
+        raise ShapeError(f"groups {groups!r} out of range for {k} nodes")
+    idx = np.asarray(pairs, dtype=np.intp)  # (G, 2)
+    # direct comparison beats a strided argmax; >= sends ties to the lower index
+    first = x.data[..., idx[:, 0], :]
+    second = x.data[..., idx[:, 1], :]
+    first_wins = first >= second
+    out_data = np.where(first_wins, first, second)
 
     def make_vjp():
         def vjp(g):
             gx = np.zeros_like(x.data)
-            if pairwise:
-                routed_first = np.where(arg, g, 0.0)
-                routed_second = g - routed_first
-                # pair members are distinct (checked above), so fancy
-                # indexing accumulates correctly
-                gx[..., idx[:, 0], :] += routed_first
-                gx[..., idx[:, 1], :] += routed_second
-                return (gx,)
-            for gi, ia in enumerate(idx_arrays):
-                sub_arg = (arg[..., gi, :] if len(sizes) == 1 else arg[gi])
-                sub_grad = np.zeros(x.shape[:-2] + (len(ia),) + x.shape[-1:])
-                np.put_along_axis(sub_grad, sub_arg[..., None, :],
-                                  g[..., gi:gi + 1, :], axis=-2)
-                gx[..., ia, :] += sub_grad
+            routed_first = np.where(first_wins, g, 0.0)
+            # members are distinct (checked above), so fancy indexing
+            # accumulates correctly
+            gx[..., idx[:, 0], :] += routed_first
+            gx[..., idx[:, 1], :] += g - routed_first
             return (gx,)
         return vjp
 

@@ -9,6 +9,7 @@ Round-trips are bitwise exact.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 
@@ -68,8 +69,16 @@ def load_checkpoint(path, skeleton: SkeletonGraph | None = None
 
     config = NetworkConfig.from_dict(header["config"])
     net = build_network(config, skeleton, seed=0)
-    params = dict(net.named_parameters())
-    buffers = dict(net.named_buffers())
+    tables = {"param": dict(net.named_parameters()),
+              "buffer": dict(net.named_buffers())}
+
+    counts = Counter(entry["name"] for entry in header["tensors"])
+    repeated = sorted(name for name, n in counts.items() if n > 1)
+    if repeated:
+        raise CheckpointError(f"checkpoint names tensors more than once: {repeated}")
+    missing = sorted(set().union(*tables.values()) - counts.keys())
+    if missing:
+        raise CheckpointError(f"checkpoint is missing tensors: {missing}")
 
     offset = 0
     for entry in header["tensors"]:
@@ -82,20 +91,18 @@ def load_checkpoint(path, skeleton: SkeletonGraph | None = None
         offset += nbytes
         values = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
         name, kind = entry["name"], entry["kind"]
-        if kind == "param":
-            if name not in params:
-                raise CheckpointError(f"unexpected parameter {name!r}")
-            if params[name].shape != shape:
-                raise CheckpointError(
-                    f"parameter {name!r} shape {shape} does not match "
-                    f"{params[name].shape}")
-            params[name].data = values
-        elif kind == "buffer":
-            if name not in buffers:
-                raise CheckpointError(f"unexpected buffer {name!r}")
-            buffers[name][...] = values
-        else:
+        if kind not in tables:
             raise CheckpointError(f"unknown tensor kind {kind!r}")
+        if name not in tables[kind]:
+            raise CheckpointError(f"unexpected {kind} {name!r}")
+        target = tables[kind][name]
+        if target.shape != shape:
+            raise CheckpointError(
+                f"{kind} {name!r} shape {shape} does not match {target.shape}")
+        if kind == "param":
+            target.data = values
+        else:
+            target[...] = values
     if offset != len(blob):
         raise CheckpointError("checkpoint has trailing bytes")
     return net, header["training"]

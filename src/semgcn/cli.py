@@ -31,7 +31,14 @@ from .posedata import (
     split_dataset,
 )
 from .skeleton import build_skeleton, skeleton_hash
-from .training import NonFiniteGradientError, TrainConfig, TrainingError, restore_snapshot, train
+from .training import (
+    NonFiniteGradientError,
+    TrainConfig,
+    TrainingError,
+    predict,
+    restore_snapshot,
+    train,
+)
 from .verification import format_table, run_grad_checks
 
 EXIT_OK = 0
@@ -163,10 +170,7 @@ def cmd_eval(args) -> int:
         raise DatasetError("dataset skeleton does not match the checkpoint")
 
     x, y = centered_arrays(ds, root=net.skeleton.root)
-    preds = []
-    for start in range(0, x.shape[0], 512):
-        preds.append(net.forward(x[start:start + 512], train=False).data)
-    pred = np.concatenate(preds)
+    pred = predict(net, x)
 
     raw = mpjpe(pred, y, root=net.skeleton.root)
     calibrated = None

@@ -51,9 +51,7 @@ class Layer:
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         for name in self._param_names:
-            t = getattr(self, name)
-            if t is not None:
-                yield prefix + name, t
+            yield prefix + name, getattr(self, name)
 
     def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
         return iter(())
@@ -69,31 +67,30 @@ class VanillaGConv(Layer):
     _param_names = ("w", "b")
 
     def __init__(self, in_dim: int, out_dim: int, propagation: np.ndarray,
-                 rng: np.random.Generator, bias: bool = True,
-                 activation: bool = False):
+                 rng: np.random.Generator, activation: bool = False):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.propagation = Tensor(np.asarray(propagation, dtype=np.float64))
         self.activation = activation
         self.w = parameter(glorot_uniform(rng, in_dim, out_dim, (in_dim, out_dim)))
-        self.b = parameter(np.zeros(out_dim)) if bias else None
+        self.b = parameter(np.zeros(out_dim))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"expected {self.in_dim} input channels, got {x.shape}")
         h = matmul(x, self.w)
-        out = matmul(self.propagation, h)
-        if self.b is not None:
-            out = add(out, self.b)
+        out = add(matmul(self.propagation, h), self.b)
         return relu(out) if self.activation else out
 
 
 class SemGConv(Layer):
     """Graph convolution with learnable edge logits.
 
-    Contributions are softmax-normalized over each receiving node's
-    neighbor set (self-loop included); the self contribution goes through
-    ``w0`` and neighbor contributions through ``w1``.  With
+    ``edge_weights`` softmax-normalizes the logits over each receiving
+    node's neighbor set (self-loop included); entries off the adjacency are
+    exactly zero.  The logits start at zero, so the layer starts as uniform
+    neighbor averaging.  The self contribution goes through ``w0`` and
+    neighbor contributions through ``w1``, followed by a bias.  With
     ``channelwise=True`` every output channel owns its own logit matrix.
     """
 
@@ -101,8 +98,7 @@ class SemGConv(Layer):
 
     def __init__(self, in_dim: int, out_dim: int, adjacency: np.ndarray,
                  rng: np.random.Generator, channelwise: bool = False,
-                 bias: bool = True, activation: bool = False,
-                 mask_init: str = "zeros"):
+                 activation: bool = False):
         k = adjacency.shape[0]
         self.in_dim = in_dim
         self.out_dim = out_dim
@@ -113,14 +109,8 @@ class SemGConv(Layer):
         self._neigh_sel = Tensor(1.0 - np.eye(k))
         self.w0 = parameter(glorot_uniform(rng, in_dim, out_dim, (in_dim, out_dim)))
         self.w1 = parameter(glorot_uniform(rng, in_dim, out_dim, (in_dim, out_dim)))
-        mask_shape = (out_dim, k, k) if channelwise else (k, k)
-        if mask_init == "zeros":
-            self.mask = parameter(np.zeros(mask_shape))
-        elif mask_init == "glorot":
-            self.mask = parameter(glorot_uniform(rng, k, k, mask_shape))
-        else:
-            raise ValueError(f"unknown mask_init {mask_init!r}")
-        self.b = parameter(np.zeros(out_dim)) if bias else None
+        self.mask = parameter(np.zeros((out_dim, k, k) if channelwise else (k, k)))
+        self.b = parameter(np.zeros(out_dim))
 
     def edge_weights(self) -> Tensor:
         """Row-stochastic weights over the adjacency support, (K,K) or (D,K,K)."""
@@ -141,8 +131,7 @@ class SemGConv(Layer):
             # the self term is diagonal: a per-node weight beats a matmul
             self_weight = tensor_sum(s_self, axis=-1, keepdims=True)  # (K, 1)
             out = add(mul(h0, self_weight), matmul(s_neigh, h1))
-        if self.b is not None:
-            out = add(out, self.b)
+        out = add(out, self.b)
         return relu(out) if self.activation else out
 
 
@@ -159,7 +148,8 @@ class NonLocalBlock(Layer):
     map, so the layer starts as the identity.
 
     Keys and values come from pairwise max-pooled nodes (K down to K/2);
-    the affinity is an affine map of the concatenated query/key embeddings
+    query, key and value embeddings are ``channels // 2`` wide.  The
+    affinity is an affine map of the concatenated query/key embeddings
     followed by ReLU, and the aggregated message is averaged over the
     grouped set before the residual add.
     """
@@ -168,17 +158,13 @@ class NonLocalBlock(Layer):
                     "g_w", "g_b", "wf_w", "wf_b", "wx")
 
     def __init__(self, channels: int, groups: tuple[tuple[int, ...], ...],
-                 num_nodes: int, rng: np.random.Generator,
-                 embed_dim: int | None = None):
-        if embed_dim is None:
-            embed_dim = max(1, channels // 2)
+                 num_nodes: int, rng: np.random.Generator):
         flat = sorted(i for grp in groups for i in grp)
         if flat != list(range(num_nodes)):
             raise ShapeError("node grouping must be a perfect partition")
         self.channels = channels
-        self.embed_dim = embed_dim
+        self.embed_dim = e = max(1, channels // 2)
         self.groups = tuple(tuple(sorted(grp)) for grp in groups)
-        e = embed_dim
         self.theta_w = parameter(glorot_uniform(rng, channels, e, (channels, e)))
         self.theta_b = parameter(np.zeros(e))
         self.phi_w = parameter(glorot_uniform(rng, channels, e, (channels, e)))

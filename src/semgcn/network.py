@@ -11,7 +11,7 @@ layers entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Iterator
 
 import numpy as np
@@ -33,6 +33,8 @@ from .skeleton import (
 )
 
 VARIANTS = ("semgcn", "semgcn-nonl-only", "semgcn-conv-only", "resgcn")
+INPUT_DIM = 2   # projected (u, v) per joint, as the dataset format stores it
+OUTPUT_DIM = 3  # (x, y, z) millimeters per joint
 
 
 class ConfigError(ValueError):
@@ -44,11 +46,7 @@ class NetworkConfig:
     variant: str = "semgcn"
     channels: int = 128
     blocks: int = 4
-    input_dim: int = 2
-    output_dim: int = 3
     channelwise_masks: bool = False
-    mask_init: str = "zeros"
-    nonlocal_embed: int | None = None  # None: channels // 2
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
@@ -58,8 +56,6 @@ class NetworkConfig:
             raise ConfigError("channels must be >= 2")
         if self.blocks < 0:
             raise ConfigError("blocks must be >= 0")
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ConfigError("input_dim and output_dim must be >= 1")
 
     @property
     def uses_edge_weights(self) -> bool:
@@ -74,6 +70,8 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkConfig":
+        """Build and validate; unknown keys are dropped, so checkpoint
+        headers that still carry removed settings keep loading."""
         cfg = cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
         cfg.validate()
         return cfg
@@ -138,10 +136,10 @@ class Network:
         """
         x = p2d if isinstance(p2d, Tensor) else Tensor(p2d)
         if x.ndim != 3 or x.shape[1] != self.skeleton.num_joints \
-                or x.shape[2] != self.config.input_dim:
+                or x.shape[2] != INPUT_DIM:
             raise ShapeError(
-                f"expected (B, {self.skeleton.num_joints}, "
-                f"{self.config.input_dim}) input, got {x.shape}")
+                f"expected (B, {self.skeleton.num_joints}, {INPUT_DIM}) input, "
+                f"got {x.shape}")
         if not np.isfinite(x.data).all():
             raise ShapeError("network input contains non-finite values")
         h = relu(self.input_bn(self.input_conv(x, train), train))
@@ -175,17 +173,15 @@ def build_network(config: NetworkConfig, skeleton: SkeletonGraph,
     def make_conv(in_dim: int, out_dim: int) -> Layer:
         if config.uses_edge_weights:
             return SemGConv(in_dim, out_dim, adj, rng,
-                            channelwise=config.channelwise_masks,
-                            mask_init=config.mask_init)
+                            channelwise=config.channelwise_masks)
         return VanillaGConv(in_dim, out_dim, norm_adj, rng)
 
     def make_nonlocal() -> NonLocalBlock | None:
         if not config.uses_nonlocal:
             return None
-        return NonLocalBlock(c, groups, skeleton.num_joints, rng,
-                             embed_dim=config.nonlocal_embed)
+        return NonLocalBlock(c, groups, skeleton.num_joints, rng)
 
-    input_conv = make_conv(config.input_dim, c)
+    input_conv = make_conv(INPUT_DIM, c)
     input_bn = BatchNormNodes(c)
     input_nonlocal = make_nonlocal()
     blocks = []
@@ -194,7 +190,7 @@ def build_network(config: NetworkConfig, skeleton: SkeletonGraph,
             conv1=make_conv(c, c), bn1=BatchNormNodes(c),
             conv2=make_conv(c, c), bn2=BatchNormNodes(c),
             nonlocal_layer=make_nonlocal()))
-    output_conv = make_conv(c, config.output_dim)
+    output_conv = make_conv(c, OUTPUT_DIM)
     return Network(config, skeleton, input_conv, input_bn, input_nonlocal,
                    blocks, output_conv)
 

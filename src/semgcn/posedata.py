@@ -34,17 +34,9 @@ class CameraConfig:
 
 
 @dataclass(frozen=True)
-class SampleMeta:
-    focal: float
-    subject_scale: float
-    seed: int
-
-
-@dataclass(frozen=True)
 class PoseSample:
     joints3d: np.ndarray  # (K, 3) mm, camera coordinates
     joints2d: np.ndarray  # (K, 2) projected units
-    meta: SampleMeta
 
 
 @dataclass
@@ -171,9 +163,7 @@ def generate_synthetic(n: int, seed: int, camera: CameraConfig | None = None,
             joints2d = joints2d + rng.normal(0.0, noise_sigma, size=joints2d.shape)
         joints3d.setflags(write=False)
         joints2d.setflags(write=False)
-        samples.append(PoseSample(joints3d=joints3d, joints2d=joints2d,
-                                  meta=SampleMeta(focal=camera.focal,
-                                                  subject_scale=1.0, seed=seed)))
+        samples.append(PoseSample(joints3d=joints3d, joints2d=joints2d))
     return PoseDataset(samples=samples, split=split,
                        skeleton_hash=skeleton_hash(skeleton), camera=camera,
                        seed=seed, noise_sigma=noise_sigma)
@@ -194,13 +184,6 @@ def split_dataset(ds: PoseDataset) -> tuple[PoseDataset, PoseDataset, PoseDatase
                                skeleton_hash=ds.skeleton_hash, camera=ds.camera,
                                seed=ds.seed, noise_sigma=ds.noise_sigma))
     return tuple(out)
-
-
-def center_root(sample: PoseSample, root: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-center the 2D and 3D joints around the root joint."""
-    p2d = sample.joints2d - sample.joints2d[root]
-    j3d = sample.joints3d - sample.joints3d[root]
-    return p2d, j3d
 
 
 def centered_arrays(ds: PoseDataset, root: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -295,10 +278,7 @@ def load_dataset(path) -> PoseDataset:
         joints2d = block[i, :, 3:].copy()
         joints3d.setflags(write=False)
         joints2d.setflags(write=False)
-        samples.append(PoseSample(
-            joints3d=joints3d, joints2d=joints2d,
-            meta=SampleMeta(focal=camera.focal, subject_scale=1.0,
-                            seed=int(header["seed"]))))
+        samples.append(PoseSample(joints3d=joints3d, joints2d=joints2d))
     return PoseDataset(samples=samples, split=header["split"],
                        skeleton_hash=header["skeleton_hash"], camera=camera,
                        seed=int(header["seed"]),

@@ -2,8 +2,8 @@
 
 The skeleton is a fixed tree rooted at the pelvis: pelvis to both hips
 and the spine, limbs as two-bone chains, spine to neck and both
-shoulders, neck to head.  All edge-weighting layers share the masked
-softmax defined here.
+shoulders, neck to head.  The adjacency defined here is the support of
+the edge-weighted convolutions' masked softmax (``SemGConv.edge_weights``).
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-
-from .autodiff import Tensor, add, softmax_lastdim
 
 JOINT_NAMES = (
     "pelvis",
@@ -98,15 +96,6 @@ class SkeletonGraph:
         if len(seen) != k:
             raise SkeletonError("skeleton graph is not connected")
 
-    def children(self, index: int) -> list[int]:
-        return [c for p, c in self.edges if p == index]
-
-    def bone_length(self, child: int) -> float:
-        for (p, c), length in zip(self.edges, self.canonical_bone_lengths):
-            if c == child:
-                return length
-        raise SkeletonError(f"joint {child} has no bone (is it the root?)")
-
     def to_json(self) -> str:
         payload = {
             "joints": list(self.joints),
@@ -154,30 +143,6 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
     return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
 
-def uniform_propagation(a: np.ndarray) -> np.ndarray:
-    """Row-normalized adjacency D^(-1) A: uniform weight over each neighbor set."""
-    a = np.asarray(a, dtype=np.float64)
-    deg = a.sum(axis=1, keepdims=True)
-    if (deg <= 0).any():
-        raise SkeletonError("zero-degree node cannot be normalized")
-    return a / deg
-
-
 def mask_logit_bias(a: np.ndarray) -> np.ndarray:
     """Additive sentinel that removes non-edges from a softmax's support."""
     return (1.0 - np.asarray(a, dtype=np.float64)) * MASK_SENTINEL
-
-
-def masked_softmax(m: Tensor, a: np.ndarray) -> Tensor:
-    """Per-receiving-node softmax of edge logits over the adjacency support.
-
-    Row i of the result distributes weight over the contributors ``j``
-    with ``a[i, j] == 1`` (self-loop included); entries off the support
-    are exactly zero and receive exactly zero gradient.  ``m`` may be
-    (K, K) or (D, K, K) for per-channel masks.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if m.shape[-2:] != a.shape:
-        raise SkeletonError(f"mask shape {m.shape} does not match adjacency {a.shape}")
-    logits = add(m, Tensor(mask_logit_bias(a)))
-    return softmax_lastdim(logits)

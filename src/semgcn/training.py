@@ -175,19 +175,23 @@ def restore_snapshot(net: Network, params: dict[str, np.ndarray],
         b[...] = buffers[name]
 
 
+def predict(net: Network, x: np.ndarray, chunk: int = 512) -> np.ndarray:
+    """Eval-mode predictions for ``x``, computed ``chunk`` rows at a time."""
+    return np.concatenate([net.forward(x[start:start + chunk], train=False).data
+                           for start in range(0, x.shape[0], chunk)])
+
+
 def evaluate(net: Network, x: np.ndarray, y: np.ndarray, g: SkeletonGraph,
              use_bone: bool, chunk: int = 512) -> tuple[float, float]:
-    """Validation loss and MPJPE (mm) in eval mode."""
+    """Validation loss and MPJPE (mm) in eval mode; the loss is the
+    row-weighted mean of the per-chunk losses."""
+    pred = predict(net, x, chunk)
     total = 0.0
-    preds = []
     for start in range(0, x.shape[0], chunk):
-        xb = x[start:start + chunk]
-        yb = y[start:start + chunk]
-        pred = net.forward(xb, train=False)
-        total += pose_loss(pred, yb, g, use_bone).item() * xb.shape[0]
-        preds.append(pred.data)
-    pred_all = np.concatenate(preds)
-    return total / x.shape[0], mpjpe(pred_all, y)
+        pb = pred[start:start + chunk]
+        total += pose_loss(Tensor(pb), y[start:start + chunk], g,
+                           use_bone).item() * pb.shape[0]
+    return total / x.shape[0], mpjpe(pred, y)
 
 
 def train(net: Network, train_ds: PoseDataset, val_ds: PoseDataset,

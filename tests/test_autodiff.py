@@ -13,8 +13,6 @@ from semgcn.autodiff import (
     Tensor,
     add,
     batch_norm,
-    concat_lastdim,
-    expand,
     grad_check,
     index_select,
     matmul,
@@ -26,7 +24,6 @@ from semgcn.autodiff import (
     scale,
     softmax_lastdim,
     sub,
-    tensor_mean,
     tensor_sum,
     transpose,
 )
@@ -164,10 +161,6 @@ class TestBatchNorm:
 
 
 class TestStructural:
-    def test_concat(self):
-        out = concat_lastdim((Tensor([1.0]), Tensor([2.0])))
-        np.testing.assert_array_equal(out.data, [1.0, 2.0])
-
     def test_max_over_set_strict_max(self):
         x = Tensor(np.array([[3.0], [10.0], [5.0]]), requires_grad=True)
         with Tape() as tape:
@@ -182,6 +175,23 @@ class TestStructural:
             out = max_over_set(x, [(0, 1)])
             tape.backward(out.sum())
         np.testing.assert_array_equal(x.grad, [[1.0], [0.0]])
+
+    @pytest.mark.parametrize("groups", [
+        [(0, 1), (1, 2)],        # overlapping pairs
+        [(0, 1), (2,)],          # a single-node group
+        [(0, 1), (2, 3, 4)],     # groups of unequal size
+        [(0, 1, 2), (3, 4, 5)],  # equal size, but not pairs
+        [(2, 2)],                # a pair that repeats its node
+        [],                      # no groups at all
+    ])
+    def test_max_over_set_rejects_non_disjoint_pairs(self, groups):
+        x = Tensor(np.arange(12.0).reshape(6, 2))
+        with pytest.raises(ShapeError):
+            max_over_set(x, groups)
+
+    def test_max_over_set_rejects_out_of_range(self):
+        with pytest.raises(ShapeError):
+            max_over_set(Tensor(np.zeros((4, 2))), [(0, 4)])
 
     def test_sum_gradient_is_ones(self):
         (gx,) = backward_of(lambda x: x.sum(), np.arange(6.0).reshape(2, 3))
@@ -207,11 +217,12 @@ class TestStructural:
 
         def f(x, y, w):
             h = add(mul(relu(x), y), scale(sub(x, y), 0.5))
-            h = concat_lastdim((narrow(h, 2, 0, 3), narrow(h, 2, 3, 3)))
-            h = matmul(transpose(reshape(h, (2, 4, 6)), (0, 1, 2)), w)
+            # a repeated index makes the backward scatter-add
+            h = index_select(narrow(h, 2, 1, 5), 2, [4, 0, 1, 2, 3, 0])
+            h = matmul(transpose(reshape(h, (2, 6, 4)), (0, 2, 1)), w)
             h = mul(h, Tensor(probe))
             p = max_over_set(softmax_lastdim(h), [(0, 1), (2, 3)])
-            return add(tensor_sum(p), tensor_mean(expand(h, (2, 4, 3)))).sum()
+            return add(tensor_sum(p), tensor_sum(h - 0.5, axis=1)).sum()
 
         assert grad_check(f, [x, y, w]) < 1e-4
 

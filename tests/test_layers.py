@@ -17,7 +17,6 @@ from semgcn.skeleton import (
     adjacency,
     build_skeleton,
     normalize_adjacency,
-    uniform_propagation,
 )
 
 K = 16
@@ -41,16 +40,15 @@ def rng_for(seed):
 class TestVanillaGConv:
     def test_three_node_path_hand_value(self):
         # path a-b-c with self-loops and uniform rows: out_a = (1+2)/2, etc.
-        prop = uniform_propagation(np.array([
-            [1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
-        conv = VanillaGConv(1, 1, prop, rng_for(0), bias=False)
+        path = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        prop = path / path.sum(1, keepdims=True)
+        conv = VanillaGConv(1, 1, prop, rng_for(0))
         conv.w.data = np.array([[1.0]])
         out = conv(Tensor(np.array([[[1.0], [2.0], [3.0]]])))
         np.testing.assert_allclose(out.data.ravel(), [1.5, 2.0, 2.5])
 
     def test_identity_weights_identity_prop_is_relu(self):
-        conv = VanillaGConv(3, 3, np.eye(4), rng_for(1), bias=False,
-                            activation=True)
+        conv = VanillaGConv(3, 3, np.eye(4), rng_for(1), activation=True)
         conv.w.data = np.eye(3)
         x = rng_for(2).standard_normal((2, 4, 3))
         out = conv(Tensor(x))
@@ -88,7 +86,7 @@ def brute_force_uniform_aggregation(x, w, edges, k):
 class TestSemGConv:
     def test_two_node_hand_value(self):
         adj2 = np.ones((2, 2))
-        conv = SemGConv(1, 1, adj2, rng_for(6), bias=False)
+        conv = SemGConv(1, 1, adj2, rng_for(6))
         conv.w0.data = np.array([[1.0]])
         conv.w1.data = np.array([[1.0]])
         out = conv(Tensor(np.array([[[1.0], [3.0]]])))
@@ -99,7 +97,7 @@ class TestSemGConv:
         # degenerate-equivalence oracle: M = 0 and w0 == w1 must reproduce
         # uniform-neighbor averaging computed independently from the edges
         rng = rng_for(7)
-        conv = SemGConv(C, C, adj, rng, bias=False)
+        conv = SemGConv(C, C, adj, rng)
         conv.w1.data = conv.w0.data.copy()
         x = rng.standard_normal((3, K, C))
         expected = brute_force_uniform_aggregation(x, conv.w0.data,
@@ -108,9 +106,9 @@ class TestSemGConv:
 
     def test_matches_vanilla_with_uniform_propagation(self, adj):
         rng = rng_for(8)
-        sem = SemGConv(C, C, adj, rng, bias=False)
+        sem = SemGConv(C, C, adj, rng)
         sem.w1.data = sem.w0.data.copy()
-        van = VanillaGConv(C, C, uniform_propagation(adj), rng, bias=False)
+        van = VanillaGConv(C, C, adj / adj.sum(1, keepdims=True), rng)
         van.w.data = sem.w0.data.copy()
         x = rng.standard_normal((2, K, C))
         np.testing.assert_allclose(sem(Tensor(x)).data, van(Tensor(x)).data,
@@ -142,13 +140,13 @@ class TestSemGConvChannelwise:
 
     def test_distinct_masks_change_channels(self, adj):
         rng = rng_for(12)
-        cw = SemGConv(C, C, adj, rng, channelwise=True, bias=False)
+        cw = SemGConv(C, C, adj, rng, channelwise=True)
         cw.mask.data[0] = 0.0
         cw.mask.data[1] = rng.standard_normal((K, K)) * 2.0
         x = rng.standard_normal((2, K, C))
         out = cw(Tensor(x)).data
         # same input columns, different masks: channel outputs must differ
-        cw2 = SemGConv(C, C, adj, rng_for(12), channelwise=True, bias=False)
+        cw2 = SemGConv(C, C, adj, rng_for(12), channelwise=True)
         cw2.w0.data = cw.w0.data.copy()
         cw2.w1.data = cw.w1.data.copy()
         cw2.mask.data[...] = 0.0

@@ -1,13 +1,15 @@
 """Generator, preprocessing, metric, and file-format tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from semgcn.posedata import (
     CameraConfig,
     DatasetError,
+    PoseSample,
     calibrate_scale,
-    center_root,
     centered_arrays,
     generate_synthetic,
     load_dataset,
@@ -53,8 +55,9 @@ class TestGenerator:
                                        atol=1e-6)
 
     def test_reprojection_is_exact(self, dataset):
+        focal = dataset.camera.focal
         for s in dataset.samples:
-            expected = s.joints3d[:, :2] * (s.meta.focal / s.joints3d[:, 2:3])
+            expected = s.joints3d[:, :2] * (focal / s.joints3d[:, 2:3])
             assert np.abs(s.joints2d - expected).max() < 1e-9
 
     def test_on_axis_point_projects_to_origin(self):
@@ -79,36 +82,39 @@ class TestGenerator:
             assert cam.depth_min <= pelvis_z <= cam.depth_max
 
 
+def with_arrays(ds, j3, j2):
+    """``ds`` with its samples replaced by the rows of ``j3`` and ``j2``."""
+    return dataclasses.replace(ds, samples=[
+        PoseSample(joints3d=a, joints2d=b) for a, b in zip(j3, j2)])
+
+
 class TestCenterRoot:
+    """Root-centering of every sample by ``centered_arrays``."""
+
     def test_root_maps_to_origin(self, dataset):
-        p2d, j3d = center_root(dataset.samples[0])
-        np.testing.assert_array_equal(p2d[0], [0.0, 0.0])
-        np.testing.assert_array_equal(j3d[0], [0.0, 0.0, 0.0])
+        for root in (0, 5):
+            p2d, j3d = centered_arrays(dataset, root=root)
+            np.testing.assert_array_equal(p2d[:, root], 0.0)
+            np.testing.assert_array_equal(j3d[:, root], 0.0)
 
     def test_pairwise_differences_preserved(self, dataset):
-        s = dataset.samples[1]
-        p2d, j3d = center_root(s)
-        np.testing.assert_allclose(j3d[3] - j3d[7],
-                                   s.joints3d[3] - s.joints3d[7], atol=1e-12)
-        np.testing.assert_allclose(p2d[3] - p2d[7],
-                                   s.joints2d[3] - s.joints2d[7], atol=1e-12)
+        j3, j2 = dataset.arrays()
+        p2d, j3d = centered_arrays(dataset)
+        np.testing.assert_allclose(j3d[:, 3] - j3d[:, 7], j3[:, 3] - j3[:, 7],
+                                   atol=1e-12)
+        np.testing.assert_allclose(p2d[:, 3] - p2d[:, 7], j2[:, 3] - j2[:, 7],
+                                   atol=1e-12)
 
     def test_idempotent(self, dataset):
-        from semgcn.posedata import PoseSample
-        s = dataset.samples[2]
-        p2d, j3d = center_root(s)
-        again = PoseSample(joints3d=j3d, joints2d=p2d, meta=s.meta)
-        p2d2, j3d2 = center_root(again)
+        p2d, j3d = centered_arrays(dataset)
+        p2d2, j3d2 = centered_arrays(with_arrays(dataset, j3d, p2d))
         np.testing.assert_array_equal(p2d, p2d2)
         np.testing.assert_array_equal(j3d, j3d2)
 
     def test_commutes_with_uniform_scaling(self, dataset):
-        from semgcn.posedata import PoseSample
-        s = dataset.samples[3]
-        scaled = PoseSample(joints3d=s.joints3d * 2.0, joints2d=s.joints2d * 2.0,
-                            meta=s.meta)
-        p2d_a, j3d_a = center_root(scaled)
-        p2d_b, j3d_b = center_root(s)
+        j3, j2 = dataset.arrays()
+        p2d_a, j3d_a = centered_arrays(with_arrays(dataset, j3 * 2.0, j2 * 2.0))
+        p2d_b, j3d_b = centered_arrays(dataset)
         np.testing.assert_allclose(j3d_a, 2.0 * j3d_b, atol=1e-9)
         np.testing.assert_allclose(p2d_a, 2.0 * p2d_b, atol=1e-9)
 
@@ -220,7 +226,6 @@ class TestFileFormat:
             load_dataset(path)
 
     def test_empty_dataset_rejected(self, dataset, tmp_path):
-        import dataclasses
         empty = dataclasses.replace(dataset, samples=[])
         with pytest.raises(DatasetError):
             save_dataset(empty, tmp_path / "empty.poses")

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from semgcn.autodiff import Tape, Tensor
+from semgcn.layers import SemGConv
 from semgcn.skeleton import (
     DEFAULT_NODE_GROUPS,
     JOINT_NAMES,
     SkeletonError,
     adjacency,
     build_skeleton,
-    masked_softmax,
     normalize_adjacency,
     skeleton_hash,
-    uniform_propagation,
 )
 
 
@@ -41,7 +40,8 @@ class TestSkeleton:
         skel.validate()
 
     def test_pelvis_children(self, skel):
-        names = {skel.joints[c] for c in skel.children(skel.root)}
+        names = {skel.joints[c] for c, p in enumerate(skel.parent)
+                 if p == skel.root}
         assert names == {"r_hip", "l_hip", "spine"}
 
     def test_limbs_are_two_bone_chains(self, skel):
@@ -118,9 +118,21 @@ class TestNormalizeAdjacency:
         assert radius <= 1.0 + 1e-9
 
 
+def conv_with_logits(logits: np.ndarray, adj: np.ndarray) -> SemGConv:
+    """A SemGConv whose edge logits are ``logits``, (K, K) or (D, K, K)."""
+    channelwise = logits.ndim == 3
+    conv = SemGConv(1, logits.shape[0] if channelwise else 1, adj,
+                    np.random.default_rng(0), channelwise=channelwise)
+    conv.mask.data = logits
+    return conv
+
+
 class TestMaskedSoftmax:
+    """``SemGConv.edge_weights``: the softmax of edge logits masked to the
+    skeleton adjacency."""
+
     def test_zero_logits_uniform_over_neighbors(self, skel, adj):
-        s = masked_softmax(Tensor(np.zeros((16, 16))), adj).data
+        s = conv_with_logits(np.zeros((16, 16)), adj).edge_weights().data
         pelvis = skel.root
         np.testing.assert_allclose(s[pelvis][adj[pelvis] == 1], 0.25)
 
@@ -128,44 +140,56 @@ class TestMaskedSoftmax:
         m = np.zeros((16, 16))
         spine = skel.joints.index("spine")
         m[skel.root, spine] = 10.0
-        s = masked_softmax(Tensor(m), adj).data
+        s = conv_with_logits(m, adj).edge_weights().data
         assert s[skel.root, spine] > 0.999
 
     def test_non_neighbors_exactly_zero(self, adj):
         rng = np.random.default_rng(0)
-        s = masked_softmax(Tensor(rng.standard_normal((16, 16))), adj).data
+        s = conv_with_logits(rng.standard_normal((16, 16)), adj).edge_weights().data
         assert (s[adj == 0] == 0.0).all()
 
     def test_rows_stochastic_on_support(self, adj):
         rng = np.random.default_rng(1)
-        s = masked_softmax(Tensor(rng.standard_normal((16, 16)) * 5), adj).data
+        s = conv_with_logits(rng.standard_normal((16, 16)) * 5,
+                             adj).edge_weights().data
         np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_gradient_zero_off_support(self, adj):
         rng = np.random.default_rng(2)
-        m = Tensor(rng.standard_normal((16, 16)), requires_grad=True)
+        conv = conv_with_logits(rng.standard_normal((16, 16)), adj)
         with Tape() as tape:
-            s = masked_softmax(m, adj)
+            s = conv.edge_weights()
             # arbitrary loss touching every output entry
             loss = (s * Tensor(rng.standard_normal((16, 16)))).sum()
             tape.backward(loss)
-        assert (m.grad[adj == 0] == 0.0).all()
-        assert np.abs(m.grad[adj == 1]).max() > 0
+        assert (conv.mask.grad[adj == 0] == 0.0).all()
+        assert np.abs(conv.mask.grad[adj == 1]).max() > 0
 
     def test_channelwise_masks_supported(self, adj):
         rng = np.random.default_rng(3)
-        s = masked_softmax(Tensor(rng.standard_normal((5, 16, 16))), adj).data
+        conv = conv_with_logits(rng.standard_normal((5, 16, 16)), adj)
+        with Tape() as tape:
+            s = conv.edge_weights()
+            tape.backward((s * Tensor(rng.standard_normal((5, 16, 16)))).sum())
         assert s.shape == (5, 16, 16)
-        np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-9)
-        assert (s[:, adj == 0] == 0.0).all()
+        np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-9)
+        assert (s.data[:, adj == 0] == 0.0).all()
+        assert (conv.mask.grad[:, adj == 0] == 0.0).all()
 
 
 class TestUniformPropagation:
+    """Edge logits start at zero, so a new SemGConv weighs each neighbor
+    set uniformly: its edge weights are the row-normalized adjacency."""
+
     def test_rows_sum_to_one(self, adj):
-        u = uniform_propagation(adj)
-        np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-15)
+        for channelwise in (False, True):
+            conv = SemGConv(1, 3, adj, np.random.default_rng(4),
+                            channelwise=channelwise)
+            np.testing.assert_allclose(conv.edge_weights().data.sum(axis=-1),
+                                       1.0, atol=1e-15)
 
     def test_matches_masked_softmax_at_zero_logits(self, adj):
-        u = uniform_propagation(adj)
-        s = masked_softmax(Tensor(np.zeros((16, 16))), adj).data
-        np.testing.assert_allclose(u, s, atol=1e-12)
+        conv = SemGConv(1, 3, adj, np.random.default_rng(5), channelwise=True)
+        uniform = adj / adj.sum(1, keepdims=True)
+        for s in conv.edge_weights().data:
+            np.testing.assert_allclose(s, uniform, atol=1e-12)

@@ -6,7 +6,7 @@ import pytest
 
 from semgcn.autodiff import Tape, Tensor, grad_check
 from semgcn.network import NetworkConfig, build_network
-from semgcn.posedata import generate_synthetic, split_dataset
+from semgcn.posedata import centered_arrays, generate_synthetic, mpjpe, split_dataset
 from semgcn.skeleton import SkeletonGraph, build_skeleton
 from semgcn.training import (
     Adam,
@@ -15,7 +15,9 @@ from semgcn.training import (
     TrainConfig,
     TrainingError,
     bone_vectors,
+    evaluate,
     pose_loss,
+    predict,
     train,
 )
 
@@ -314,3 +316,33 @@ class TestTrainLoop:
             return hashes
 
         assert run_and_hash() == run_and_hash()
+
+
+class TestEvaluate:
+    def test_one_chunk_matches_one_forward_bitwise(self, skel, small_data):
+        _, val_ds, _ = small_data
+        x, y = centered_arrays(val_ds)
+        net = small_net(skel)
+        pred = net.forward(x, train=False)
+        n = x.shape[0]
+        # the loss exactly as a row-weighted mean over one chunk
+        loss = pose_loss(pred, y, skel, use_bone=True).item() * n / n
+        assert np.array_equal(predict(net, x), pred.data)
+        assert evaluate(net, x, y, skel, use_bone=True) == \
+            (loss, mpjpe(pred.data, y))
+
+    def test_chunks_weigh_the_loss_by_rows(self, skel, small_data):
+        _, val_ds, _ = small_data
+        x, y = centered_arrays(val_ds)
+        net = small_net(skel)
+        starts = range(0, x.shape[0], 5)
+        preds = [net.forward(x[s:s + 5], train=False) for s in starts]
+        loss = sum(pose_loss(p, y[s:s + 5], skel).item() * p.shape[0]
+                   for s, p in zip(starts, preds)) / x.shape[0]
+        pred = np.concatenate([p.data for p in preds])
+        assert np.array_equal(predict(net, x, chunk=5), pred)
+        assert evaluate(net, x, y, skel, use_bone=False, chunk=5) == \
+            (loss, mpjpe(pred, y))
+        # chunking changes only GEMM shapes, hence summation order
+        np.testing.assert_allclose(pred, net.forward(x, train=False).data,
+                                   rtol=1e-9, atol=1e-9)
