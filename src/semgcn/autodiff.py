@@ -8,14 +8,50 @@ reverse execution order, which is always a valid topological order.
 All values are 64-bit floats.  Operation outputs are checked for
 NaN/Inf; a violation raises :class:`NonFiniteError` instead of
 propagating silently.
+
+Importing the module tells glibc's allocator to keep freed memory in the
+process (:func:`_keep_freed_memory`), so that one step's tape is reused
+by the next instead of being faulted in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Ask glibc's malloc to keep freed arrays in the process heap.
+
+    A training step frees its whole tape (tens of MiB) at the end; by
+    default glibc returns that memory to the kernel, and the next step
+    faults every page of it back in.  Arrays up to 32 MiB (the largest
+    activation is 8 MiB, at batch 512) are served from the heap, and up
+    to 1 GiB of free heap top is kept.  Setting either value freezes
+    glibc's dynamic mmap threshold, so the mmap threshold goes first: had
+    it frozen at its 128 KiB start, every larger array would be mmapped
+    and faulted in on each allocation.  A C library without ``mallopt``
+    is left alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1:
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_keep_freed_memory()
 
 
 class AutodiffError(Exception):
@@ -62,9 +98,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -90,12 +123,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
 
 
 def parameter(data) -> Tensor:
@@ -164,7 +191,7 @@ class Tape:
     def backward(self, root: Tensor, grad: np.ndarray | None = None) -> None:
         """Accumulate d(root)/d(leaf) into every leaf's ``grad``.
 
-        Gradients add onto existing ``grad`` buffers; call ``zero_grad``
+        Gradients add onto existing ``grad`` buffers; reset them to None
         between steps when accumulation is not wanted.
         """
         if grad is None:
@@ -230,10 +257,13 @@ def _maybe_record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with numpy stacking rules on leading axes."""
+    """Matrix product with numpy stacking rules on leading axes; ``a`` may
+    also be a vector when ``b`` is a matrix."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs 2+ dims, got {a.shape} and {b.shape}")
+    vector = a.ndim == 1 and b.ndim == 2
+    if (a.ndim < 2 and not vector) or b.ndim < 2:
+        raise ShapeError(f"matmul needs 2+ dims or a vector times a matrix, "
+                         f"got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
     a_data, b_data = a.data, b.data
@@ -251,6 +281,9 @@ def matmul(a, b) -> Tensor:
 
     def make_vjp():
         def vjp(g: np.ndarray):
+            if vector:
+                return (b_data @ g if a.requires_grad else None,
+                        np.outer(a_data, g) if b.requires_grad else None)
             ga = gb = None
             if a.requires_grad:
                 if stacked_by_2d:
@@ -273,22 +306,26 @@ def matmul(a, b) -> Tensor:
     return _maybe_record("matmul", (a, b), out_data, make_vjp)
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a, b, *more) -> Tensor:
+    """Broadcasting sum of two or more terms, added left to right as one
+    tape node."""
+    terms = tuple(_as_tensor(t) for t in (a, b, *more))
     try:
-        out_data = a.data + b.data
+        out_data = terms[0].data + terms[1].data
+        for t in terms[2:]:
+            out_data = out_data + t.data
     except ValueError as exc:
-        raise ShapeError(f"add shapes incompatible: {a.shape} vs {b.shape}") from exc
+        shapes = " vs ".join(str(t.shape) for t in terms)
+        raise ShapeError(f"add shapes incompatible: {shapes}") from exc
     _ensure_finite(out_data, "add")
 
     def make_vjp():
         def vjp(g):
-            ga = _sum_to_shape(g, a.shape) if a.requires_grad else None
-            gb = _sum_to_shape(g, b.shape) if b.requires_grad else None
-            return ga, gb
+            return tuple(_sum_to_shape(g, t.shape) if t.requires_grad else None
+                         for t in terms)
         return vjp
 
-    return _maybe_record("add", (a, b), out_data, make_vjp)
+    return _maybe_record("add", terms, out_data, make_vjp)
 
 
 def sub(a, b) -> Tensor:
@@ -444,10 +481,8 @@ def reshape(x, shape) -> Tensor:
     return _maybe_record("reshape", (x,), out_data, make_vjp)
 
 
-def transpose(x, axes=None) -> Tensor:
+def transpose(x, axes) -> Tensor:
     x = _as_tensor(x)
-    if axes is None:
-        axes = tuple(reversed(range(x.ndim)))
     axes = tuple(int(a) % x.ndim for a in axes)
     if sorted(axes) != list(range(x.ndim)):
         raise ShapeError(f"invalid permutation {axes} for shape {x.shape}")
@@ -510,10 +545,9 @@ def max_over_set(x, groups: Sequence[Sequence[int]]) -> Tensor:
         def vjp(g):
             gx = np.zeros_like(x.data)
             routed_first = np.where(first_wins, g, 0.0)
-            # members are distinct (checked above), so fancy indexing
-            # accumulates correctly
-            gx[..., idx[:, 0], :] += routed_first
-            gx[..., idx[:, 1], :] += g - routed_first
+            # members are distinct (checked above): each node is written once
+            gx[..., idx[:, 0], :] = routed_first
+            gx[..., idx[:, 1], :] = g - routed_first
             return (gx,)
         return vjp
 

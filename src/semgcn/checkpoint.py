@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from .network import Network, NetworkConfig, build_network
+from .network import ConfigError, Network, NetworkConfig, build_network
 from .skeleton import SkeletonGraph, build_skeleton, skeleton_hash
 
 FORMAT_VERSION = 1
@@ -21,6 +21,14 @@ FORMAT_VERSION = 1
 
 class CheckpointError(ValueError):
     pass
+
+
+def _require_keys(record, keys: tuple[str, ...], where: str) -> None:
+    if not isinstance(record, dict):
+        raise CheckpointError(f"{where} is not a JSON object")
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise CheckpointError(f"{where} lacks {missing}")
 
 
 def save_checkpoint(path, net: Network, training_meta: dict | None = None) -> None:
@@ -57,17 +65,27 @@ def load_checkpoint(path, skeleton: SkeletonGraph | None = None
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint header in {path}") from exc
+        _require_keys(header, (), "checkpoint header")
         version = header.get("format_version")
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 f"checkpoint format version {version!r} unsupported "
                 f"(expected {FORMAT_VERSION})")
+        _require_keys(header, ("config", "skeleton_hash", "training", "tensors"),
+                      "checkpoint header")
+        if not isinstance(header["tensors"], list):
+            raise CheckpointError("checkpoint tensor manifest is not a list")
+        for entry in header["tensors"]:
+            _require_keys(entry, ("name", "shape", "kind"), "tensor entry")
         if header["skeleton_hash"] != skeleton_hash(skeleton):
             raise CheckpointError(
                 "checkpoint was written for a different skeleton")
         blob = fh.read()
 
-    config = NetworkConfig.from_dict(header["config"])
+    try:
+        config = NetworkConfig.from_dict(header["config"])
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint config: {exc}") from exc
     net = build_network(config, skeleton, seed=0)
     tables = {"param": dict(net.named_parameters()),
               "buffer": dict(net.named_buffers())}

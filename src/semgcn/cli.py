@@ -73,6 +73,8 @@ def _load_config_file(path: str | None) -> dict:
         values = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigError(f"config file {path} does not hold a JSON object")
     unknown = set(values) - _NETWORK_KEYS - _TRAIN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")

@@ -126,12 +126,11 @@ class SemGConv(Layer):
         h1 = matmul(x, self.w1)
         if self.channelwise:
             out = add(_per_channel_aggregate(s_self, h0),
-                      _per_channel_aggregate(s_neigh, h1))
+                      _per_channel_aggregate(s_neigh, h1), self.b)
         else:
             # the self term is diagonal: a per-node weight beats a matmul
             self_weight = tensor_sum(s_self, axis=-1, keepdims=True)  # (K, 1)
-            out = add(mul(h0, self_weight), matmul(s_neigh, h1))
-        out = add(out, self.b)
+            out = add(mul(h0, self_weight), matmul(s_neigh, h1), self.b)
         return relu(out) if self.activation else out
 
 
@@ -181,14 +180,18 @@ class NonLocalBlock(Layer):
         n_groups = len(self.groups)
         e = self.embed_dim
         pooled = max_over_set(x, self.groups)               # (B, G, C)
-        q = add(matmul(x, self.theta_w), self.theta_b)      # (B, K, E)
-        key = add(matmul(pooled, self.phi_w), self.phi_b)   # (B, G, E)
         val = add(matmul(pooled, self.g_w), self.g_b)       # (B, G, E)
-        # affine of the concatenated pair [q_i || k_j] computed as a split
-        # sum: wf[:e] hits the query half, wf[e:] the key half
-        q_score = matmul(q, narrow(self.wf_w, 0, 0, e))     # (B, K, 1)
-        k_score = matmul(key, narrow(self.wf_w, 0, e, e))   # (B, G, 1)
-        logits = add(add(q_score, transpose(k_score, (0, 2, 1))), self.wf_b)
+        # The affinity wf . [q_i || k_j] + wf_b is linear in the query
+        # q_i = x_i theta_w + theta_b and the key k_j = p_j phi_w + phi_b,
+        # so wf[:e] and wf[e:] fold into the embeddings and neither q nor
+        # k is formed: (C, 1) vectors in place of (C, E) GEMMs.
+        wq = narrow(self.wf_w, 0, 0, e)                     # (E, 1)
+        wk = narrow(self.wf_w, 0, e, e)                     # (E, 1)
+        q_score = matmul(x, matmul(self.theta_w, wq))       # (B, K, 1)
+        k_score = matmul(pooled, matmul(self.phi_w, wk))    # (B, G, 1)
+        logits = add(q_score, transpose(k_score, (0, 2, 1)),
+                     matmul(self.theta_b, wq), matmul(self.phi_b, wk),
+                     self.wf_b)
         f = relu(logits)                                    # (B, K, G)
         message = matmul(f, val)                            # (B, K, E)
         return add(x, scale(matmul(message, self.wx), 1.0 / n_groups))

@@ -11,7 +11,7 @@ layers entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from typing import Iterator
 
 import numpy as np
@@ -41,6 +41,22 @@ class ConfigError(ValueError):
     pass
 
 
+# JSON types each annotated config field accepts; bool is a subclass of
+# int in Python, so it is excluded from the numeric fields by hand
+_FIELD_TYPES = {"str": (str,), "bool": (bool,), "int": (int,),
+                "float": (int, float), "int | None": (int, type(None))}
+
+
+def check_field_types(cfg) -> None:
+    """Raise ConfigError for a dataclass field holding a value of the
+    wrong type, as an untyped JSON config file can give it."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if not isinstance(value, _FIELD_TYPES[f.type]) or \
+                (isinstance(value, bool) and f.type != "bool"):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     variant: str = "semgcn"
@@ -49,6 +65,7 @@ class NetworkConfig:
     channelwise_masks: bool = False
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; "
                               f"expected one of {VARIANTS}")
@@ -72,6 +89,8 @@ class NetworkConfig:
     def from_dict(cls, d: dict) -> "NetworkConfig":
         """Build and validate; unknown keys are dropped, so checkpoint
         headers that still carry removed settings keep loading."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"network config must be a JSON object, got {d!r}")
         cfg = cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
         cfg.validate()
         return cfg

@@ -19,6 +19,8 @@ from .skeleton import JOINT_NAMES, SkeletonGraph, skeleton_hash
 
 FORMAT_VERSION = 1
 _VALUES_PER_JOINT = 5  # x,y,z millimeters then u,v projected
+_HEADER_KEYS = ("count", "joints", "split", "skeleton_hash", "camera", "seed",
+                "noise_sigma")
 
 
 class DatasetError(ValueError):
@@ -257,11 +259,16 @@ def load_dataset(path) -> PoseDataset:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DatasetError(f"unreadable dataset header in {path}") from exc
+        if not isinstance(header, dict):
+            raise DatasetError(f"dataset header in {path} is not a JSON object")
         version = header.get("version")
         if version != FORMAT_VERSION:
             raise DatasetError(
                 f"dataset format version {version!r} unsupported "
                 f"(expected {FORMAT_VERSION})")
+        missing = [key for key in _HEADER_KEYS if key not in header]
+        if missing:
+            raise DatasetError(f"dataset header in {path} lacks {missing}")
         n = int(header["count"])
         k = int(header["joints"])
         blob = fh.read()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from .autodiff import NonFiniteError, ShapeError, Tape, Tensor, index_select, mul, scale, sub
-from .network import Network
+from .network import ConfigError, Network, check_field_types
 from .posedata import PoseDataset, centered_arrays, mpjpe
 from .skeleton import SkeletonGraph, skeleton_hash
 
@@ -44,14 +44,15 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+            raise ConfigError("lr must be >= 0")
         if not 0 < self.decay_factor < 1:
-            raise ValueError("decay_factor must lie in (0, 1)")
+            raise ConfigError("decay_factor must lie in (0, 1)")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
+            raise ConfigError("max_epochs must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

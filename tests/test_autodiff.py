@@ -73,6 +73,46 @@ class TestMatmul:
                          [x, w, s])
         assert err < 1e-6
 
+    def test_vector_times_matrix(self):
+        rng = np.random.default_rng(1)
+        v = Tensor(rng.standard_normal(5), requires_grad=True)
+        w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        np.testing.assert_array_equal(matmul(v, w).data, v.data @ w.data)
+        probe = Tensor(rng.standard_normal(3))
+        err = grad_check(lambda v, w: mul(matmul(v, w), probe).sum(), [v, w])
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("shapes", [((5,), (2, 5, 3)), ((3, 5), (5,)),
+                                        ((5,), (5,))])
+    def test_vector_only_times_matrix(self, shapes):
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.ones(shapes[0])), Tensor(np.ones(shapes[1])))
+
+
+class TestAdd:
+    def test_several_terms_add_left_to_right(self):
+        rng = np.random.default_rng(2)
+        a, b, c = (rng.standard_normal(s) for s in ((3, 4, 1), (3, 1, 5), (1,)))
+        out = add(Tensor(a), Tensor(b), Tensor(c), 0.25)
+        np.testing.assert_array_equal(out.data, ((a + b) + c) + 0.25)
+
+    def test_several_terms_one_node_against_oracle(self):
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.standard_normal((3, 4, 1)), requires_grad=True)
+        b = Tensor(rng.standard_normal((3, 1, 5)), requires_grad=True)
+        c = Tensor(rng.standard_normal(1), requires_grad=True)
+        probe = Tensor(rng.standard_normal((3, 4, 5)))
+        with Tape() as tape:
+            add(a, b, c)
+        assert [node.op for node in tape.nodes] == ["add"]
+        err = grad_check(lambda a, b, c: mul(add(a, b, c), probe).sum(),
+                         [a, b, c])
+        assert err < 1e-6
+
+    def test_shape_mismatch_names_every_shape(self):
+        with pytest.raises(ShapeError, match=r"\(2,\) vs \(2,\) vs \(3,\)"):
+            add(Tensor(np.ones(2)), Tensor(np.ones(2)), Tensor(np.ones(3)))
+
 
 class TestRelu:
     def test_sign_definition(self):

@@ -162,3 +162,30 @@ def test_unreadable_header_rejected(tmp_path, skel):
     path.write_bytes(b"\xff\xfe not json\n" + bytes(16))
     with pytest.raises(CheckpointError, match="header"):
         load_checkpoint(path, skel)
+
+
+@pytest.mark.parametrize("key", ["config", "skeleton_hash", "training", "tensors"])
+def test_header_without_key_rejected(ckpt, skel, key):
+    header, blob = read(ckpt)
+    del header[key]
+    write(ckpt, header, blob)
+    with pytest.raises(CheckpointError, match=f"lacks.*{key}"):
+        load_checkpoint(ckpt, skel)
+
+
+@pytest.mark.parametrize("key", ["name", "shape", "kind"])
+def test_tensor_entry_without_key_rejected(ckpt, skel, key):
+    header, blob = read(ckpt)
+    del header["tensors"][1][key]
+    write(ckpt, header, blob)
+    with pytest.raises(CheckpointError, match=f"tensor entry lacks.*{key}"):
+        load_checkpoint(ckpt, skel)
+
+
+@pytest.mark.parametrize("config", [["semgcn"], {"channels": "4"}])
+def test_malformed_config_rejected(ckpt, skel, config):
+    header, blob = read(ckpt)
+    header["config"] = config
+    write(ckpt, header, blob)
+    with pytest.raises(CheckpointError, match="config"):
+        load_checkpoint(ckpt, skel)

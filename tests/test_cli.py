@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from semgcn.checkpoint import load_checkpoint
-from semgcn.cli import EXIT_OK, EXIT_USAGE, main
+from semgcn.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from semgcn.posedata import centered_arrays, load_dataset, mpjpe
 from semgcn.training import predict
 
@@ -48,6 +48,39 @@ def test_config_naming_removed_setting_is_usage_error(data_dir, tmp_path,
     assert main(["train", "--data", str(data_dir), "--out", str(out),
                  "--config", str(config), *TOY]) == EXIT_USAGE
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--lr", "-1"], ["--batch-size", "0"]])
+def test_invalid_training_setting_is_usage_error(data_dir, tmp_path, flags):
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--out", str(out),
+                 *TOY, *flags]) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [{"channels": "8"}, {"lr": "0.1"},
+                                     {"use_bone_loss": 1}, {"blocks": True},
+                                     5, ["variant"]])
+def test_config_of_wrong_type_is_usage_error(data_dir, tmp_path,
+                                                   setting):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(setting))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--out", str(out),
+                 "--config", str(config), "--epochs", "1"]) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["config", "skeleton_hash", "tensors"])
+def test_eval_of_header_without_key_is_data_error(run_dir, data_dir,
+                                                  tmp_path, key):
+    header, _, blob = (run_dir / "best.ckpt").read_bytes().partition(b"\n")
+    header = json.loads(header)
+    del header[key]
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+    assert main(["eval", "--checkpoint", str(broken), "--data",
+                 str(data_dir)]) == EXIT_DATA
 
 
 def test_eval_reports_mpjpe_of_predictions(run_dir, data_dir, capsys):

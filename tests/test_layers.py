@@ -196,6 +196,30 @@ class TestNonLocal:
         err = grad_check(lambda *_: layer(x).sum(), [x] + params)
         assert err < 1e-4
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_concatenation_affinity_reference(self, seed):
+        # numpy reference that forms the query and key embeddings and the
+        # concatenated pairs [q_i || k_j] the affinity is defined on
+        rng = rng_for(20 + seed)
+        layer = NonLocalBlock(C, DEFAULT_NODE_GROUPS, K, rng)
+        for _, p in layer.named_parameters():
+            p.data = p.data + rng.standard_normal(p.shape) * 0.5
+        x = rng.standard_normal((3, K, C))
+        pairs = np.asarray(DEFAULT_NODE_GROUPS)
+        pooled = np.maximum(x[:, pairs[:, 0]], x[:, pairs[:, 1]])
+        q = x @ layer.theta_w.data + layer.theta_b.data          # (B, K, E)
+        key = pooled @ layer.phi_w.data + layer.phi_b.data       # (B, G, E)
+        val = pooled @ layer.g_w.data + layer.g_b.data           # (B, G, E)
+        b, g, e = key.shape
+        concat = np.concatenate([np.broadcast_to(q[:, :, None], (b, K, g, e)),
+                                 np.broadcast_to(key[:, None], (b, K, g, e))],
+                                axis=-1)                         # (B, K, G, 2E)
+        f = np.maximum(concat @ layer.wf_w.data[:, 0] + layer.wf_b.data, 0.0)
+        assert 0 < np.count_nonzero(f) < f.size  # both sides of the ReLU
+        expected = x + f @ val @ layer.wx.data / g
+        np.testing.assert_allclose(layer(Tensor(x)).data, expected,
+                                   rtol=1e-12, atol=0)
+
     def test_grouping_must_partition(self):
         with pytest.raises(ShapeError):
             NonLocalBlock(C, ((0, 1), (1, 2)), 4, rng_for(18))

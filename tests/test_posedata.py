@@ -1,6 +1,7 @@
 """Generator, preprocessing, metric, and file-format tests."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -215,6 +216,19 @@ class TestFileFormat:
         patched = header.replace(b'"version": 1', b'"version": 9')
         path.write_bytes(patched + b"\n" + blob)
         with pytest.raises(DatasetError, match="version"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key", ["count", "joints", "split",
+                                     "skeleton_hash", "camera", "seed",
+                                     "noise_sigma"])
+    def test_header_without_key_rejected(self, dataset, tmp_path, key):
+        path = tmp_path / "ds.poses"
+        save_dataset(dataset, path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        header = json.loads(header)
+        del header[key]
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+        with pytest.raises(DatasetError, match=f"lacks.*{key}"):
             load_dataset(path)
 
     def test_truncated_payload_rejected(self, dataset, tmp_path):

@@ -1,0 +1,85 @@
+"""One training step as the benchmark runs it: the ops it records on the
+tape, and the memory it keeps between steps."""
+
+import json
+import os
+import platform
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import semgcn
+from semgcn.autodiff import Tape
+from semgcn.network import NetworkConfig, build_network
+from semgcn.skeleton import build_skeleton
+from semgcn.training import Adam, pose_loss
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def make_step(variant, channels, blocks, batch):
+    """A closure running one training step; it returns that step's tape."""
+    g = build_skeleton()
+    net = build_network(NetworkConfig(variant=variant, channels=channels,
+                                      blocks=blocks), g, seed=0)
+    opt = Adam(net.named_parameters(), lr=1e-3)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((batch, g.num_joints, 2))
+    y = rng.standard_normal((batch, g.num_joints, 3)) * 100.0
+
+    def step():
+        with Tape() as tape:
+            tape.backward(pose_loss(net.forward(x, train=True), y, g))
+        opt.step()
+        net.zero_grad()
+        return tape
+
+    return step
+
+
+@pytest.mark.parametrize("variant", ["semgcn", "resgcn"])
+def test_every_tape_op_is_a_benchmark_metric(variant):
+    # the traced benchmark refuses to report an op kind it does not declare
+    declared = {m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]}
+    ops = Counter(node.op for node in make_step(variant, 4, 1, 4)().nodes)
+    assert ops
+    undeclared = sorted(op for op in ops
+                        if f"autodiff.tape_nodes.{op}" not in declared)
+    assert not undeclared
+
+
+# Three steps after two warm-up steps, in a fresh interpreter: freeing
+# large arrays raises glibc's own trim threshold, so a process that has
+# run other tests may keep its heap whatever the engine asks for.
+FAULT_PROBE = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from test_training_step import make_step
+step = make_step("resgcn", 64, 1, 64)
+tape = step()
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    step()
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults, sum(n.output.data.nbytes for n in tape.nodes) // 4096)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator settings are glibc's")
+def test_steps_reuse_freed_tape_memory():
+    src = Path(semgcn.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE,
+                          str(Path(__file__).parent)],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=300)
+    faults, tape_pages = map(int, out.stdout.split())
+    assert tape_pages > 2000  # 8 MiB, freed at the end of every step
+    assert faults < 64, f"{faults} minor faults in 3 steps over a " \
+        f"{tape_pages}-page tape"
