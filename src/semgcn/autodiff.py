@@ -5,6 +5,13 @@ open and an input requires gradients) holding a closure that maps the
 output gradient to input gradients.  Backward walks the tape once in
 reverse execution order, which is always a valid topological order.
 
+A vjp owns the output gradient ``g`` it is handed and may overwrite it,
+for instance to return ``g`` itself scaled in place.  The root is the
+exception to the buffer hand-over: its vjp gets a copy, so ``root.grad``
+and a seed array passed to :meth:`Tape.backward` stay untouched.  When a
+vjp returns ``g`` for several inputs, the first keeps the buffer and the
+others get copies.
+
 All values are 64-bit floats.  Operation outputs are checked for
 NaN/Inf; a violation raises :class:`NonFiniteError` instead of
 propagating silently.
@@ -192,12 +199,13 @@ class Tape:
         """Accumulate d(root)/d(leaf) into every leaf's ``grad``.
 
         Gradients add onto existing ``grad`` buffers; reset them to None
-        between steps when accumulation is not wanted.
+        between steps when accumulation is not wanted.  A caller's ``grad``
+        array is never written to, and ``root.grad`` only takes the seed.
         """
         if grad is None:
             grad = np.ones_like(root.data)
         else:
-            grad = np.asarray(grad, dtype=np.float64)
+            grad = np.array(grad, dtype=np.float64)  # root.grad must not alias it
             if grad.shape != root.data.shape:
                 raise ShapeError(
                     f"seed gradient shape {grad.shape} != root shape {root.data.shape}")
@@ -206,21 +214,31 @@ class Tape:
             out_grad = node.output.grad
             if out_grad is None:
                 continue
-            grads = node.vjp(out_grad)
-            for tensor, g in zip(node.inputs, grads):
+            if node.output is root:
+                out_grad = out_grad.copy()
+            else:
+                node.output.grad = None  # the vjp owns the buffer from here on
+            # The first input handed the buffer back keeps it; any later one
+            # (add(x, x)) gets a copy, made before the keeper adds into it.
+            keeper = None
+            for tensor, g in zip(node.inputs, node.vjp(out_grad)):
                 if g is None:
                     continue
-                _accumulate(tensor, g, protected=out_grad)
-            if node.output is not root:
-                node.output.grad = None  # free intermediate buffers early
+                if g is out_grad:
+                    if keeper is None:
+                        keeper = tensor
+                        continue
+                    g = g.copy()
+                _accumulate(tensor, g)
+            if keeper is not None:
+                _accumulate(keeper, out_grad)
 
 
-def _accumulate(tensor: Tensor, g: np.ndarray,
-                protected: np.ndarray | None = None) -> None:
+def _accumulate(tensor: Tensor, g: np.ndarray) -> None:
     if tensor.grad is None:
-        # Own the buffer: a view or a passed-through output gradient would
-        # alias another tensor's gradient and corrupt later accumulation.
-        if g is protected or g.base is not None or not g.flags.writeable:
+        # Own the buffer: a view would alias another array and a read-only
+        # array (a broadcast) cannot take later accumulation.
+        if g.base is not None or not g.flags.writeable:
             g = g.copy()
         tensor.grad = g
     else:
@@ -374,7 +392,8 @@ def scale(x, c: float) -> Tensor:
 
     def make_vjp():
         def vjp(g):
-            return (g * c,)
+            g *= c
+            return (g,)
         return vjp
 
     return _maybe_record("scale", (x,), out_data, make_vjp)
@@ -389,7 +408,8 @@ def relu(x) -> Tensor:
         mask = x.data > 0  # subgradient at 0 is 0
 
         def vjp(g):
-            return (g * mask,)
+            g *= mask
+            return (g,)
         return vjp
 
     return _maybe_record("relu", (x,), out_data, make_vjp)
@@ -579,41 +599,56 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
     if state.running_mean.shape != (c,):
         raise ShapeError("batch_norm state does not match channel count")
 
+    x2 = x.data.reshape(-1, c)
+    n = x2.shape[0]
     if training:
-        n = x.shape[0] * x.shape[1]
         if n < 2:
             raise ShapeError("batch_norm in train mode needs batch*nodes >= 2")
-        mu = x.data.mean(axis=(0, 1))
-        xc = x.data - mu
-        var = np.mean(xc * xc, axis=(0, 1))
+        mu = x2.mean(axis=0)
+        xc = x2 - mu
+        var = np.einsum("ij,ij->j", xc, xc) / n
         m = state.momentum
         state.running_mean *= 1.0 - m
         state.running_mean += m * mu
         state.running_var *= 1.0 - m
         state.running_var += m * var
-        inv = 1.0 / np.sqrt(var + state.eps)
-        xhat = xc * inv
     else:
-        mu = state.running_mean
+        # copied: a later train-mode forward updates the state in place
+        mu = state.running_mean.copy()
         var = state.running_var
-        inv = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x.data - mu) * inv
-    out_data = gamma.data * xhat + beta.data
+    inv = 1.0 / np.sqrt(var + state.eps)
+    a = gamma.data * inv
+    if training:
+        out = xc * a
+        out += beta.data
+    else:
+        # the scale-and-shift folding of Jacob et al. (arXiv 1712.05877)
+        out = x2 * a
+        out += beta.data - mu * a
+    out_data = out.reshape(x.shape)
     _ensure_finite(out_data, "batch_norm")
 
     def make_vjp():
         def vjp(g):
-            ggamma = (g * xhat).sum(axis=(0, 1)) if gamma.requires_grad else None
-            gbeta = g.sum(axis=(0, 1)) if beta.requires_grad else None
+            if not g.flags.c_contiguous:
+                g = np.ascontiguousarray(g)
+            g2 = g.reshape(-1, c)  # a view, so gx is formed in g's buffer
+            centered = xc if training else x2 - mu
+            gbeta = g2.sum(axis=0)
+            ggamma = np.einsum("ij,ij->j", g2, centered) * inv
             gx = None
             if x.requires_grad:
+                # Ioffe & Szegedy (arXiv 1502.03167); every sum over g is
+                # taken above, before g is overwritten
                 if training:
-                    gm = g.mean(axis=(0, 1))
-                    gxm = (g * xhat).mean(axis=(0, 1))
-                    gx = gamma.data * inv * (g - gm - xhat * gxm)
+                    g2 -= gbeta / n
+                    g2 *= a
+                    g2 -= xc * (a * inv * ggamma / n)
                 else:
-                    gx = g * (gamma.data * inv)
-            return gx, ggamma, gbeta
+                    g2 *= a
+                gx = g
+            return (gx, ggamma if gamma.requires_grad else None,
+                    gbeta if beta.requires_grad else None)
         return vjp
 
     return _maybe_record("batch_norm", (x, gamma, beta), out_data, make_vjp)

@@ -146,6 +146,12 @@ def cmd_train(args) -> int:
 
         result = train(net, train_ds, val_ds, train_cfg,
                        on_epoch=stream_record)
+        if result.aborted:
+            fh.write(json.dumps({"event": "aborted",
+                                 "reason": result.abort_reason,
+                                 "epochs_run": len(result.history),
+                                 "best_epoch": result.best_epoch},
+                                sort_keys=True) + "\n")
 
     meta = {"seed": train_cfg.seed, "best_epoch": result.best_epoch,
             "best_val_loss": result.best_val_loss,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -252,6 +252,21 @@ def save_dataset(ds: PoseDataset, path) -> None:
         fh.write(block.astype("<f8").tobytes())
 
 
+def _camera_from_header(camera, path) -> CameraConfig:
+    """Every CameraConfig field and no other: a default would stand in for
+    the camera the poses were projected with."""
+    if not isinstance(camera, dict):
+        raise DatasetError(f"camera in the dataset header of {path} is not "
+                           f"a JSON object")
+    names = [f.name for f in fields(CameraConfig)]
+    missing = [name for name in names if name not in camera]
+    unknown = sorted(key for key in camera if key not in names)
+    if missing or unknown:
+        raise DatasetError(f"camera in the dataset header of {path}: "
+                           f"missing {missing}, unknown {unknown}")
+    return CameraConfig(**camera)
+
+
 def load_dataset(path) -> PoseDataset:
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -278,7 +293,7 @@ def load_dataset(path) -> PoseDataset:
             f"truncated dataset: expected {expected} payload bytes, "
             f"got {len(blob)}")
     block = np.frombuffer(blob, dtype="<f8").reshape(n, k, _VALUES_PER_JOINT)
-    camera = CameraConfig(**header["camera"])
+    camera = _camera_from_header(header["camera"], path)
     samples = []
     for i in range(n):
         joints3d = block[i, :, :3].copy()

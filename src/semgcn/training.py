@@ -8,6 +8,7 @@ halved when validation loss plateaus.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -200,8 +201,10 @@ def train(net: Network, train_ds: PoseDataset, val_ds: PoseDataset,
     """Run the full recipe and keep the best-validation parameter snapshot.
 
     ``on_epoch``, when given, receives each epoch's log record as soon as
-    it exists.  A non-finite loss or gradient aborts the run and returns
-    the last good snapshot with ``aborted`` set.
+    it exists.  A record's ``wall_s`` spans the whole epoch, validation
+    included; ``train_samples_per_s`` counts the training passes alone.
+    A non-finite loss or gradient aborts the run and returns the last good
+    snapshot with ``aborted`` set.
     """
     cfg.validate()
     g = net.skeleton
@@ -231,6 +234,7 @@ def train(net: Network, train_ds: PoseDataset, val_ds: PoseDataset,
     abort_reason = ""
 
     for epoch in range(cfg.max_epochs):
+        t_start = time.perf_counter()
         perm = rng.permutation(n)
         batch_losses = []
         try:
@@ -249,6 +253,7 @@ def train(net: Network, train_ds: PoseDataset, val_ds: PoseDataset,
             net.zero_grad()
             restore_snapshot(net, best_params, best_buffers)
             break
+        t_trained = time.perf_counter()
 
         val_loss, val_mpjpe = evaluate(net, x_val, y_val, g, cfg.use_bone_loss)
         lr = sched.step(val_loss)
@@ -259,6 +264,8 @@ def train(net: Network, train_ds: PoseDataset, val_ds: PoseDataset,
             "val_loss": val_loss,
             "lr": lr,
             "val_mpjpe": val_mpjpe,
+            "wall_s": time.perf_counter() - t_start,
+            "train_samples_per_s": n / (t_trained - t_start),
         }
         history.append(record)
         if on_epoch is not None:

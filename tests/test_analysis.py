@@ -1,0 +1,112 @@
+"""Edge-weight export: stochastic rows on the adjacency support, the
+per-channel export, the joint average, and the JSON and CSV reports."""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from semgcn.analysis import (
+    AnalysisError,
+    average_joint_weight,
+    export_weights,
+    joint_weight_csv,
+    report_to_json,
+)
+from semgcn.network import NetworkConfig, build_network
+from semgcn.skeleton import adjacency, build_skeleton
+
+
+@pytest.fixture(scope="module")
+def skel():
+    return build_skeleton()
+
+
+def perturbed_net(skel, channelwise, seed=0):
+    net = build_network(NetworkConfig(variant="semgcn", channels=4, blocks=2,
+                                      channelwise_masks=channelwise), skel)
+    rng = np.random.default_rng(seed)
+    for _, conv in net.semgconv_layers():
+        conv.mask.data = 2.0 * rng.standard_normal(conv.mask.shape)
+    return net
+
+
+@pytest.mark.parametrize("channelwise", [False, True])
+class TestExport:
+    def test_rows_stochastic_and_zero_off_adjacency(self, skel, channelwise):
+        report = export_weights(perturbed_net(skel, channelwise))
+        off = adjacency(skel) == 0.0
+        stacks = list(report.matrices) + list(report.per_channel.values())
+        assert len(stacks) == (12 if channelwise else 6)
+        for s in stacks:
+            np.testing.assert_allclose(s.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+            assert np.all(s[..., off] == 0.0)
+            assert np.all(s[..., ~off] > 0.0)
+
+    def test_matrices_come_from_the_layers(self, skel, channelwise):
+        net = perturbed_net(skel, channelwise)
+        report = export_weights(net)
+        layers = net.semgconv_layers()
+        assert report.layer_labels == [label for label, _ in layers]
+        assert report.block_layer_indices == [1, 2, 3, 4]
+        assert set(report.per_channel) == (
+            {label for label, _ in layers} if channelwise else set())
+        for matrix, (label, conv) in zip(report.matrices, layers):
+            s = conv.edge_weights().data
+            if channelwise:
+                np.testing.assert_array_equal(report.per_channel[label], s)
+                np.testing.assert_array_equal(matrix, s.mean(axis=0))
+            else:
+                np.testing.assert_array_equal(matrix, s)
+
+    def test_reports_round_trip(self, skel, channelwise):
+        report = export_weights(perturbed_net(skel, channelwise))
+        payload = json.loads(report_to_json(report))
+        assert payload["joint_names"] == list(skel.joints)
+        assert [layer["label"] for layer in payload["layers"]] == \
+            report.layer_labels
+        for layer, matrix in zip(payload["layers"], report.matrices):
+            np.testing.assert_array_equal(np.array(layer["weights"]), matrix)
+        assert set(payload["per_channel"]) == set(report.per_channel)
+        for label, stack in report.per_channel.items():
+            np.testing.assert_array_equal(
+                np.array(payload["per_channel"][label]), stack)
+        np.testing.assert_array_equal(payload["average_joint_weight"],
+                                      average_joint_weight(report))
+        lines = joint_weight_csv(report).splitlines()
+        assert len(lines) == skel.num_joints + 1
+        assert lines[0] == "joint,average_weight"
+        assert [line.split(",")[0] for line in lines[1:]] == list(skel.joints)
+
+
+def test_resgcn_has_no_masks_to_export(skel):
+    net = build_network(NetworkConfig(variant="resgcn", channels=4, blocks=1),
+                        skel)
+    with pytest.raises(AnalysisError):
+        export_weights(net)
+
+
+def test_average_joint_weight_at_zero_logits(skel):
+    # Zero logits give every receiving joint i the weight 1/deg(i) for each
+    # neighbor, deg counting the self-loop (pelvis 4, spine 5, a hip,
+    # knee, neck, shoulder or elbow 3, an ankle, head or wrist 2); joint j
+    # averages 1/deg(i) over its neighbors i.
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    pelvis = (third + third + fifth) / 3
+    hip = (Fraction(1, 4) + third) / 2
+    knee = (third + Fraction(1, 2)) / 2
+    spine = (Fraction(1, 4) + 3 * third) / 4
+    neck = (fifth + Fraction(1, 2)) / 2
+    shoulder = (fifth + third) / 2
+    expected = [pelvis, hip, knee, third, hip, knee, third, spine, neck,
+                third, shoulder, knee, third, shoulder, knee, third]
+    net = build_network(NetworkConfig(variant="semgcn-conv-only", channels=4,
+                                      blocks=2), skel)
+    report = export_weights(net)
+    np.testing.assert_allclose(average_joint_weight(report),
+                               [float(v) for v in expected], rtol=1e-14)
+    with_self = average_joint_weight(report, include_self=True)
+    np.testing.assert_allclose(with_self[0],
+                               float((3 * pelvis + Fraction(1, 4)) / 4),
+                               rtol=1e-14)

@@ -157,7 +157,114 @@ class TestSoftmax:
         assert ((out >= 0) & (out <= 1)).all()
 
 
+def reference_batch_norm(x, gamma, beta, mean, var, eps, momentum, training,
+                         g):
+    """The textbook batch norm through xhat, with the three-term backward:
+    output, gradients for x, gamma and beta, and the running statistics
+    after the call."""
+    if training:
+        mu = x.mean(axis=(0, 1))
+        v = np.mean((x - mu) * (x - mu), axis=(0, 1))
+        mean = (1.0 - momentum) * mean + momentum * mu
+        var = (1.0 - momentum) * var + momentum * v
+    else:
+        mu, v = mean, var
+    inv = 1.0 / np.sqrt(v + eps)
+    xhat = (x - mu) * inv
+    out = gamma * xhat + beta
+    ggamma = (g * xhat).sum(axis=(0, 1))
+    gbeta = g.sum(axis=(0, 1))
+    if training:
+        gx = gamma * inv * (g - g.mean(axis=(0, 1))
+                            - xhat * (g * xhat).mean(axis=(0, 1)))
+    else:
+        gx = g * gamma * inv
+    return out, gx, ggamma, gbeta, mean, var
+
+
+def perturbed_state(rng, c):
+    state = BatchNormState(c, momentum=0.3)
+    state.running_mean[:] = rng.standard_normal(c)
+    state.running_var[:] = rng.uniform(0.5, 2.0, c)
+    return state
+
+
 class TestBatchNorm:
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_formula(self, training, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(3.0 + 2.0 * rng.standard_normal((4, 5, 6)), requires_grad=True)
+        gamma = Tensor(rng.standard_normal(6), requires_grad=True)
+        beta = Tensor(rng.standard_normal(6), requires_grad=True)
+        state = perturbed_state(rng, 6)
+        probe = rng.standard_normal((4, 5, 6))
+        expected = reference_batch_norm(
+            x.data, gamma.data, beta.data, state.running_mean.copy(),
+            state.running_var.copy(), state.eps, state.momentum, training,
+            probe)
+        with Tape() as tape:
+            out = batch_norm(x, gamma, beta, state, training)
+            tape.backward(out, grad=probe)
+        actual = (out.data, x.grad, gamma.grad, beta.grad, state.running_mean,
+                  state.running_var)
+        for got, want in zip(actual, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_vjp_takes_a_gradient_of_any_layout(self, training):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        gamma = Tensor(rng.standard_normal(5), requires_grad=True)
+        beta = Tensor(rng.standard_normal(5), requires_grad=True)
+        state = perturbed_state(rng, 5)
+        probe = rng.standard_normal((3, 4, 5))
+        with Tape() as tape:
+            batch_norm(x, gamma, beta, state, training)
+        (node,) = tape.nodes
+        c_order = node.vjp(probe.copy())
+        f_order = node.vjp(np.asfortranarray(probe))
+        for a, b in zip(c_order, f_order):
+            np.testing.assert_array_equal(a, b)
+
+    def test_eval_mode_against_oracle(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        gamma = Tensor(rng.standard_normal(4), requires_grad=True)
+        beta = Tensor(rng.standard_normal(4), requires_grad=True)
+        state = perturbed_state(rng, 4)
+        probe = Tensor(rng.standard_normal((2, 3, 4)))
+
+        def f(x, gamma, beta):
+            return mul(batch_norm(x, gamma, beta, state, training=False),
+                       probe).sum()
+
+        assert grad_check(f, [x, gamma, beta]) < 1e-6
+
+    def test_eval_backward_uses_statistics_of_its_forward(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        gamma = Tensor(rng.standard_normal(4), requires_grad=True)
+        beta = Tensor(rng.standard_normal(4), requires_grad=True)
+        state = perturbed_state(rng, 4)
+        mean, var = state.running_mean.copy(), state.running_var.copy()
+        probe = rng.standard_normal((2, 3, 4))
+        with Tape() as tape:
+            out = batch_norm(x, gamma, beta, state, training=False)
+            # a train-mode forward moves the running statistics in place
+            batch_norm(Tensor(5.0 + rng.standard_normal((2, 3, 4))),
+                       Tensor(gamma.data), Tensor(beta.data), state,
+                       training=True)
+            assert not np.allclose(state.running_mean, mean)
+            assert not np.allclose(state.running_var, var)
+            tape.backward(out, grad=probe)
+        _, gx, ggamma, gbeta, _, _ = reference_batch_norm(
+            x.data, gamma.data, beta.data, mean, var, state.eps,
+            state.momentum, False, probe)
+        np.testing.assert_allclose(x.grad, gx, rtol=1e-12)
+        np.testing.assert_allclose(gamma.grad, ggamma, rtol=1e-12)
+        np.testing.assert_allclose(beta.grad, gbeta, rtol=1e-12)
+
     def test_train_mode_hand_value(self):
         x = Tensor(np.array([1.0, 3.0]).reshape(2, 1, 1), requires_grad=True)
         gamma, beta = Tensor(np.ones(1)), Tensor(np.zeros(1))
@@ -297,6 +404,71 @@ class TestGradCheckOracle:
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         err = grad_check(lambda x: broken_square(x).sum(), [x])
         assert err > 1e-2
+
+
+class TestBackwardBuffers:
+    """Each vjp may overwrite the output gradient it is handed."""
+
+    @pytest.mark.parametrize("root_op", ["relu", "scale", "add", "batch_norm"])
+    def test_seed_and_root_grad_are_left_alone(self, root_op):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        ops = {
+            "relu": lambda x: relu(x),
+            "scale": lambda x: scale(x, -3.0),
+            "add": lambda x: add(x, x),
+            "batch_norm": lambda x: batch_norm(
+                x, Tensor(np.full(4, 2.0)), Tensor(np.zeros(4)),
+                BatchNormState(4), training=True),
+        }
+        seed = rng.standard_normal((2, 3, 4))
+        kept = seed.copy()
+        with Tape() as tape:
+            out = ops[root_op](x)
+            tape.backward(out, grad=seed)
+        np.testing.assert_array_equal(seed, kept)
+        np.testing.assert_array_equal(out.grad, kept)
+        assert x.grad is not seed and x.grad is not out.grad
+
+    def test_seed_is_not_accumulated_into(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        seed = np.array([0.5, 3.0])
+        with Tape() as tape:
+            out = relu(x)
+            tape.backward(out, grad=seed)
+            tape.backward(out, grad=seed)
+        np.testing.assert_array_equal(seed, [0.5, 3.0])
+        np.testing.assert_array_equal(out.grad, [1.0, 6.0])
+
+    @pytest.mark.parametrize("case", [
+        "add_self", "relu_and_add_of_leaf", "relu_and_add_of_node",
+        "scale_of_relu", "add_of_scale_and_relu"])
+    def test_shared_buffers_against_oracle(self, case):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        probe = Tensor(rng.standard_normal((3, 5)))
+        cases = {
+            "add_self": lambda x, w: add(x, x),
+            "relu_and_add_of_leaf": lambda x, w: add(relu(x), x),
+            "relu_and_add_of_node": lambda x, w: (
+                lambda h: add(relu(h), h, h))(mul(x, w)),
+            "scale_of_relu": lambda x, w: scale(relu(x), -2.5),
+            "add_of_scale_and_relu": lambda x, w: (
+                lambda h: add(scale(h, 3.0), relu(h)))(sub(x, w)),
+        }
+
+        def f(x, w):
+            return mul(cases[case](x, w), probe).sum()
+
+        assert grad_check(f, [x, w]) < 1e-6
+
+    def test_add_of_self_doubles_the_gradient(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        seed = np.array([0.5, 3.0])
+        with Tape() as tape:
+            tape.backward(add(x, x, x), grad=seed)
+        np.testing.assert_array_equal(x.grad, 3.0 * seed)
 
 
 class TestTensorAndTape:

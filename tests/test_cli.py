@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from semgcn.checkpoint import load_checkpoint
-from semgcn.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from semgcn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from semgcn.posedata import centered_arrays, load_dataset, mpjpe
 from semgcn.training import predict
 
@@ -81,6 +81,30 @@ def test_eval_of_header_without_key_is_data_error(run_dir, data_dir,
     broken.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
     assert main(["eval", "--checkpoint", str(broken), "--data",
                  str(data_dir)]) == EXIT_DATA
+
+
+def test_eval_of_dataset_with_incomplete_camera_is_data_error(run_dir, data_dir,
+                                                             tmp_path):
+    broken = tmp_path / "data"
+    broken.mkdir()
+    header, _, blob = (data_dir / "test.poses").read_bytes().partition(b"\n")
+    header = json.loads(header)
+    del header["camera"]["depth_max"]
+    (broken / "test.poses").write_bytes(json.dumps(header).encode("utf-8")
+                                        + b"\n" + blob)
+    assert main(["eval", "--checkpoint", str(run_dir / "best.ckpt"), "--data",
+                 str(broken)]) == EXIT_DATA
+
+
+def test_diverging_run_ends_its_log_with_an_abort_record(data_dir, tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--out", str(out),
+                 *TOY, "--lr", "1e200"]) == EXIT_NUMERIC
+    last = json.loads((out / "log.jsonl").read_text().splitlines()[-1])
+    assert last["event"] == "aborted"
+    assert set(last) == {"event", "reason", "epochs_run", "best_epoch"}
+    assert "non-finite" in last["reason"]
+    assert (last["epochs_run"], last["best_epoch"]) == (0, -1)
 
 
 def test_eval_reports_mpjpe_of_predictions(run_dir, data_dir, capsys):

@@ -231,6 +231,26 @@ class TestFileFormat:
         with pytest.raises(DatasetError, match=f"lacks.*{key}"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("camera, named", [
+        ({"focal": 1000.0, "depth_min": 4000.0, "lateral_range": 300.0},
+         "depth_max"),
+        ({"focal": 1000.0}, "depth_min"),
+        ({"focal": 1000.0, "depth_min": 4000.0, "depth_max": 6000.0,
+          "lateral_range": 300.0, "skew": 0.0}, "skew"),
+        ({}, "focal"),
+        ([1000.0, 4000.0, 6000.0, 300.0], "not a JSON object"),
+        (None, "not a JSON object"),
+    ])
+    def test_malformed_camera_rejected(self, dataset, tmp_path, camera, named):
+        path = tmp_path / "ds.poses"
+        save_dataset(dataset, path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        header = json.loads(header)
+        header["camera"] = camera
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+        with pytest.raises(DatasetError, match=f"camera.*{named}"):
+            load_dataset(path)
+
     def test_truncated_payload_rejected(self, dataset, tmp_path):
         path = tmp_path / "trunc.poses"
         save_dataset(dataset, path)
