@@ -35,7 +35,6 @@ from .posedata import (
     DatasetError,
     PoseDataset,
     PoseSample,
-    calibrate_scale,
     generate_synthetic,
     load_dataset,
     mpjpe,

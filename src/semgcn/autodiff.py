@@ -305,8 +305,11 @@ def matmul(a, b) -> Tensor:
             ga = gb = None
             if a.requires_grad:
                 if stacked_by_2d:
+                    # written in place so ``ga`` owns its memory
                     gflat = g.reshape(-1, g.shape[-1])
-                    ga = (gflat @ b_data.T).reshape(a_data.shape)
+                    ga = np.empty(a_data.shape)
+                    np.matmul(gflat, b_data.T,
+                              out=ga.reshape(gflat.shape[0], -1))
                 else:
                     ga = _sum_to_shape(np.matmul(g, np.swapaxes(b_data, -1, -2)),
                                        a_data.shape)

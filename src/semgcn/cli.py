@@ -14,15 +14,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import AnalysisError, export_weights, joint_weight_csv, report_to_json
 from .autodiff import NonFiniteError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .network import ConfigError, NetworkConfig, build_network, count_params
 from .posedata import (
     DatasetError,
-    calibrate_scale,
     centered_arrays,
     generate_synthetic,
     load_dataset,
@@ -180,25 +177,12 @@ def cmd_eval(args) -> int:
     x, y = centered_arrays(ds, root=net.skeleton.root)
     pred = predict(net, x)
 
-    raw = mpjpe(pred, y, root=net.skeleton.root)
-    calibrated = None
-    if not args.no_calibration:
-        scaled = np.stack([
-            calibrate_scale(p - p[net.skeleton.root], net.skeleton)
-            for p in pred])
-        calibrated = mpjpe(scaled, y, root=net.skeleton.root)
-
+    error = mpjpe(pred, y, root=net.skeleton.root)
     result = {
         "checkpoint": str(args.checkpoint), "data": str(data_path),
-        "count": len(ds), "variant": net.config.variant,
-        "mpjpe_raw_mm": raw, "mpjpe_calibrated_mm": calibrated,
-        "mpjpe_mm": raw if calibrated is None else calibrated,
+        "count": len(ds), "variant": net.config.variant, "mpjpe_mm": error,
     }
-    if calibrated is None:
-        print(f"MPJPE (no calibration): {raw:.3f} mm over {len(ds)} samples")
-    else:
-        print(f"MPJPE (calibrated): {calibrated:.3f} mm | "
-              f"raw: {raw:.3f} mm over {len(ds)} samples")
+    print(f"MPJPE: {error:.3f} mm over {len(ds)} samples")
     print(json.dumps(result, sort_keys=True))
     if args.out:
         _write_json(Path(args.out), result)
@@ -264,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True,
                    help="a .poses file, or a directory (uses test.poses)")
-    p.add_argument("--no-calibration", action="store_true",
-                   help="skip total-bone-length scale calibration")
     p.add_argument("--out", help="also write the JSON result here")
     p.set_defaults(func=cmd_eval)
 

@@ -5,12 +5,16 @@ per-joint rotations drawn inside anatomically bounded ranges, places the
 subject in front of a pinhole camera, and projects.  2D inputs are exact
 projections of the 3D targets (plus optional Gaussian detector noise),
 so the lifting problem is well posed by construction.
+
+Each sample has its own random stream, ``default_rng([seed, i])``, read
+in a fixed order: the joint angles in ``_ANGLE_RANGES`` order, the x, y
+and depth placement, then the 2D noise if any.  A sample is therefore the
+same whatever the number of samples drawn with it.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -87,41 +91,22 @@ _ANGLE_RANGES = {
     "r_elbow": (("z", -120.0, 0.0),),
 }
 
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+# Rotation plane (i, j) of each axis: R[i, i] = R[j, j] = cos, R[i, j] = -sin
+# and R[j, i] = sin, with a 1 on the axis itself.
+_PLANES = {"x": (1, 2), "y": (2, 0), "z": (0, 1)}
 
 
-def _axis_rotation(axis: str, degrees: float) -> np.ndarray:
-    t = math.radians(degrees)
-    c, s = math.cos(t), math.sin(t)
-    if axis == "x":
-        return np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=np.float64)
-    if axis == "y":
-        return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=np.float64)
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=np.float64)
-
-
-def _pose_by_kinematics(g: SkeletonGraph, rng: np.random.Generator) -> np.ndarray:
-    """Joint positions (K, 3) of one posed skeleton, pelvis at the origin."""
-    k = g.num_joints
-    local = [np.eye(3) for _ in range(k)]
-    for name, ranges in _ANGLE_RANGES.items():
-        j = JOINT_NAMES.index(name)
-        rot = np.eye(3)
-        for axis, low, high in ranges:
-            rot = rot @ _axis_rotation(axis, rng.uniform(low, high))
-        local[j] = rot
-
-    offsets = np.zeros((k, 3))
-    for (p, c), length in zip(g.edges, g.canonical_bone_lengths):
-        offsets[c] = np.asarray(_REST_DIRECTIONS[g.joints[c]], dtype=np.float64) * length
-
-    pos = np.zeros((k, 3))
-    global_rot = [np.eye(3) for _ in range(k)]
-    global_rot[g.root] = local[g.root]
-    for p, c in g.edges:  # edges are in parent-before-child order
-        pos[c] = pos[p] + global_rot[p] @ offsets[c]
-        global_rot[c] = global_rot[p] @ local[c]
-    return pos
+def _axis_rotations(axis: str, degrees: np.ndarray) -> np.ndarray:
+    """(N, 3, 3) rotations about one axis, one per angle in ``degrees``."""
+    t = np.radians(degrees)
+    c, s = np.cos(t), np.sin(t)
+    i, j = _PLANES[axis]
+    rot = np.zeros((len(t), 3, 3))
+    rot[:, 3 - i - j, 3 - i - j] = 1.0
+    rot[:, i, i] = rot[:, j, j] = c
+    rot[:, i, j] = -s
+    rot[:, j, i] = s
+    return rot
 
 
 def project(joints3d: np.ndarray, focal: float) -> np.ndarray:
@@ -132,41 +117,65 @@ def project(joints3d: np.ndarray, focal: float) -> np.ndarray:
     return joints3d[..., :2] * (focal / z)
 
 
-def generate_synthetic(n: int, seed: int, camera: CameraConfig | None = None,
-                       noise_sigma: float = 0.0, *,
-                       skeleton: SkeletonGraph | None = None,
-                       split: str = "all") -> PoseDataset:
-    """Draw ``n`` posed-and-projected samples, deterministic in ``seed``."""
+def generate_synthetic(n: int, seed: int, noise_sigma: float = 0.0, *,
+                       skeleton: SkeletonGraph | None = None) -> PoseDataset:
+    """Draw ``n`` posed-and-projected samples, deterministic in ``seed``.
+
+    Sample ``i`` draws from its own ``default_rng([seed, i])``: first the
+    joint angles in ``_ANGLE_RANGES`` order, then the x, y and depth
+    placement, then the (K, 2) detector noise when ``noise_sigma > 0``.
+    So sample ``i`` does not depend on ``n``: the first ``m`` samples of
+    any larger draw are the ``m`` samples of this one.  Forward kinematics
+    then runs once over all samples, one step per skeleton edge.
+    """
     if n < 1:
         raise DatasetError("need at least one sample")
     if skeleton is None:
         from .skeleton import build_skeleton
         skeleton = build_skeleton()
-    if camera is None:
-        camera = CameraConfig()
+    camera = CameraConfig()
+    k = skeleton.num_joints
 
-    samples = []
+    axes = [(JOINT_NAMES.index(name), axis)
+            for name, ranges in _ANGLE_RANGES.items() for axis, _, _ in ranges]
+    lows, highs = np.array([(low, high) for ranges in _ANGLE_RANGES.values()
+                            for _, low, high in ranges]).T
+    reach = camera.lateral_range
+    place_lows = (-reach, -reach, camera.depth_min)
+    place_highs = (reach, reach, camera.depth_max)
+    angles = np.empty((n, len(axes)))
+    placement = np.empty((n, 3))
+    noise = np.empty((n, k, 2))
     for i in range(n):
         rng = np.random.default_rng([seed, i])
-        for attempt in range(100):
-            pose = _pose_by_kinematics(skeleton, rng)
-            offset = np.array([
-                rng.uniform(-camera.lateral_range, camera.lateral_range),
-                rng.uniform(-camera.lateral_range, camera.lateral_range),
-                rng.uniform(camera.depth_min, camera.depth_max),
-            ])
-            joints3d = pose + offset
-            if (joints3d[:, 2] > 0).all():
-                break
-        else:
-            raise DatasetError("camera placement kept rejecting samples")
-        joints2d = project(joints3d, camera.focal)
+        angles[i] = rng.uniform(lows, highs)
+        placement[i] = rng.uniform(place_lows, place_highs)
         if noise_sigma > 0:
-            joints2d = joints2d + rng.normal(0.0, noise_sigma, size=joints2d.shape)
-        joints3d.setflags(write=False)
-        joints2d.setflags(write=False)
-        samples.append(PoseSample(joints3d=joints3d, joints2d=joints2d))
-    return PoseDataset(samples=samples, split=split,
+            noise[i] = rng.normal(0.0, noise_sigma, size=(k, 2))
+
+    # Arrays are joint-major, so each joint's (N, ...) stack is contiguous.
+    local = np.broadcast_to(np.eye(3), (k, n, 3, 3)).copy()
+    for column, (j, axis) in enumerate(axes):
+        local[j] = local[j] @ _axis_rotations(axis, angles[:, column])
+    pos = np.zeros((k, n, 3))
+    rot = np.empty((k, n, 3, 3))
+    rot[skeleton.root] = local[skeleton.root]
+    # edges are in parent-before-child order
+    for (p, c), length in zip(skeleton.edges, skeleton.canonical_bone_lengths):
+        offset = np.asarray(_REST_DIRECTIONS[skeleton.joints[c]],
+                            dtype=np.float64) * length
+        pos[c] = pos[p] + rot[p] @ offset
+        rot[c] = rot[p] @ local[c]
+
+    joints3d = pos.transpose(1, 0, 2) + placement[:, None, :]
+    joints2d = project(joints3d, camera.focal)
+    if noise_sigma > 0:
+        joints2d = joints2d + noise
+    joints3d.setflags(write=False)
+    joints2d.setflags(write=False)
+    samples = [PoseSample(joints3d=a, joints2d=b)
+               for a, b in zip(joints3d, joints2d)]
+    return PoseDataset(samples=samples, split="all",
                        skeleton_hash=skeleton_hash(skeleton), camera=camera,
                        seed=seed, noise_sigma=noise_sigma)
 
@@ -192,22 +201,6 @@ def centered_arrays(ds: PoseDataset, root: int = 0) -> tuple[np.ndarray, np.ndar
     """Root-centered (N, K, 2) inputs and (N, K, 3) targets for training."""
     j3, j2 = ds.arrays()
     return (j2 - j2[:, root:root + 1, :], j3 - j3[:, root:root + 1, :])
-
-
-def total_bone_length(j3d: np.ndarray, g: SkeletonGraph) -> float:
-    parents = np.array([p for p, _ in g.edges])
-    children = np.array([c for _, c in g.edges])
-    seg = j3d[..., parents, :] - j3d[..., children, :]
-    return float(np.linalg.norm(seg, axis=-1).sum())
-
-
-def calibrate_scale(j3d_pred: np.ndarray, g: SkeletonGraph) -> np.ndarray:
-    """Rescale a prediction so its total bone length matches the canonical
-    skeleton.  Preserves bone-length ratios exactly."""
-    total = total_bone_length(j3d_pred, g)
-    if total <= 1e-12:
-        raise DatasetError("degenerate prediction: total bone length is zero")
-    return j3d_pred * (sum(g.canonical_bone_lengths) / total)
 
 
 def mpjpe(pred: np.ndarray, gt: np.ndarray, root: int = 0) -> float:
@@ -241,11 +234,7 @@ def save_dataset(ds: PoseDataset, path) -> None:
         "seed": ds.seed,
         "noise_sigma": ds.noise_sigma,
     }
-    k = len(JOINT_NAMES)
-    block = np.empty((len(ds), k, _VALUES_PER_JOINT))
-    for i, s in enumerate(ds.samples):
-        block[i, :, :3] = s.joints3d
-        block[i, :, 3:] = s.joints2d
+    block = np.concatenate(ds.arrays(), axis=-1)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
@@ -286,21 +275,22 @@ def load_dataset(path) -> PoseDataset:
             raise DatasetError(f"dataset header in {path} lacks {missing}")
         n = int(header["count"])
         k = int(header["joints"])
+        if k != len(JOINT_NAMES):
+            raise DatasetError(f"dataset in {path} has {k} joints per sample, "
+                               f"expected {len(JOINT_NAMES)}")
+        if n < 1:
+            raise DatasetError(f"dataset in {path} holds {n} samples")
         blob = fh.read()
     expected = n * k * _VALUES_PER_JOINT * 8
     if len(blob) != expected:
         raise DatasetError(
             f"truncated dataset: expected {expected} payload bytes, "
             f"got {len(blob)}")
+    # read-only, since it views the bytes; so do the rows handed out below
     block = np.frombuffer(blob, dtype="<f8").reshape(n, k, _VALUES_PER_JOINT)
     camera = _camera_from_header(header["camera"], path)
-    samples = []
-    for i in range(n):
-        joints3d = block[i, :, :3].copy()
-        joints2d = block[i, :, 3:].copy()
-        joints3d.setflags(write=False)
-        joints2d.setflags(write=False)
-        samples.append(PoseSample(joints3d=joints3d, joints2d=joints2d))
+    samples = [PoseSample(joints3d=row[:, :3], joints2d=row[:, 3:])
+               for row in block]
     return PoseDataset(samples=samples, split=header["split"],
                        skeleton_hash=header["skeleton_hash"], camera=camera,
                        seed=int(header["seed"]),

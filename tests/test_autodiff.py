@@ -73,6 +73,22 @@ class TestMatmul:
                          [x, w, s])
         assert err < 1e-6
 
+    def test_stacked_vjp_hands_back_an_owned_buffer(self):
+        # a view would cost _accumulate a full copy of the gradient
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        g = rng.standard_normal((3, 4, 2))
+        with Tape() as tape:
+            matmul(x, w)
+            (node,) = tape.nodes
+            ga, gb = node.vjp(g)
+        assert ga.flags.owndata and ga.shape == (3, 4, 5)
+        np.testing.assert_array_equal(
+            ga, (g.reshape(-1, 2) @ w.data.T).reshape(3, 4, 5))
+        np.testing.assert_array_equal(
+            gb, x.data.reshape(-1, 5).T @ g.reshape(-1, 2))
+
     def test_vector_times_matrix(self):
         rng = np.random.default_rng(1)
         v = Tensor(rng.standard_normal(5), requires_grad=True)

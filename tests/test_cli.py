@@ -108,13 +108,33 @@ def test_diverging_run_ends_its_log_with_an_abort_record(data_dir, tmp_path):
 
 
 def test_eval_reports_mpjpe_of_predictions(run_dir, data_dir, capsys):
-    report = eval_report(capsys, run_dir / "best.ckpt", data_dir,
-                         "--no-calibration")
+    report = eval_report(capsys, run_dir / "best.ckpt", data_dir)
     net, _ = load_checkpoint(run_dir / "best.ckpt")
     x, y = centered_arrays(load_dataset(data_dir / "test.poses"))
-    assert report["count"] == 2 and report["mpjpe_calibrated_mm"] is None
-    assert report["mpjpe_raw_mm"] == mpjpe(predict(net, x), y)
-    assert report["mpjpe_mm"] == report["mpjpe_raw_mm"]
+    assert set(report) == {"checkpoint", "data", "count", "variant", "mpjpe_mm"}
+    assert report["count"] == 2
+    assert report["mpjpe_mm"] == mpjpe(predict(net, x), y)
+
+
+def test_eval_has_no_calibration_flag(run_dir, data_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", str(run_dir / "best.ckpt"), "--data",
+              str(data_dir), "--no-calibration"])
+    assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("count, joints", [(2, 8), (0, 16)])
+def test_eval_of_dataset_with_wrong_shape_is_data_error(run_dir, data_dir,
+                                                        tmp_path, count, joints):
+    broken = tmp_path / "data"
+    broken.mkdir()
+    header, _, blob = (data_dir / "test.poses").read_bytes().partition(b"\n")
+    header = json.loads(header)
+    header.update(count=count, joints=joints)
+    (broken / "test.poses").write_bytes(json.dumps(header).encode("utf-8")
+                                        + b"\n" + blob[:count * joints * 5 * 8])
+    assert main(["eval", "--checkpoint", str(run_dir / "best.ckpt"), "--data",
+                 str(broken)]) == EXIT_DATA
 
 
 def test_eval_of_header_with_removed_settings_is_unchanged(run_dir, data_dir,

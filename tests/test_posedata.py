@@ -11,7 +11,6 @@ from semgcn.posedata import (
     CameraConfig,
     DatasetError,
     PoseSample,
-    calibrate_scale,
     centered_arrays,
     generate_synthetic,
     load_dataset,
@@ -19,7 +18,6 @@ from semgcn.posedata import (
     project,
     save_dataset,
     split_dataset,
-    total_bone_length,
 )
 from semgcn.skeleton import build_skeleton, skeleton_hash
 
@@ -83,9 +81,8 @@ class TestGenerator:
             pelvis_z = s.joints3d[0, 2]
             assert cam.depth_min <= pelvis_z <= cam.depth_max
 
-    # sha256 of the saved bytes, taken from the per-sample generator that
-    # composed one 3x3 rotation at a time: any change to the draw order,
-    # the kinematics or the file layout shows here.
+    # sha256 of the saved bytes: a change to the draw order, the kinematics
+    # or the file layout that moves any bit of the data shows here.
     @pytest.mark.parametrize("n, seed, sigma, digest", [
         (64, 11, 0.0,
          "d27dc65e4c4b9cfed3145ae13140ba6112140ce43f1756e5434633bda6a5662a"),
@@ -142,41 +139,6 @@ class TestCenterRoot:
         p2d_b, j3d_b = centered_arrays(dataset)
         np.testing.assert_allclose(j3d_a, 2.0 * j3d_b, atol=1e-9)
         np.testing.assert_allclose(p2d_a, 2.0 * p2d_b, atol=1e-9)
-
-
-class TestCalibrateScale:
-    def test_ratio(self, skel):
-        pose = generate_synthetic(1, seed=4).samples[0].joints3d
-        half = pose * 0.5  # halve all lengths: calibration must double back
-        out = calibrate_scale(half, skel)
-        np.testing.assert_allclose(total_bone_length(out, skel),
-                                   sum(skel.canonical_bone_lengths), rtol=1e-12)
-        np.testing.assert_allclose(out, half * 2.0, rtol=1e-12)
-
-    def test_identity_when_already_calibrated(self, skel):
-        pose = generate_synthetic(1, seed=5).samples[0].joints3d
-        out = calibrate_scale(pose.copy(), skel)
-        np.testing.assert_allclose(out, pose, rtol=1e-12)
-
-    def test_idempotent(self, skel):
-        pose = generate_synthetic(1, seed=6).samples[0].joints3d * 3.7
-        once = calibrate_scale(pose, skel)
-        twice = calibrate_scale(once, skel)
-        np.testing.assert_allclose(twice, once, rtol=1e-12)
-
-    def test_preserves_ratios_exactly(self, skel):
-        pose = generate_synthetic(1, seed=7).samples[0].joints3d * 0.3
-        out = calibrate_scale(pose, skel)
-        parents = [p for p, _ in skel.edges]
-        children = [c for _, c in skel.edges]
-        before = np.linalg.norm(pose[parents] - pose[children], axis=1)
-        after = np.linalg.norm(out[parents] - out[children], axis=1)
-        np.testing.assert_allclose(after / after.sum(), before / before.sum(),
-                                   rtol=1e-12)
-
-    def test_degenerate_prediction(self, skel):
-        with pytest.raises(DatasetError, match="degenerate"):
-            calibrate_scale(np.zeros((16, 3)), skel)
 
 
 class TestMpjpe:
@@ -274,6 +236,29 @@ class TestFileFormat:
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
         with pytest.raises(DatasetError, match=f"camera.*{named}"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("count, joints, named", [
+        (32, 8, "8 joints"), (0, 16, "0 samples")])
+    def test_wrong_shape_rejected(self, dataset, tmp_path, count, joints,
+                                  named):
+        # the payload is cut to match the header, so only the shape is wrong
+        path = tmp_path / "ds.poses"
+        save_dataset(dataset, path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        header = json.loads(header)
+        header.update(count=count, joints=joints)
+        blob = blob[:count * joints * 5 * 8]
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+        with pytest.raises(DatasetError, match=named):
+            load_dataset(path)
+
+    def test_loaded_rows_are_read_only(self, dataset, tmp_path):
+        path = tmp_path / "ds.poses"
+        save_dataset(dataset, path)
+        sample = load_dataset(path).samples[3]
+        for rows in (sample.joints3d, sample.joints2d):
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.0
 
     def test_truncated_payload_rejected(self, dataset, tmp_path):
         path = tmp_path / "trunc.poses"
