@@ -274,10 +274,18 @@ def _maybe_record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
 # primitives
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product with numpy stacking rules on leading axes; ``a`` may
-    also be a vector when ``b`` is a matrix."""
+def matmul(a, b, *addends) -> Tensor:
+    """Matrix product plus optional addends, recorded as one tape node.
+
+    ``a @ b`` follows numpy stacking rules on leading axes; ``a`` may also
+    be a vector when ``b`` is a matrix.  The addends are broadcast onto the
+    product and added left to right into its fresh buffer, like GEMM's
+    ``C`` term: ``matmul(a, b, t)`` equals ``add(matmul(a, b), t)`` bit for
+    bit with one output array on the tape instead of two.  No addend may
+    enlarge the product's shape.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
+    terms = tuple(_as_tensor(t) for t in addends)
     vector = a.ndim == 1 and b.ndim == 2
     if (a.ndim < 2 and not vector) or b.ndim < 2:
         raise ShapeError(f"matmul needs 2+ dims or a vector times a matrix, "
@@ -295,13 +303,24 @@ def matmul(a, b) -> Tensor:
             out_data = np.matmul(a_data, b_data)
     except ValueError as exc:
         raise ShapeError(f"matmul broadcast failed: {a.shape} vs {b.shape}") from exc
+    for t in terms:
+        try:
+            # the product is fresh and private to this op: safe to add into
+            np.add(out_data, t.data, out=out_data)
+        except ValueError as exc:
+            raise ShapeError(f"matmul addend of shape {t.shape} does not fit "
+                             f"the product's shape {out_data.shape}") from exc
     _ensure_finite(out_data, "matmul")
 
     def make_vjp():
         def vjp(g: np.ndarray):
+            # a full-shape addend hands ``g`` itself back; nothing here
+            # writes to ``g``, and Tape.backward gives it away last
+            rest = tuple(_sum_to_shape(g, t.shape) if t.requires_grad else None
+                         for t in terms)
             if vector:
                 return (b_data @ g if a.requires_grad else None,
-                        np.outer(a_data, g) if b.requires_grad else None)
+                        np.outer(a_data, g) if b.requires_grad else None, *rest)
             ga = gb = None
             if a.requires_grad:
                 if stacked_by_2d:
@@ -320,11 +339,11 @@ def matmul(a, b) -> Tensor:
                 else:
                     gb = _sum_to_shape(np.matmul(np.swapaxes(a_data, -1, -2), g),
                                        b_data.shape)
-            return ga, gb
+            return ga, gb, *rest
 
         return vjp
 
-    return _maybe_record("matmul", (a, b), out_data, make_vjp)
+    return _maybe_record("matmul", (a, b, *terms), out_data, make_vjp)
 
 
 def add(a, b, *more) -> Tensor:
@@ -562,7 +581,8 @@ def max_over_set(x, groups: Sequence[Sequence[int]]) -> Tensor:
     first = x.data[..., idx[:, 0], :]
     second = x.data[..., idx[:, 1], :]
     first_wins = first >= second
-    out_data = np.where(first_wins, first, second)
+    out_data = second  # both gathers are fresh copies
+    np.copyto(out_data, first, where=first_wins)
 
     def make_vjp():
         def vjp(g):
@@ -570,7 +590,8 @@ def max_over_set(x, groups: Sequence[Sequence[int]]) -> Tensor:
             routed_first = np.where(first_wins, g, 0.0)
             # members are distinct (checked above): each node is written once
             gx[..., idx[:, 0], :] = routed_first
-            gx[..., idx[:, 1], :] = g - routed_first
+            g -= routed_first
+            gx[..., idx[:, 1], :] = g
             return (gx,)
         return vjp
 
@@ -622,7 +643,8 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
     inv = 1.0 / np.sqrt(var + state.eps)
     a = gamma.data * inv
     if training:
-        out = xc * a
+        out = xc  # the vjp recomputes the centred input instead of keeping it
+        out *= a
         out += beta.data
     else:
         # the scale-and-shift folding of Jacob et al. (arXiv 1712.05877)
@@ -636,7 +658,7 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
             if not g.flags.c_contiguous:
                 g = np.ascontiguousarray(g)
             g2 = g.reshape(-1, c)  # a view, so gx is formed in g's buffer
-            centered = xc if training else x2 - mu
+            centered = x2 - mu
             gbeta = g2.sum(axis=0)
             ggamma = np.einsum("ij,ij->j", g2, centered) * inv
             gx = None
@@ -646,7 +668,8 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
                 if training:
                     g2 -= gbeta / n
                     g2 *= a
-                    g2 -= xc * (a * inv * ggamma / n)
+                    centered *= a * inv * ggamma / n
+                    g2 -= centered
                 else:
                     g2 *= a
                 gx = g

@@ -62,7 +62,8 @@ class Layer:
 
 class VanillaGConv(Layer):
     """Shared-weight graph convolution: aggregate with a fixed propagation
-    matrix, transform with one matrix for self and neighbors alike."""
+    matrix, transform with one matrix for self and neighbors alike.  The
+    bias is the aggregation product's addend."""
 
     _param_names = ("w", "b")
 
@@ -78,8 +79,7 @@ class VanillaGConv(Layer):
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"expected {self.in_dim} input channels, got {x.shape}")
-        h = matmul(x, self.w)
-        out = add(matmul(self.propagation, h), self.b)
+        out = matmul(self.propagation, matmul(x, self.w), self.b)
         return relu(out) if self.activation else out
 
 
@@ -90,8 +90,11 @@ class SemGConv(Layer):
     node's neighbor set (self-loop included); entries off the adjacency are
     exactly zero.  The logits start at zero, so the layer starts as uniform
     neighbor averaging.  The self contribution goes through ``w0`` and
-    neighbor contributions through ``w1``, followed by a bias.  With
-    ``channelwise=True`` every output channel owns its own logit matrix.
+    neighbor contributions through ``w1``, followed by a bias.  With one
+    shared mask the self term and the bias are addends of the neighbor
+    product.  With ``channelwise=True`` every output channel owns its own
+    logit matrix, and an ``add`` sums the two transposed aggregations and
+    the bias.
     """
 
     _param_names = ("w0", "w1", "mask", "b")
@@ -130,7 +133,7 @@ class SemGConv(Layer):
         else:
             # the self term is diagonal: a per-node weight beats a matmul
             self_weight = tensor_sum(s_self, axis=-1, keepdims=True)  # (K, 1)
-            out = add(mul(h0, self_weight), matmul(s_neigh, h1), self.b)
+            out = matmul(s_neigh, h1, mul(h0, self_weight), self.b)
         return relu(out) if self.activation else out
 
 
@@ -150,7 +153,11 @@ class NonLocalBlock(Layer):
     query, key and value embeddings are ``channels // 2`` wide.  The
     affinity is an affine map of the concatenated query/key embeddings
     followed by ReLU, and the aggregated message is averaged over the
-    grouped set before the residual add.
+    grouped set before the residual add.  The value bias and the residual
+    input are addends of their products, and the 1/G average scales the
+    (E, C) weight ``wx`` rather than the (B, K, C) product: for the
+    skeleton's G = 8 the scale is a power of two, so both orders round
+    alike.
     """
 
     _param_names = ("theta_w", "theta_b", "phi_w", "phi_b",
@@ -180,7 +187,7 @@ class NonLocalBlock(Layer):
         n_groups = len(self.groups)
         e = self.embed_dim
         pooled = max_over_set(x, self.groups)               # (B, G, C)
-        val = add(matmul(pooled, self.g_w), self.g_b)       # (B, G, E)
+        val = matmul(pooled, self.g_w, self.g_b)            # (B, G, E)
         # The affinity wf . [q_i || k_j] + wf_b is linear in the query
         # q_i = x_i theta_w + theta_b and the key k_j = p_j phi_w + phi_b,
         # so wf[:e] and wf[e:] fold into the embeddings and neither q nor
@@ -194,7 +201,7 @@ class NonLocalBlock(Layer):
                      self.wf_b)
         f = relu(logits)                                    # (B, K, G)
         message = matmul(f, val)                            # (B, K, E)
-        return add(x, scale(matmul(message, self.wx), 1.0 / n_groups))
+        return matmul(message, scale(self.wx, 1.0 / n_groups), x)
 
 
 class BatchNormNodes(Layer):

@@ -256,6 +256,17 @@ def _camera_from_header(camera, path) -> CameraConfig:
     return CameraConfig(**camera)
 
 
+def _header_number(header: dict, key: str, path, integer: bool = True):
+    """A header field that must be a JSON integer, or with ``integer=False``
+    any JSON number; ``true`` and ``false`` are neither."""
+    value = header[key]
+    kinds, what = (int, "an integer") if integer else ((int, float), "a number")
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise DatasetError(f"dataset header field {key!r} in {path} is "
+                           f"{value!r}, not {what}")
+    return value
+
+
 def load_dataset(path) -> PoseDataset:
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -273,8 +284,11 @@ def load_dataset(path) -> PoseDataset:
         missing = [key for key in _HEADER_KEYS if key not in header]
         if missing:
             raise DatasetError(f"dataset header in {path} lacks {missing}")
-        n = int(header["count"])
-        k = int(header["joints"])
+        n = _header_number(header, "count", path)
+        k = _header_number(header, "joints", path)
+        seed = _header_number(header, "seed", path)
+        noise_sigma = float(_header_number(header, "noise_sigma", path,
+                                           integer=False))
         if k != len(JOINT_NAMES):
             raise DatasetError(f"dataset in {path} has {k} joints per sample, "
                                f"expected {len(JOINT_NAMES)}")
@@ -293,5 +307,4 @@ def load_dataset(path) -> PoseDataset:
                for row in block]
     return PoseDataset(samples=samples, split=header["split"],
                        skeleton_hash=header["skeleton_hash"], camera=camera,
-                       seed=int(header["seed"]),
-                       noise_sigma=float(header["noise_sigma"]))
+                       seed=seed, noise_sigma=noise_sigma)

@@ -100,6 +100,10 @@ class Adam:
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.named_params}
         self._v = {name: np.zeros_like(p.data) for name, p in self.named_params}
+        # two update temporaries shared by every parameter, sized to the
+        # largest one; per-parameter buffers would stay resident for nothing
+        largest = max((p.data.size for _, p in self.named_params), default=0)
+        self._scratch = np.empty((2, largest))
 
     def step(self) -> None:
         self.step_count += 1
@@ -114,11 +118,23 @@ class Adam:
                 raise NonFiniteGradientError(name)
             m = self._m[name]
             v = self._v[name]
+            s1, s2 = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
+            # the operation order of m += (1 - b1) * g, v += (1 - b2) * (g * g)
+            # and p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the update
+            # is bitwise that of the plain expressions
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=s1)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, g, out=s1)
+            s1 *= 1.0 - self.beta2
+            v += s1
+            np.divide(m, bc1, out=s1)
+            s1 *= self.lr
+            np.divide(v, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            p.data -= s1
 
 
 class PlateauScheduler:

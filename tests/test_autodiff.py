@@ -38,6 +38,14 @@ def backward_of(f, *arrays):
     return [t.grad for t in tensors]
 
 
+ADDEND_FORMS = {
+    # (a, b, full-shape addend, bias)
+    "stacked": ((3, 4, 5), (5, 2), (3, 4, 2), (2,)),
+    "broadcast": ((4, 4), (3, 4, 5), (3, 4, 5), (5,)),
+    "vector": ((5,), (5, 3), (3,), (1,)),
+}
+
+
 class TestMatmul:
     def test_identity(self):
         out = matmul(Tensor(np.eye(2)), Tensor([[1.0, 2.0], [3.0, 4.0]]))
@@ -103,6 +111,52 @@ class TestMatmul:
     def test_vector_only_times_matrix(self, shapes):
         with pytest.raises(ShapeError):
             matmul(Tensor(np.ones(shapes[0])), Tensor(np.ones(shapes[1])))
+
+    @pytest.mark.parametrize("form", sorted(ADDEND_FORMS))
+    def test_addends_against_oracle(self, form):
+        rng = np.random.default_rng(11)
+        a, b, t, bias = (Tensor(rng.standard_normal(s), requires_grad=True)
+                         for s in ADDEND_FORMS[form])
+        probe = Tensor(rng.standard_normal(t.shape))
+        with Tape() as tape:
+            matmul(a, b, t, bias)
+        assert [node.op for node in tape.nodes] == ["matmul"]
+        err = grad_check(lambda a, b, t, bias: mul(matmul(a, b, t, bias),
+                                                   probe).sum(),
+                         [a, b, t, bias])
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("form", sorted(ADDEND_FORMS))
+    def test_addends_equal_product_then_add_bitwise(self, form):
+        rng = np.random.default_rng(12)
+        a, b, t, bias = (Tensor(rng.standard_normal(s))
+                         for s in ADDEND_FORMS[form])
+        np.testing.assert_array_equal(matmul(a, b, t, bias).data,
+                                      add(matmul(a, b), t, bias).data)
+
+    def test_power_of_two_scale_moves_onto_the_weight_bitwise(self):
+        rng = np.random.default_rng(13)
+        m = Tensor(rng.standard_normal((6, 16, 8)))
+        w = Tensor(rng.standard_normal((8, 7)))
+        np.testing.assert_array_equal(matmul(m, scale(w, 0.125)).data,
+                                      scale(matmul(m, w), 0.125).data)
+
+    def test_enlarging_addend_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(3, 4, 2\).*\(4, 2\)"):
+            matmul(Tensor(np.ones((4, 5))), Tensor(np.ones((5, 2))),
+                   Tensor(np.ones((3, 4, 2))))
+        with pytest.raises(ShapeError, match=r"\(3,\).*\(4, 2\)"):
+            matmul(Tensor(np.ones((4, 5))), Tensor(np.ones((5, 2))),
+                   Tensor(np.ones(3)))
+
+    def test_addends_record_nothing_without_grad(self):
+        rng = np.random.default_rng(16)
+        with Tape() as tape:
+            out = matmul(Tensor(rng.standard_normal((4, 5))),
+                         Tensor(rng.standard_normal((5, 2))),
+                         Tensor(rng.standard_normal(2)))
+        assert tape.nodes == []
+        assert not out.requires_grad
 
 
 class TestAdd:
@@ -485,6 +539,29 @@ class TestBackwardBuffers:
         with Tape() as tape:
             tape.backward(add(x, x, x), grad=seed)
         np.testing.assert_array_equal(x.grad, 3.0 * seed)
+
+    def test_addend_that_is_also_an_operand_against_oracle(self):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
+        probe = Tensor(rng.standard_normal((3, 4, 5)))
+        err = grad_check(lambda x, w: mul(matmul(x, w, x), probe).sum(),
+                         [x, w])
+        assert err < 1e-6
+
+    def test_full_shape_addend_takes_the_output_gradient(self):
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        t = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
+        bias = Tensor(rng.standard_normal(2), requires_grad=True)
+        g = rng.standard_normal((3, 4, 2))
+        with Tape() as tape:
+            matmul(x, w, t, bias)
+            (node,) = tape.nodes
+            ga, gb, gt, gbias = node.vjp(g)
+        assert gt is g
+        np.testing.assert_array_equal(gbias, g.sum(axis=(0, 1)))
 
 
 class TestTensorAndTape:

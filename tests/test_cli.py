@@ -96,6 +96,21 @@ def test_eval_of_dataset_with_incomplete_camera_is_data_error(run_dir, data_dir,
                  str(broken)]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("key, value", [("seed", "zero"), ("seed", None),
+                                        ("count", "20"), ("noise_sigma", None)])
+def test_eval_of_dataset_with_non_numeric_header_field_is_data_error(
+        run_dir, data_dir, tmp_path, key, value):
+    broken = tmp_path / "data"
+    broken.mkdir()
+    header, _, blob = (data_dir / "test.poses").read_bytes().partition(b"\n")
+    header = json.loads(header)
+    header[key] = value
+    (broken / "test.poses").write_bytes(json.dumps(header).encode("utf-8")
+                                        + b"\n" + blob)
+    assert main(["eval", "--checkpoint", str(run_dir / "best.ckpt"), "--data",
+                 str(broken)]) == EXIT_DATA
+
+
 def test_diverging_run_ends_its_log_with_an_abort_record(data_dir, tmp_path):
     out = tmp_path / "run"
     assert main(["train", "--data", str(data_dir), "--out", str(out),

@@ -252,6 +252,35 @@ class TestFileFormat:
         with pytest.raises(DatasetError, match=named):
             load_dataset(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("count", "32"), ("count", 32.0), ("count", None),
+        ("joints", True), ("joints", "16"),
+        ("seed", "zero"), ("seed", None), ("seed", 0.5), ("seed", False),
+        ("noise_sigma", "0"), ("noise_sigma", None), ("noise_sigma", True),
+        ("noise_sigma", [0.0]),
+    ])
+    def test_header_number_of_wrong_type_rejected(self, dataset, tmp_path,
+                                                  key, value):
+        path = tmp_path / "ds.poses"
+        save_dataset(dataset, path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        header = json.loads(header)
+        header[key] = value
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+        with pytest.raises(DatasetError, match=f"'{key}'.*not an? (integer|number)"):
+            load_dataset(path)
+
+    def test_integral_noise_sigma_loads_as_float(self, dataset, tmp_path):
+        path = tmp_path / "ds.poses"
+        save_dataset(dataset, path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        header = json.loads(header)
+        header["noise_sigma"] = 2
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+        loaded = load_dataset(path)
+        assert loaded.noise_sigma == 2.0 and isinstance(loaded.noise_sigma, float)
+        assert loaded.seed == dataset.seed and isinstance(loaded.seed, int)
+
     def test_loaded_rows_are_read_only(self, dataset, tmp_path):
         path = tmp_path / "ds.poses"
         save_dataset(dataset, path)

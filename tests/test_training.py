@@ -176,6 +176,31 @@ class TestAdam:
         assert opt.step_count == 300
         np.testing.assert_allclose(p.data, x, rtol=0, atol=1e-12)
 
+    def test_shared_scratch_update_is_bitwise_the_plain_expressions(self):
+        # parameters of different sizes share the update temporaries
+        rng = np.random.default_rng(9)
+        shapes = [(4, 3), (7,), (2, 2, 2), (1,)]
+        params = [Tensor(rng.standard_normal(s), requires_grad=True)
+                  for s in shapes]
+        lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
+        opt = Adam([(f"p{i}", p) for i, p in enumerate(params)], lr=lr)
+        ref = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape))
+               for p in params]
+        for t in range(1, 6):
+            grads = [rng.standard_normal(s) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            for i, g in enumerate(grads):
+                x, m, v = ref[i]
+                m = m * beta1 + (1.0 - beta1) * g
+                v = v * beta2 + (1.0 - beta2) * (g * g)
+                x = x - lr * (m / (1.0 - beta1 ** t)) / (
+                    np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+                ref[i] = (x, m, v)
+        for p, (x, _, _) in zip(params, ref):
+            np.testing.assert_array_equal(p.data, x)
+
 
 class TestPlateauScheduler:
     def test_decreasing_history_keeps_lr(self):

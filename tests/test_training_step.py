@@ -52,6 +52,26 @@ def test_every_tape_op_is_a_benchmark_metric(variant):
     assert not undeclared
 
 
+# One step's tape at channels 4, one block, batch 4: each graph layer's
+# bias, self term and residual are addends of its product, so splitting a
+# fold back into its own node changes these counts and bytes.
+TAPE_AT_SMALL_SIZE = {
+    "semgcn": ({"matmul": 30, "mul": 13, "add": 7, "relu": 5, "sum": 5,
+                "narrow": 4, "softmax": 4, "batch_norm": 3, "scale": 3,
+                "max_over_set": 2, "transpose": 2, "sub": 1}, 109_424),
+    "resgcn": ({"matmul": 8, "batch_norm": 3, "relu": 3, "add": 1, "mul": 1,
+                "scale": 1, "sub": 1, "sum": 1}, 32_784),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(TAPE_AT_SMALL_SIZE))
+def test_tape_nodes_and_bytes_are_pinned(variant):
+    ops, nbytes = TAPE_AT_SMALL_SIZE[variant]
+    tape = make_step(variant, 4, 1, 4)()
+    assert Counter(node.op for node in tape.nodes) == ops
+    assert sum(node.output.data.nbytes for node in tape.nodes) == nbytes
+
+
 # Three steps after two warm-up steps, in a fresh interpreter: freeing
 # large arrays raises glibc's own trim threshold, so a process that has
 # run other tests may keep its heap whatever the engine asks for.
@@ -59,7 +79,7 @@ FAULT_PROBE = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 from test_training_step import make_step
-step = make_step("resgcn", 64, 1, 64)
+step = make_step("resgcn", 64, 2, 64)
 tape = step()
 step()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
