@@ -398,8 +398,16 @@ def mul(a, b) -> Tensor:
         a_data, b_data = a.data, b.data
 
         def vjp(g):
-            ga = _sum_to_shape(g * b_data, a_data.shape) if a.requires_grad else None
+            # b's gradient is formed first, so a same-shape a can take g
+            # scaled in place
             gb = _sum_to_shape(g * a_data, b_data.shape) if b.requires_grad else None
+            ga = None
+            if a.requires_grad:
+                if a_data.shape == g.shape:
+                    g *= b_data
+                    ga = g
+                else:
+                    ga = _sum_to_shape(g * b_data, a_data.shape)
             return ga, gb
         return vjp
 
@@ -581,13 +589,13 @@ def max_over_set(x, groups: Sequence[Sequence[int]]) -> Tensor:
     first = x.data[..., idx[:, 0], :]
     second = x.data[..., idx[:, 1], :]
     first_wins = first >= second
-    out_data = second  # both gathers are fresh copies
-    np.copyto(out_data, first, where=first_wins)
+    # both gathers are fresh copies
+    out_data = np.maximum(first, second, out=second)
 
     def make_vjp():
         def vjp(g):
             gx = np.zeros_like(x.data)
-            routed_first = np.where(first_wins, g, 0.0)
+            routed_first = g * first_wins
             # members are distinct (checked above): each node is written once
             gx[..., idx[:, 0], :] = routed_first
             g -= routed_first
@@ -611,7 +619,13 @@ class BatchNormState:
 
 
 def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
-    """Normalize a (B, K, C) tensor per channel over the batch and node axes."""
+    """Normalize a (B, K, C) tensor per channel over the batch and node axes,
+    then apply ReLU in the same output buffer.
+
+    Every batch norm in the network feeds a ReLU, so the two are one tape
+    node.  The vjp masks ``g`` with ``out > 0`` read from the output the
+    tape keeps: the subgradient at 0 is 0, as in :func:`relu`.
+    """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.ndim != 3:
         raise ShapeError(f"batch_norm expects (B, K, C), got {x.shape}")
@@ -650,14 +664,17 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
         # the scale-and-shift folding of Jacob et al. (arXiv 1712.05877)
         out = x2 * a
         out += beta.data - mu * a
+    # checked before the ReLU, which would turn -Inf into 0
+    _ensure_finite(out, "batch_norm")
+    np.maximum(out, 0.0, out=out)
     out_data = out.reshape(x.shape)
-    _ensure_finite(out_data, "batch_norm")
 
     def make_vjp():
         def vjp(g):
             if not g.flags.c_contiguous:
                 g = np.ascontiguousarray(g)
             g2 = g.reshape(-1, c)  # a view, so gx is formed in g's buffer
+            g2 *= out > 0
             centered = x2 - mu
             gbeta = g2.sum(axis=0)
             ggamma = np.einsum("ij,ij->j", g2, centered) * inv

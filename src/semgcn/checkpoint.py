@@ -31,6 +31,18 @@ def _require_keys(record, keys: tuple[str, ...], where: str) -> None:
         raise CheckpointError(f"{where} lacks {missing}")
 
 
+def _check_tensor_entry(entry) -> None:
+    _require_keys(entry, ("name", "shape", "kind"), "tensor entry")
+    name, shape, kind = entry["name"], entry["shape"], entry["kind"]
+    if not isinstance(name, str) or not isinstance(kind, str):
+        raise CheckpointError(
+            f"tensor entry name {name!r} and kind {kind!r} must be strings")
+    if not isinstance(shape, list) or any(
+            isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in shape):
+        raise CheckpointError(f"tensor entry {name!r} shape {shape!r} is not "
+                              f"a list of non-negative integers")
+
+
 def save_checkpoint(path, net: Network, training_meta: dict | None = None) -> None:
     entries = []
     arrays = []
@@ -76,7 +88,7 @@ def load_checkpoint(path, skeleton: SkeletonGraph | None = None
         if not isinstance(header["tensors"], list):
             raise CheckpointError("checkpoint tensor manifest is not a list")
         for entry in header["tensors"]:
-            _require_keys(entry, ("name", "shape", "kind"), "tensor entry")
+            _check_tensor_entry(entry)
         if header["skeleton_hash"] != skeleton_hash(skeleton):
             raise CheckpointError(
                 "checkpoint was written for a different skeleton")

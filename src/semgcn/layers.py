@@ -205,7 +205,8 @@ class NonLocalBlock(Layer):
 
 
 class BatchNormNodes(Layer):
-    """Per-channel batch normalization over the batch and node axes."""
+    """Per-channel batch normalization over the batch and node axes,
+    followed by ReLU in the same tape node (see :func:`batch_norm`)."""
 
     _param_names = ("gamma", "beta")
 
@@ -225,7 +226,8 @@ class BatchNormNodes(Layer):
 
 class ResidualGConvBlock(Layer):
     """Two conv+BN+ReLU stages under a skip connection, then an optional
-    non-local layer (which carries its own residual)."""
+    non-local layer (which carries its own residual).  Each ReLU is
+    applied inside its batch norm's node."""
 
     def __init__(self, conv1: Layer, bn1: BatchNormNodes, conv2: Layer,
                  bn2: BatchNormNodes, nonlocal_layer: NonLocalBlock | None):
@@ -248,8 +250,8 @@ class ResidualGConvBlock(Layer):
         yield from self.bn2.named_buffers(prefix + "bn2.")
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        h = relu(self.bn1(self.conv1(x, train), train))
-        h = relu(self.bn2(self.conv2(h, train), train))
+        h = self.bn1(self.conv1(x, train), train)
+        h = self.bn2(self.conv2(h, train), train)
         y = add(x, h)
         if self.nonlocal_layer is not None:
             y = self.nonlocal_layer(y, train)

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, relu
+from .autodiff import ShapeError, Tensor
 from .layers import (
     BatchNormNodes,
     Layer,
@@ -161,7 +161,7 @@ class Network:
                 f"got {x.shape}")
         if not np.isfinite(x.data).all():
             raise ShapeError("network input contains non-finite values")
-        h = relu(self.input_bn(self.input_conv(x, train), train))
+        h = self.input_bn(self.input_conv(x, train), train)
         if self.input_nonlocal is not None and not skip_nonlocal:
             h = self.input_nonlocal(h, train)
         for block in self.blocks:

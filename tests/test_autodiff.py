@@ -229,9 +229,9 @@ class TestSoftmax:
 
 def reference_batch_norm(x, gamma, beta, mean, var, eps, momentum, training,
                          g):
-    """The textbook batch norm through xhat, with the three-term backward:
-    output, gradients for x, gamma and beta, and the running statistics
-    after the call."""
+    """The textbook batch norm through xhat followed by ReLU, with the
+    three-term backward of the masked gradient: output, gradients for x,
+    gamma and beta, and the running statistics after the call."""
     if training:
         mu = x.mean(axis=(0, 1))
         v = np.mean((x - mu) * (x - mu), axis=(0, 1))
@@ -241,7 +241,9 @@ def reference_batch_norm(x, gamma, beta, mean, var, eps, momentum, training,
         mu, v = mean, var
     inv = 1.0 / np.sqrt(v + eps)
     xhat = (x - mu) * inv
-    out = gamma * xhat + beta
+    pre = gamma * xhat + beta
+    out = np.maximum(pre, 0.0)
+    g = g * (pre > 0)  # relu's subgradient at 0 is 0
     ggamma = (g * xhat).sum(axis=(0, 1))
     gbeta = g.sum(axis=(0, 1))
     if training:
@@ -339,14 +341,42 @@ class TestBatchNorm:
         x = Tensor(np.array([1.0, 3.0]).reshape(2, 1, 1), requires_grad=True)
         gamma, beta = Tensor(np.ones(1)), Tensor(np.zeros(1))
         out = batch_norm(x, gamma, beta, BatchNormState(1), training=True)
-        np.testing.assert_allclose(out.data.ravel(), [-1.0, 1.0], atol=1e-6)
+        np.testing.assert_allclose(out.data.ravel(), [0.0, 1.0], atol=1e-6)
 
     def test_eval_identity_stats(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 3, 4))
         out = batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)),
                          BatchNormState(4), training=False)
-        np.testing.assert_allclose(out.data, x, atol=1e-6)
+        np.testing.assert_allclose(out.data, np.maximum(x, 0.0), atol=1e-6)
+
+    def test_output_of_exactly_zero_passes_no_gradient(self):
+        # the middle row is the batch mean, so its output is exactly 0
+        x = Tensor(np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1), requires_grad=True)
+        gamma = Tensor(np.array([1.5]), requires_grad=True)
+        beta = Tensor(np.zeros(1), requires_grad=True)
+        with Tape() as tape:
+            out = batch_norm(x, gamma, beta, BatchNormState(1), training=True)
+            tape.backward(out, grad=np.array([0.0, 1.0, 0.0]).reshape(3, 1, 1))
+        assert out.data[1, 0, 0] == 0.0
+        np.testing.assert_array_equal(x.grad, np.zeros((3, 1, 1)))
+        np.testing.assert_array_equal(gamma.grad, [0.0])
+        np.testing.assert_array_equal(beta.grad, [0.0])
+
+    def test_eval_mode_zeroes_negative_pre_activations(self):
+        x = Tensor(np.array([-2.0, 3.0]).reshape(2, 1, 1), requires_grad=True)
+        gamma = Tensor(np.ones(1), requires_grad=True)
+        beta = Tensor(np.zeros(1), requires_grad=True)
+        state = BatchNormState(1)
+        inv = 1.0 / np.sqrt(1.0 + state.eps)
+        with Tape() as tape:
+            out = batch_norm(x, gamma, beta, state, training=False)
+            tape.backward(out, grad=np.array([5.0, 7.0]).reshape(2, 1, 1))
+        np.testing.assert_allclose(out.data.ravel(), [0.0, 3.0 * inv],
+                                   rtol=1e-15)
+        np.testing.assert_allclose(x.grad.ravel(), [0.0, 7.0 * inv], rtol=1e-15)
+        np.testing.assert_allclose(gamma.grad, [21.0 * inv], rtol=1e-15)
+        np.testing.assert_allclose(beta.grad, [7.0], rtol=1e-15)
 
     def test_gradient_against_oracle(self):
         rng = np.random.default_rng(2)
@@ -405,6 +435,27 @@ class TestStructural:
         x = Tensor(np.arange(12.0).reshape(6, 2))
         with pytest.raises(ShapeError):
             max_over_set(x, groups)
+
+    def test_max_over_set_with_ties_matches_the_selecting_form(self):
+        # small integers force ties, signed zeros among them
+        rng = np.random.default_rng(17)
+        data = rng.integers(-2, 3, size=(64, 16, 128)).astype(np.float64)
+        groups = [(2 * i, 2 * i + 1) for i in range(8)]
+        g = rng.standard_normal((64, 8, 128))
+        x = Tensor(data, requires_grad=True)
+        with Tape() as tape:
+            out = max_over_set(x, groups)
+            tape.backward(out, grad=g)
+        first, second = data[:, 0::2], data[:, 1::2]
+        first_wins = first >= second
+        assert (first == second).mean() > 0.1
+        want_gx = np.zeros_like(data)
+        want_gx[:, 0::2] = np.where(first_wins, g, 0.0)
+        want_gx[:, 1::2] = np.where(first_wins, 0.0, g)
+        # == treats -0.0 and 0.0 alike
+        np.testing.assert_array_equal(out.data,
+                                      np.where(first_wins, first, second))
+        np.testing.assert_array_equal(x.grad, want_gx)
 
     def test_max_over_set_rejects_out_of_range(self):
         with pytest.raises(ShapeError):
@@ -479,7 +530,8 @@ class TestGradCheckOracle:
 class TestBackwardBuffers:
     """Each vjp may overwrite the output gradient it is handed."""
 
-    @pytest.mark.parametrize("root_op", ["relu", "scale", "add", "batch_norm"])
+    @pytest.mark.parametrize("root_op",
+                             ["relu", "scale", "add", "mul", "batch_norm"])
     def test_seed_and_root_grad_are_left_alone(self, root_op):
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
@@ -487,6 +539,7 @@ class TestBackwardBuffers:
             "relu": lambda x: relu(x),
             "scale": lambda x: scale(x, -3.0),
             "add": lambda x: add(x, x),
+            "mul": lambda x: mul(x, x),
             "batch_norm": lambda x: batch_norm(
                 x, Tensor(np.full(4, 2.0)), Tensor(np.zeros(4)),
                 BatchNormState(4), training=True),
@@ -526,6 +579,28 @@ class TestBackwardBuffers:
             "scale_of_relu": lambda x, w: scale(relu(x), -2.5),
             "add_of_scale_and_relu": lambda x, w: (
                 lambda h: add(scale(h, 3.0), relu(h)))(sub(x, w)),
+        }
+
+        def f(x, w):
+            return mul(cases[case](x, w), probe).sum()
+
+        assert grad_check(f, [x, w]) < 1e-6
+
+    @pytest.mark.parametrize("case", [
+        "square", "broadcast_weight", "weight_first", "add_of_mul_and_operand"])
+    def test_mul_buffers_against_oracle(self, case):
+        # mul scales its output gradient in place when the left operand has
+        # the output's shape
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 1)), requires_grad=True)
+        probe = Tensor(rng.standard_normal((2, 3, 4)))
+        cases = {
+            "square": lambda x, w: mul(x, x),
+            "broadcast_weight": lambda x, w: mul(scale(x, 1.5), w),
+            "weight_first": lambda x, w: mul(w, scale(x, 1.5)),
+            "add_of_mul_and_operand": lambda x, w: (
+                lambda h: add(mul(h, w), h))(scale(x, 1.5)),
         }
 
         def f(x, w):

@@ -189,3 +189,15 @@ def test_malformed_config_rejected(ckpt, skel, config):
     write(ckpt, header, blob)
     with pytest.raises(CheckpointError, match="config"):
         load_checkpoint(ckpt, skel)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("shape", "ab"), ("shape", [2.0, 4]), ("shape", 8), ("shape", [True, 4]),
+    ("shape", [-4]), ("name", ["input.conv.w0"]), ("kind", ["param"]),
+])
+def test_tensor_entry_of_wrong_type_rejected(ckpt, skel, key, value):
+    header, blob = read(ckpt)
+    header["tensors"][1][key] = value
+    write(ckpt, header, blob)
+    with pytest.raises(CheckpointError, match="tensor entry"):
+        load_checkpoint(ckpt, skel)

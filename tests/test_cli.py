@@ -83,6 +83,21 @@ def test_eval_of_header_without_key_is_data_error(run_dir, data_dir,
                  str(data_dir)]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("key, value", [
+    ("shape", "ab"), ("shape", [2.0, 4]), ("shape", 8), ("name", ["x"]),
+    ("kind", ["param"]),
+])
+def test_eval_of_tensor_entry_of_wrong_type_is_data_error(run_dir, data_dir,
+                                                          tmp_path, key, value):
+    header, _, blob = (run_dir / "best.ckpt").read_bytes().partition(b"\n")
+    header = json.loads(header)
+    header["tensors"][0][key] = value
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+    assert main(["eval", "--checkpoint", str(broken), "--data",
+                 str(data_dir)]) == EXIT_DATA
+
+
 def test_eval_of_dataset_with_incomplete_camera_is_data_error(run_dir, data_dir,
                                                              tmp_path):
     broken = tmp_path / "data"
