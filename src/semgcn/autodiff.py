@@ -122,12 +122,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None, keepdims: bool = False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
@@ -494,28 +488,6 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     return _maybe_record("narrow", (x,), out_data, make_vjp)
 
 
-def index_select(x, axis: int, indices) -> Tensor:
-    """Gather along one axis; backward scatter-adds (repeats accumulate)."""
-    x = _as_tensor(x)
-    axis = axis % x.ndim
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("index_select expects a flat index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[axis]):
-        raise ShapeError(f"index out of range for axis {axis} of shape {x.shape}")
-    out_data = np.take(x.data, idx, axis=axis)
-
-    def make_vjp():
-        def vjp(g):
-            gx = np.zeros_like(x.data)
-            moved = np.moveaxis(gx, axis, 0)
-            np.add.at(moved, idx, np.moveaxis(g, axis, 0))
-            return (gx,)
-        return vjp
-
-    return _maybe_record("index_select", (x,), out_data, make_vjp)
-
-
 def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
     try:
@@ -606,16 +578,18 @@ def max_over_set(x, groups: Sequence[Sequence[int]]) -> Tensor:
     return _maybe_record("max_over_set", (x,), out_data, make_vjp)
 
 
+BN_MOMENTUM = 0.1  # weight of the batch statistics in the running ones
+BN_EPS = 1e-8      # added to the variance before the square root
+
+
 class BatchNormState:
     """Running statistics for one batch-norm layer (not differentiated)."""
 
-    __slots__ = ("running_mean", "running_var", "momentum", "eps")
+    __slots__ = ("running_mean", "running_var")
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-8):
+    def __init__(self, channels: int):
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = float(momentum)
-        self.eps = float(eps)
 
 
 def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
@@ -645,16 +619,15 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
         mu = x2.mean(axis=0)
         xc = x2 - mu
         var = np.einsum("ij,ij->j", xc, xc) / n
-        m = state.momentum
-        state.running_mean *= 1.0 - m
-        state.running_mean += m * mu
-        state.running_var *= 1.0 - m
-        state.running_var += m * var
+        state.running_mean *= 1.0 - BN_MOMENTUM
+        state.running_mean += BN_MOMENTUM * mu
+        state.running_var *= 1.0 - BN_MOMENTUM
+        state.running_var += BN_MOMENTUM * var
     else:
         # copied: a later train-mode forward updates the state in place
         mu = state.running_mean.copy()
         var = state.running_var
-    inv = 1.0 / np.sqrt(var + state.eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     a = gamma.data * inv
     if training:
         out = xc  # the vjp recomputes the centred input instead of keeping it

@@ -68,19 +68,17 @@ class VanillaGConv(Layer):
     _param_names = ("w", "b")
 
     def __init__(self, in_dim: int, out_dim: int, propagation: np.ndarray,
-                 rng: np.random.Generator, activation: bool = False):
+                 rng: np.random.Generator):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.propagation = Tensor(np.asarray(propagation, dtype=np.float64))
-        self.activation = activation
         self.w = parameter(glorot_uniform(rng, in_dim, out_dim, (in_dim, out_dim)))
         self.b = parameter(np.zeros(out_dim))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"expected {self.in_dim} input channels, got {x.shape}")
-        out = matmul(self.propagation, matmul(x, self.w), self.b)
-        return relu(out) if self.activation else out
+        return matmul(self.propagation, matmul(x, self.w), self.b)
 
 
 class SemGConv(Layer):
@@ -100,13 +98,11 @@ class SemGConv(Layer):
     _param_names = ("w0", "w1", "mask", "b")
 
     def __init__(self, in_dim: int, out_dim: int, adjacency: np.ndarray,
-                 rng: np.random.Generator, channelwise: bool = False,
-                 activation: bool = False):
+                 rng: np.random.Generator, channelwise: bool = False):
         k = adjacency.shape[0]
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.channelwise = channelwise
-        self.activation = activation
         self._mask_bias = Tensor(mask_logit_bias(adjacency))
         self._self_sel = Tensor(np.eye(k))
         self._neigh_sel = Tensor(1.0 - np.eye(k))
@@ -128,13 +124,11 @@ class SemGConv(Layer):
         h0 = matmul(x, self.w0)
         h1 = matmul(x, self.w1)
         if self.channelwise:
-            out = add(_per_channel_aggregate(s_self, h0),
-                      _per_channel_aggregate(s_neigh, h1), self.b)
-        else:
-            # the self term is diagonal: a per-node weight beats a matmul
-            self_weight = tensor_sum(s_self, axis=-1, keepdims=True)  # (K, 1)
-            out = matmul(s_neigh, h1, mul(h0, self_weight), self.b)
-        return relu(out) if self.activation else out
+            return add(_per_channel_aggregate(s_self, h0),
+                       _per_channel_aggregate(s_neigh, h1), self.b)
+        # the self term is diagonal: a per-node weight beats a matmul
+        self_weight = tensor_sum(s_self, axis=-1, keepdims=True)  # (K, 1)
+        return matmul(s_neigh, h1, mul(h0, self_weight), self.b)
 
 
 def _per_channel_aggregate(s: Tensor, h: Tensor) -> Tensor:
@@ -210,11 +204,11 @@ class BatchNormNodes(Layer):
 
     _param_names = ("gamma", "beta")
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-8):
+    def __init__(self, channels: int):
         self.channels = channels
         self.gamma = parameter(np.ones(channels))
         self.beta = parameter(np.zeros(channels))
-        self.state = BatchNormState(channels, momentum=momentum, eps=eps)
+        self.state = BatchNormState(channels)
 
     def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
         yield prefix + "running_mean", self.state.running_mean

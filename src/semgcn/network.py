@@ -44,7 +44,7 @@ class ConfigError(ValueError):
 # JSON types each annotated config field accepts; bool is a subclass of
 # int in Python, so it is excluded from the numeric fields by hand
 _FIELD_TYPES = {"str": (str,), "bool": (bool,), "int": (int,),
-                "float": (int, float), "int | None": (int, type(None))}
+                "float": (int, float)}
 
 
 def check_field_types(cfg) -> None:

@@ -289,6 +289,10 @@ def load_dataset(path) -> PoseDataset:
         seed = _header_number(header, "seed", path)
         noise_sigma = float(_header_number(header, "noise_sigma", path,
                                            integer=False))
+        for key in ("split", "skeleton_hash"):
+            if not isinstance(header[key], str):
+                raise DatasetError(f"dataset header field {key!r} in {path} "
+                                   f"is {header[key]!r}, not a string")
         if k != len(JOINT_NAMES):
             raise DatasetError(f"dataset in {path} has {k} joints per sample, "
                                f"expected {len(JOINT_NAMES)}")

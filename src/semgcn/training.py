@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
-from .autodiff import NonFiniteError, ShapeError, Tape, Tensor, index_select, mul, scale, sub
+from .autodiff import NonFiniteError, ShapeError, Tape, Tensor, matmul, mul, scale, sub
 from .network import ConfigError, Network, check_field_types
 from .posedata import PoseDataset, centered_arrays, mpjpe
 from .skeleton import SkeletonGraph, skeleton_hash
@@ -33,10 +33,6 @@ class NonFiniteGradientError(TrainingError):
 class TrainConfig:
     lr: float = 1e-3
     batch_size: int = 64
-    decay_factor: float = 0.5
-    plateau_patience: int = 5
-    plateau_threshold: float = 1e-3
-    plateau_cooldown: int | None = None  # None: same as patience
     max_epochs: int = 200
     use_bone_loss: bool = False
     seed: int = 0
@@ -48,8 +44,6 @@ class TrainConfig:
         check_field_types(self)
         if self.lr < 0:
             raise ConfigError("lr must be >= 0")
-        if not 0 < self.decay_factor < 1:
-            raise ConfigError("decay_factor must lie in (0, 1)")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.max_epochs < 0:
@@ -62,14 +56,17 @@ class TrainConfig:
 def bone_vectors(j3d, g: SkeletonGraph):
     """Parent-minus-child vector for every non-root joint, (..., K-1, 3).
 
-    Accepts a Tensor (differentiable) or a plain array.
+    Accepts a Tensor (differentiable) or a plain array.  Both are one
+    product with the (K-1, K) incidence matrix, which holds +1 at each
+    bone's parent joint and -1 at its child.
     """
-    parents = [p for p, _ in g.edges]
-    children = [c for _, c in g.edges]
+    incidence = np.zeros((len(g.edges), g.num_joints))
+    for bone, (parent, child) in enumerate(g.edges):
+        incidence[bone, parent] = 1.0
+        incidence[bone, child] = -1.0
     if isinstance(j3d, Tensor):
-        return sub(index_select(j3d, -2, parents), index_select(j3d, -2, children))
-    j3d = np.asarray(j3d, dtype=np.float64)
-    return j3d[..., parents, :] - j3d[..., children, :]
+        return matmul(incidence, j3d)
+    return incidence @ np.asarray(j3d, dtype=np.float64)
 
 
 def pose_loss(pred: Tensor, gt, g: SkeletonGraph, use_bone: bool = False) -> Tensor:
@@ -138,33 +135,33 @@ class Adam:
 
 
 class PlateauScheduler:
-    """Halve-on-plateau: decay when the best validation loss has not
-    improved by the relative threshold for ``patience`` consecutive
-    epochs, then hold for a cooldown period."""
+    """Halve-on-plateau: halve the rate when the best validation loss has
+    not improved by the relative ``THRESHOLD`` for ``PATIENCE`` consecutive
+    epochs, then hold for ``COOLDOWN`` epochs."""
 
-    def __init__(self, lr: float, factor: float = 0.5, patience: int = 5,
-                 threshold: float = 1e-3, cooldown: int | None = None):
+    FACTOR = 0.5
+    PATIENCE = 5
+    THRESHOLD = 1e-3
+    COOLDOWN = 5
+
+    def __init__(self, lr: float):
         self.lr = float(lr)
-        self.factor = float(factor)
-        self.patience = int(patience)
-        self.threshold = float(threshold)
-        self.cooldown = int(patience if cooldown is None else cooldown)
         self._best = float("inf")
         self._bad_epochs = 0
         self._cooldown_left = 0
 
     def step(self, val_loss: float) -> float:
-        if val_loss < self._best * (1.0 - self.threshold):
+        if val_loss < self._best * (1.0 - self.THRESHOLD):
             self._best = val_loss
             self._bad_epochs = 0
         elif self._cooldown_left > 0:
             self._cooldown_left -= 1
         else:
             self._bad_epochs += 1
-            if self._bad_epochs >= self.patience:
-                self.lr *= self.factor
+            if self._bad_epochs >= self.PATIENCE:
+                self.lr *= self.FACTOR
                 self._bad_epochs = 0
-                self._cooldown_left = self.cooldown
+                self._cooldown_left = self.COOLDOWN
         return self.lr
 
 
@@ -193,21 +190,24 @@ def restore_snapshot(net: Network, params: dict[str, np.ndarray],
         b[...] = buffers[name]
 
 
-def predict(net: Network, x: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Eval-mode predictions for ``x``, computed ``chunk`` rows at a time."""
-    return np.concatenate([net.forward(x[start:start + chunk], train=False).data
-                           for start in range(0, x.shape[0], chunk)])
+EVAL_CHUNK = 512  # rows per eval-mode forward pass
+
+
+def predict(net: Network, x: np.ndarray) -> np.ndarray:
+    """Eval-mode predictions for ``x``, computed ``EVAL_CHUNK`` rows at a time."""
+    return np.concatenate([net.forward(x[start:start + EVAL_CHUNK], train=False).data
+                           for start in range(0, x.shape[0], EVAL_CHUNK)])
 
 
 def evaluate(net: Network, x: np.ndarray, y: np.ndarray, g: SkeletonGraph,
-             use_bone: bool, chunk: int = 512) -> tuple[float, float]:
+             use_bone: bool) -> tuple[float, float]:
     """Validation loss and MPJPE (mm) in eval mode; the loss is the
     row-weighted mean of the per-chunk losses."""
-    pred = predict(net, x, chunk)
+    pred = predict(net, x)
     total = 0.0
-    for start in range(0, x.shape[0], chunk):
-        pb = pred[start:start + chunk]
-        total += pose_loss(Tensor(pb), y[start:start + chunk], g,
+    for start in range(0, x.shape[0], EVAL_CHUNK):
+        pb = pred[start:start + EVAL_CHUNK]
+        total += pose_loss(Tensor(pb), y[start:start + EVAL_CHUNK], g,
                            use_bone).item() * pb.shape[0]
     return total / x.shape[0], mpjpe(pred, y)
 
@@ -235,10 +235,7 @@ def train(net: Network, train_ds: PoseDataset, val_ds: PoseDataset,
     x_val, y_val = centered_arrays(val_ds, root=g.root)
     opt = Adam(net.named_parameters(), lr=cfg.lr, beta1=cfg.adam_beta1,
                beta2=cfg.adam_beta2, eps=cfg.adam_eps)
-    sched = PlateauScheduler(cfg.lr, factor=cfg.decay_factor,
-                             patience=cfg.plateau_patience,
-                             threshold=cfg.plateau_threshold,
-                             cooldown=cfg.plateau_cooldown)
+    sched = PlateauScheduler(cfg.lr)
     rng = np.random.default_rng([cfg.seed, 0x5EED])
     n = x_train.shape[0]
 

@@ -65,14 +65,13 @@ def run_grad_checks(seeds=range(5)) -> list[GradCheckRow]:
         rng = np.random.default_rng([seed, 0xC0FFEE])
         cases = {
             "vanilla_gconv": _layer_case(
-                VanillaGConv(_CHANNELS, _CHANNELS, norm, rng, activation=True),
+                VanillaGConv(_CHANNELS, _CHANNELS, norm, rng),
                 (_BATCH, k, _CHANNELS), rng),
             "semgconv": _layer_case(
-                SemGConv(_CHANNELS, _CHANNELS, adj, rng, activation=True),
+                SemGConv(_CHANNELS, _CHANNELS, adj, rng),
                 (_BATCH, k, _CHANNELS), rng),
             "semgconv_channelwise": _layer_case(
-                SemGConv(_CHANNELS, _CHANNELS, adj, rng, channelwise=True,
-                         activation=True),
+                SemGConv(_CHANNELS, _CHANNELS, adj, rng, channelwise=True),
                 (_BATCH, k, _CHANNELS), rng),
             "nonlocal": _layer_case(
                 NonLocalBlock(_CHANNELS, DEFAULT_NODE_GROUPS, k, rng),

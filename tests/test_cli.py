@@ -38,7 +38,9 @@ def eval_report(capsys, checkpoint, data_dir, *flags):
 
 @pytest.mark.parametrize("removed", [
     {"mask_init": "zeros"}, {"mask_init": "glorot"}, {"input_dim": 2},
-    {"output_dim": 3}, {"nonlocal_embed": None},
+    {"output_dim": 3}, {"nonlocal_embed": None}, {"decay_factor": 0.5},
+    {"plateau_patience": 5}, {"plateau_threshold": 1e-3},
+    {"plateau_cooldown": None},
 ])
 def test_config_naming_removed_setting_is_usage_error(data_dir, tmp_path,
                                                       removed):
@@ -124,6 +126,25 @@ def test_eval_of_dataset_with_non_numeric_header_field_is_data_error(
                                         + b"\n" + blob)
     assert main(["eval", "--checkpoint", str(run_dir / "best.ckpt"), "--data",
                  str(broken)]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("key, value", [("skeleton_hash", 5),
+                                        ("split", None)])
+def test_train_on_dataset_with_non_string_header_field_is_data_error(
+        data_dir, tmp_path, key, value):
+    broken = tmp_path / "data"
+    broken.mkdir()
+    for split in ("train", "val"):
+        header, _, blob = (data_dir / f"{split}.poses").read_bytes() \
+            .partition(b"\n")
+        header = json.loads(header)
+        header[key] = value
+        (broken / f"{split}.poses").write_bytes(
+            json.dumps(header).encode("utf-8") + b"\n" + blob)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(broken), "--out", str(out),
+                 *TOY]) == EXIT_DATA
+    assert not out.exists()
 
 
 def test_diverging_run_ends_its_log_with_an_abort_record(data_dir, tmp_path):

@@ -4,7 +4,7 @@ init identities, gradient checks, and permutation equivariance."""
 import numpy as np
 import pytest
 
-from semgcn.autodiff import ShapeError, Tensor, grad_check, mul
+from semgcn.autodiff import ShapeError, Tensor, grad_check, mul, relu
 from semgcn.layers import (
     BatchNormNodes,
     NonLocalBlock,
@@ -48,18 +48,17 @@ class TestVanillaGConv:
         np.testing.assert_allclose(out.data.ravel(), [1.5, 2.0, 2.5])
 
     def test_identity_weights_identity_prop_is_relu(self):
-        conv = VanillaGConv(3, 3, np.eye(4), rng_for(1), activation=True)
+        conv = VanillaGConv(3, 3, np.eye(4), rng_for(1))
         conv.w.data = np.eye(3)
         x = rng_for(2).standard_normal((2, 4, 3))
-        out = conv(Tensor(x))
+        out = relu(conv(Tensor(x)))
         np.testing.assert_array_equal(out.data, np.maximum(x, 0.0))
 
     def test_gradient(self, adj):
-        conv = VanillaGConv(C, C, normalize_adjacency(adj), rng_for(3),
-                            activation=True)
+        conv = VanillaGConv(C, C, normalize_adjacency(adj), rng_for(3))
         x = Tensor(rng_for(4).standard_normal((2, K, C)), requires_grad=True)
         params = [p for _, p in conv.named_parameters()]
-        err = grad_check(lambda *_: conv(x).sum(), [x] + params)
+        err = grad_check(lambda *_: relu(conv(x)).sum(), [x] + params)
         assert err < 1e-4
 
     def test_width_mismatch(self, adj):
@@ -116,11 +115,11 @@ class TestSemGConv:
 
     def test_gradient_including_mask(self, adj):
         rng = rng_for(9)
-        conv = SemGConv(C, C, adj, rng, activation=True)
+        conv = SemGConv(C, C, adj, rng)
         conv.mask.data = rng.standard_normal((K, K)) * 0.3
         x = Tensor(rng.standard_normal((2, K, C)), requires_grad=True)
         params = [p for _, p in conv.named_parameters()]
-        err = grad_check(lambda *_: conv(x).sum(), [x] + params)
+        err = grad_check(lambda *_: relu(conv(x)).sum(), [x] + params)
         assert err < 1e-4
 
 
@@ -157,11 +156,11 @@ class TestSemGConvChannelwise:
 
     def test_gradient_over_all_masks(self, adj):
         rng = rng_for(13)
-        conv = SemGConv(C, C, adj, rng, channelwise=True, activation=True)
+        conv = SemGConv(C, C, adj, rng, channelwise=True)
         conv.mask.data = rng.standard_normal((C, K, K)) * 0.3
         x = Tensor(rng.standard_normal((2, K, C)), requires_grad=True)
         params = [p for _, p in conv.named_parameters()]
-        err = grad_check(lambda *_: conv(x).sum(), [x] + params)
+        err = grad_check(lambda *_: relu(conv(x)).sum(), [x] + params)
         assert err < 1e-4
 
     def test_mask_count_mismatch(self, adj):

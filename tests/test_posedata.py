@@ -270,6 +270,22 @@ class TestFileFormat:
         with pytest.raises(DatasetError, match=f"'{key}'.*not an? (integer|number)"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("split", 0), ("split", None), ("split", ["train"]),
+        ("skeleton_hash", 5), ("skeleton_hash", None), ("skeleton_hash", True),
+        ("skeleton_hash", {"sha256": "ab"}),
+    ])
+    def test_header_string_of_wrong_type_rejected(self, dataset, tmp_path,
+                                                  key, value):
+        path = tmp_path / "ds.poses"
+        save_dataset(dataset, path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        header = json.loads(header)
+        header[key] = value
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+        with pytest.raises(DatasetError, match=f"'{key}'.*not a string"):
+            load_dataset(path)
+
     def test_integral_noise_sigma_loads_as_float(self, dataset, tmp_path):
         path = tmp_path / "ds.poses"
         save_dataset(dataset, path)

@@ -1,6 +1,8 @@
 """Loss values, optimizer behavior, schedule logic, and training-loop
 contracts (determinism, null updates, divergence handling)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from semgcn.training import (
     NonFiniteGradientError,
     PlateauScheduler,
     TrainConfig,
+    EVAL_CHUNK,
     TrainingError,
     bone_vectors,
     evaluate,
@@ -55,6 +58,11 @@ class TestBoneVectors:
         j3d = rng.standard_normal((3, 16, 3))
         out = bone_vectors(Tensor(j3d), skel)
         np.testing.assert_array_equal(out.data, bone_vectors(j3d, skel))
+        # the incidence product is exact: one +1 and one -1 term per bone
+        parents = [p for p, _ in skel.edges]
+        children = [c for _, c in skel.edges]
+        np.testing.assert_array_equal(
+            out.data, j3d[..., parents, :] - j3d[..., children, :])
 
 
 class TestPoseLoss:
@@ -79,6 +87,32 @@ class TestPoseLoss:
         err = grad_check(lambda p: pose_loss(p, gt, skel, use_bone=True),
                          [pred])
         assert err < 1e-4
+
+    def test_bone_term_is_one_product_on_the_tape(self, skel):
+        rng = np.random.default_rng(6)
+        pred = Tensor(rng.standard_normal((2, 16, 3)), requires_grad=True)
+        with Tape() as tape:
+            pose_loss(pred, rng.standard_normal((2, 16, 3)), skel, use_bone=True)
+        assert Counter(node.op for node in tape.nodes) == {
+            "sub": 2, "mul": 2, "sum": 2, "matmul": 1, "add": 1, "scale": 1}
+
+    def test_bone_gradient_matches_explicit_scatter(self, skel):
+        # the reference gathers parents and children and scatter-adds the
+        # bone gradient back; the incidence product sums a joint's bone
+        # terms in another order, so the two agree to rounding
+        rng = np.random.default_rng(7)
+        pred = Tensor(rng.standard_normal((3, 16, 3)) * 300, requires_grad=True)
+        gt = rng.standard_normal((3, 16, 3)) * 300
+        with Tape() as tape:
+            tape.backward(pose_loss(pred, gt, skel, use_bone=True))
+        parents = [p for p, _ in skel.edges]
+        children = [c for _, c in skel.edges]
+        bones = pred.data[:, parents] - pred.data[:, children]
+        bdiff = bones - (gt[:, parents] - gt[:, children])
+        want = 2.0 * (pred.data - gt)
+        np.add.at(want, (slice(None), parents), 2.0 * bdiff)
+        np.add.at(want, (slice(None), children), -2.0 * bdiff)
+        np.testing.assert_allclose(pred.grad, want / 3, rtol=1e-12)
 
     def test_translation_invariance_with_and_without_bones(self, skel):
         rng = np.random.default_rng(4)
@@ -203,8 +237,9 @@ class TestAdam:
 
 
 class TestPlateauScheduler:
+    # PATIENCE = COOLDOWN = 5, THRESHOLD = 1e-3, FACTOR = 0.5
     def test_decreasing_history_keeps_lr(self):
-        sched = PlateauScheduler(1e-3, patience=5)
+        sched = PlateauScheduler(1e-3)
         lr = 1e-3
         val = 100.0
         for _ in range(20):
@@ -213,33 +248,34 @@ class TestPlateauScheduler:
         assert lr == 1e-3
 
     def test_flat_history_halves_once(self):
-        sched = PlateauScheduler(1e-3, patience=5)
-        for _ in range(5 + 1):
-            lr = sched.step(1.0)
-        assert lr == pytest.approx(5e-4)
+        sched = PlateauScheduler(1e-3)
+        lrs = [sched.step(1.0) for _ in range(5 + 1)]
+        assert lrs[-2] == 1e-3
+        assert lrs[-1] == pytest.approx(5e-4)
 
     def test_two_plateaus_two_halvings(self):
-        sched = PlateauScheduler(1e-3, patience=3, cooldown=0)
-        for _ in range(4):
+        sched = PlateauScheduler(1e-3)
+        for _ in range(6):
             lr = sched.step(1.0)
         assert lr == pytest.approx(5e-4)
         lr = sched.step(0.5)  # clear improvement resets the counter
-        for _ in range(4):
-            lr = sched.step(0.5)
-        assert lr == pytest.approx(2.5e-4)
+        # the cooldown still runs out first: 5 held epochs, then 5 bad ones
+        lrs = [sched.step(0.5) for _ in range(10)]
+        assert lrs[-2] == pytest.approx(5e-4)
+        assert lrs[-1] == pytest.approx(2.5e-4)
 
     def test_cooldown_delays_next_drop(self):
-        sched = PlateauScheduler(1e-3, patience=2, cooldown=4)
-        lrs = [sched.step(1.0) for _ in range(9)]
-        # drop at epoch 3, then 4 cooldown epochs, then 2 more bad epochs
-        assert lrs.count(pytest.approx(5e-4)) > 0
+        sched = PlateauScheduler(1e-3)
+        lrs = [sched.step(1.0) for _ in range(16)]
+        # drop at epoch 5, then 5 cooldown epochs, then 5 more bad epochs
+        assert min(i for i, v in enumerate(lrs) if v < 1e-3) == 5
+        assert lrs[5:15] == [pytest.approx(5e-4)] * 10
         assert lrs[-1] == pytest.approx(2.5e-4)
-        assert min(i for i, v in enumerate(lrs) if v < 1e-3) == 2
 
     def test_sub_threshold_improvement_counts_as_plateau(self):
-        sched = PlateauScheduler(1e-3, patience=3, threshold=1e-3)
+        sched = PlateauScheduler(1e-3)
         val = 1.0
-        for _ in range(4):
+        for _ in range(6):
             lr = sched.step(val)
             val *= 1.0 - 1e-5  # improving, but below the 0.1% threshold
         assert lr == pytest.approx(5e-4)
@@ -366,17 +402,17 @@ class TestEvaluate:
         assert evaluate(net, x, y, skel, use_bone=True) == \
             (loss, mpjpe(pred.data, y))
 
-    def test_chunks_weigh_the_loss_by_rows(self, skel, small_data):
-        _, val_ds, _ = small_data
-        x, y = centered_arrays(val_ds)
+    def test_chunks_weigh_the_loss_by_rows(self, skel):
+        x, y = centered_arrays(generate_synthetic(EVAL_CHUNK + 88, seed=22))
         net = small_net(skel)
-        starts = range(0, x.shape[0], 5)
-        preds = [net.forward(x[s:s + 5], train=False) for s in starts]
-        loss = sum(pose_loss(p, y[s:s + 5], skel).item() * p.shape[0]
+        starts = range(0, x.shape[0], EVAL_CHUNK)
+        assert len(starts) == 2
+        preds = [net.forward(x[s:s + EVAL_CHUNK], train=False) for s in starts]
+        loss = sum(pose_loss(p, y[s:s + EVAL_CHUNK], skel).item() * p.shape[0]
                    for s, p in zip(starts, preds)) / x.shape[0]
         pred = np.concatenate([p.data for p in preds])
-        assert np.array_equal(predict(net, x, chunk=5), pred)
-        assert evaluate(net, x, y, skel, use_bone=False, chunk=5) == \
+        assert np.array_equal(predict(net, x), pred)
+        assert evaluate(net, x, y, skel, use_bone=False) == \
             (loss, mpjpe(pred, y))
         # chunking changes only GEMM shapes, hence summation order
         np.testing.assert_allclose(pred, net.forward(x, train=False).data,

@@ -4,6 +4,7 @@ tape, and the memory it keeps between steps."""
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -13,19 +14,22 @@ import numpy as np
 import pytest
 
 import semgcn
+from semgcn import autodiff
 from semgcn.autodiff import Tape
-from semgcn.network import NetworkConfig, build_network
+from semgcn.network import VARIANTS, NetworkConfig, build_network
 from semgcn.skeleton import build_skeleton
 from semgcn.training import Adam, pose_loss
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
-def make_step(variant, channels, blocks, batch):
+def make_step(variant, channels, blocks, batch, channelwise=False,
+              use_bone=False):
     """A closure running one training step; it returns that step's tape."""
     g = build_skeleton()
     net = build_network(NetworkConfig(variant=variant, channels=channels,
-                                      blocks=blocks), g, seed=0)
+                                      blocks=blocks,
+                                      channelwise_masks=channelwise), g, seed=0)
     opt = Adam(net.named_parameters(), lr=1e-3)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((batch, g.num_joints, 2))
@@ -33,7 +37,7 @@ def make_step(variant, channels, blocks, batch):
 
     def step():
         with Tape() as tape:
-            tape.backward(pose_loss(net.forward(x, train=True), y, g))
+            tape.backward(pose_loss(net.forward(x, train=True), y, g, use_bone))
         opt.step()
         net.zero_grad()
         return tape
@@ -50,6 +54,22 @@ def test_every_tape_op_is_a_benchmark_metric(variant):
     undeclared = sorted(op for op in ops
                         if f"autodiff.tape_nodes.{op}" not in declared)
     assert not undeclared
+
+
+def test_every_op_kind_has_a_caller():
+    # one toy step per trainable configuration; an op kind that none of
+    # them records is dead code
+    recorded = set(re.findall(r'_maybe_record\("(\w+)"',
+                              Path(autodiff.__file__).read_text()))
+    configs = [dict(variant=v) for v in VARIANTS] + [
+        dict(variant="semgcn", channelwise=True),
+        dict(variant="semgcn", use_bone=True)]
+    used = set()
+    for config in configs:
+        used |= {node.op for node in make_step(channels=4, blocks=1, batch=4,
+                                                **config)().nodes}
+    assert len(recorded) > 10
+    assert used == recorded
 
 
 # One step's tape at channels 4, one block, batch 4: each graph layer's
