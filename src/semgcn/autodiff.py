@@ -108,20 +108,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; scalars are folded in as constants.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return scale(self, float(other)) if np.isscalar(other) else mul(self, other)
-
-    __rmul__ = __mul__
-
     def sum(self, axis=None, keepdims: bool = False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
@@ -179,15 +165,6 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         popped = _tape_stack().pop()
         assert popped is self, "tape stack corrupted"
-
-    def _emit(self, op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
-              vjp: Callable[[np.ndarray], tuple]) -> Tensor:
-        out = Tensor.__new__(Tensor)
-        out.data = out_data
-        out.grad = None
-        out.requires_grad = True
-        self.nodes.append(TapeNode(op, inputs, out, vjp))
-        return out
 
     def backward(self, root: Tensor, grad: np.ndarray | None = None) -> None:
         """Accumulate d(root)/d(leaf) into every leaf's ``grad``.
@@ -257,11 +234,18 @@ def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _maybe_record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
-                  make_vjp: Callable[[], Callable]) -> Tensor:
+                  vjp: Callable[[np.ndarray], tuple]) -> Tensor:
+    """The op's output; a tape node too when a tape is open and an input
+    requires gradients."""
     tape = _current_tape()
     if tape is None or not any(t.requires_grad for t in inputs):
         return Tensor(out_data)
-    return tape._emit(op, inputs, out_data, make_vjp())
+    out = Tensor.__new__(Tensor)
+    out.data = out_data
+    out.grad = None
+    out.requires_grad = True
+    tape.nodes.append(TapeNode(op, inputs, out, vjp))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -306,38 +290,35 @@ def matmul(a, b, *addends) -> Tensor:
                              f"the product's shape {out_data.shape}") from exc
     _ensure_finite(out_data, "matmul")
 
-    def make_vjp():
-        def vjp(g: np.ndarray):
-            # a full-shape addend hands ``g`` itself back; nothing here
-            # writes to ``g``, and Tape.backward gives it away last
-            rest = tuple(_sum_to_shape(g, t.shape) if t.requires_grad else None
-                         for t in terms)
-            if vector:
-                return (b_data @ g if a.requires_grad else None,
-                        np.outer(a_data, g) if b.requires_grad else None, *rest)
-            ga = gb = None
-            if a.requires_grad:
-                if stacked_by_2d:
-                    # written in place so ``ga`` owns its memory
-                    gflat = g.reshape(-1, g.shape[-1])
-                    ga = np.empty(a_data.shape)
-                    np.matmul(gflat, b_data.T,
-                              out=ga.reshape(gflat.shape[0], -1))
-                else:
-                    ga = _sum_to_shape(np.matmul(g, np.swapaxes(b_data, -1, -2)),
-                                       a_data.shape)
-            if b.requires_grad:
-                if stacked_by_2d:
-                    flat = a_data.reshape(-1, a_data.shape[-1])
-                    gb = flat.T @ g.reshape(-1, g.shape[-1])
-                else:
-                    gb = _sum_to_shape(np.matmul(np.swapaxes(a_data, -1, -2), g),
-                                       b_data.shape)
-            return ga, gb, *rest
+    def vjp(g: np.ndarray):
+        # a full-shape addend hands ``g`` itself back; nothing here
+        # writes to ``g``, and Tape.backward gives it away last
+        rest = tuple(_sum_to_shape(g, t.shape) if t.requires_grad else None
+                     for t in terms)
+        if vector:
+            return (b_data @ g if a.requires_grad else None,
+                    np.outer(a_data, g) if b.requires_grad else None, *rest)
+        ga = gb = None
+        if a.requires_grad:
+            if stacked_by_2d:
+                # written in place so ``ga`` owns its memory
+                gflat = g.reshape(-1, g.shape[-1])
+                ga = np.empty(a_data.shape)
+                np.matmul(gflat, b_data.T,
+                          out=ga.reshape(gflat.shape[0], -1))
+            else:
+                ga = _sum_to_shape(np.matmul(g, np.swapaxes(b_data, -1, -2)),
+                                   a_data.shape)
+        if b.requires_grad:
+            if stacked_by_2d:
+                flat = a_data.reshape(-1, a_data.shape[-1])
+                gb = flat.T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _sum_to_shape(np.matmul(np.swapaxes(a_data, -1, -2), g),
+                                   b_data.shape)
+        return ga, gb, *rest
 
-        return vjp
-
-    return _maybe_record("matmul", (a, b, *terms), out_data, make_vjp)
+    return _maybe_record("matmul", (a, b, *terms), out_data, vjp)
 
 
 def add(a, b, *more) -> Tensor:
@@ -353,74 +334,37 @@ def add(a, b, *more) -> Tensor:
         raise ShapeError(f"add shapes incompatible: {shapes}") from exc
     _ensure_finite(out_data, "add")
 
-    def make_vjp():
-        def vjp(g):
-            return tuple(_sum_to_shape(g, t.shape) if t.requires_grad else None
-                         for t in terms)
-        return vjp
+    def vjp(g):
+        return tuple(_sum_to_shape(g, t.shape) if t.requires_grad else None
+                     for t in terms)
 
-    return _maybe_record("add", terms, out_data, make_vjp)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out_data = a.data - b.data
-    except ValueError as exc:
-        raise ShapeError(f"sub shapes incompatible: {a.shape} vs {b.shape}") from exc
-    _ensure_finite(out_data, "sub")
-
-    def make_vjp():
-        def vjp(g):
-            ga = _sum_to_shape(g, a.shape) if a.requires_grad else None
-            gb = -_sum_to_shape(g, b.shape) if b.requires_grad else None
-            return ga, gb
-        return vjp
-
-    return _maybe_record("sub", (a, b), out_data, make_vjp)
+    return _maybe_record("add", terms, out_data, vjp)
 
 
 def mul(a, b) -> Tensor:
+    """Broadcasting elementwise product; ``mul(x, c)`` scales by a constant."""
     a, b = _as_tensor(a), _as_tensor(b)
+    a_data, b_data = a.data, b.data
     try:
-        out_data = a.data * b.data
+        out_data = a_data * b_data
     except ValueError as exc:
         raise ShapeError(f"mul shapes incompatible: {a.shape} vs {b.shape}") from exc
     _ensure_finite(out_data, "mul")
 
-    def make_vjp():
-        a_data, b_data = a.data, b.data
+    def vjp(g):
+        # b's gradient is formed first, so a same-shape a can take g
+        # scaled in place
+        gb = _sum_to_shape(g * a_data, b_data.shape) if b.requires_grad else None
+        ga = None
+        if a.requires_grad:
+            if a_data.shape == g.shape:
+                g *= b_data
+                ga = g
+            else:
+                ga = _sum_to_shape(g * b_data, a_data.shape)
+        return ga, gb
 
-        def vjp(g):
-            # b's gradient is formed first, so a same-shape a can take g
-            # scaled in place
-            gb = _sum_to_shape(g * a_data, b_data.shape) if b.requires_grad else None
-            ga = None
-            if a.requires_grad:
-                if a_data.shape == g.shape:
-                    g *= b_data
-                    ga = g
-                else:
-                    ga = _sum_to_shape(g * b_data, a_data.shape)
-            return ga, gb
-        return vjp
-
-    return _maybe_record("mul", (a, b), out_data, make_vjp)
-
-
-def scale(x, c: float) -> Tensor:
-    x = _as_tensor(x)
-    c = float(c)
-    out_data = x.data * c
-    _ensure_finite(out_data, "scale")
-
-    def make_vjp():
-        def vjp(g):
-            g *= c
-            return (g,)
-        return vjp
-
-    return _maybe_record("scale", (x,), out_data, make_vjp)
+    return _maybe_record("mul", (a, b), out_data, vjp)
 
 
 def relu(x) -> Tensor:
@@ -428,15 +372,11 @@ def relu(x) -> Tensor:
     out_data = np.maximum(x.data, 0.0)
     _ensure_finite(out_data, "relu")
 
-    def make_vjp():
-        mask = x.data > 0  # subgradient at 0 is 0
+    def vjp(g):
+        g *= x.data > 0  # subgradient at 0 is 0
+        return (g,)
 
-        def vjp(g):
-            g *= mask
-            return (g,)
-        return vjp
-
-    return _maybe_record("relu", (x,), out_data, make_vjp)
+    return _maybe_record("relu", (x,), out_data, vjp)
 
 
 def softmax_lastdim(x) -> Tensor:
@@ -455,15 +395,11 @@ def softmax_lastdim(x) -> Tensor:
     out_data = e / e.sum(axis=-1, keepdims=True)
     _ensure_finite(out_data, "softmax")
 
-    def make_vjp():
-        s = out_data
+    def vjp(g):
+        inner = (g * out_data).sum(axis=-1, keepdims=True)
+        return (out_data * (g - inner),)
 
-        def vjp(g):
-            inner = (g * s).sum(axis=-1, keepdims=True)
-            return (s * (g - inner),)
-        return vjp
-
-    return _maybe_record("softmax", (x,), out_data, make_vjp)
+    return _maybe_record("softmax", (x,), out_data, vjp)
 
 
 def narrow(x, axis: int, start: int, length: int) -> Tensor:
@@ -478,14 +414,12 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
                   for i in range(x.ndim))
     out_data = np.ascontiguousarray(x.data[index])
 
-    def make_vjp():
-        def vjp(g):
-            gx = np.zeros_like(x.data)
-            gx[index] = g
-            return (gx,)
-        return vjp
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        gx[index] = g
+        return (gx,)
 
-    return _maybe_record("narrow", (x,), out_data, make_vjp)
+    return _maybe_record("narrow", (x,), out_data, vjp)
 
 
 def reshape(x, shape) -> Tensor:
@@ -495,12 +429,10 @@ def reshape(x, shape) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}") from exc
 
-    def make_vjp():
-        def vjp(g):
-            return (g.reshape(x.shape),)
-        return vjp
+    def vjp(g):
+        return (g.reshape(x.shape),)
 
-    return _maybe_record("reshape", (x,), out_data, make_vjp)
+    return _maybe_record("reshape", (x,), out_data, vjp)
 
 
 def transpose(x, axes) -> Tensor:
@@ -510,14 +442,10 @@ def transpose(x, axes) -> Tensor:
         raise ShapeError(f"invalid permutation {axes} for shape {x.shape}")
     out_data = np.transpose(x.data, axes)  # view; data never mutates
 
-    def make_vjp():
-        inverse = tuple(np.argsort(axes))
+    def vjp(g):
+        return (np.transpose(g, np.argsort(axes)),)
 
-        def vjp(g):
-            return (np.transpose(g, inverse),)
-        return vjp
-
-    return _maybe_record("transpose", (x,), out_data, make_vjp)
+    return _maybe_record("transpose", (x,), out_data, vjp)
 
 
 def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -526,15 +454,13 @@ def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     out_data = np.asarray(out_data)
     _ensure_finite(out_data, "sum")
 
-    def make_vjp():
-        def vjp(g):
-            if axis is None:
-                return (np.full(x.shape, float(g)),)
-            g_expanded = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(g_expanded, x.shape),)
-        return vjp
+    def vjp(g):
+        if axis is None:
+            return (np.full(x.shape, float(g)),)
+        g_expanded = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(g_expanded, x.shape),)
 
-    return _maybe_record("sum", (x,), out_data, make_vjp)
+    return _maybe_record("sum", (x,), out_data, vjp)
 
 
 def max_over_set(x, groups: Sequence[Sequence[int]]) -> Tensor:
@@ -564,18 +490,16 @@ def max_over_set(x, groups: Sequence[Sequence[int]]) -> Tensor:
     # both gathers are fresh copies
     out_data = np.maximum(first, second, out=second)
 
-    def make_vjp():
-        def vjp(g):
-            gx = np.zeros_like(x.data)
-            routed_first = g * first_wins
-            # members are distinct (checked above): each node is written once
-            gx[..., idx[:, 0], :] = routed_first
-            g -= routed_first
-            gx[..., idx[:, 1], :] = g
-            return (gx,)
-        return vjp
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        routed_first = g * first_wins
+        # members are distinct (checked above): each node is written once
+        gx[..., idx[:, 0], :] = routed_first
+        g -= routed_first
+        gx[..., idx[:, 1], :] = g
+        return (gx,)
 
-    return _maybe_record("max_over_set", (x,), out_data, make_vjp)
+    return _maybe_record("max_over_set", (x,), out_data, vjp)
 
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in the running ones
@@ -642,32 +566,30 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
     np.maximum(out, 0.0, out=out)
     out_data = out.reshape(x.shape)
 
-    def make_vjp():
-        def vjp(g):
-            if not g.flags.c_contiguous:
-                g = np.ascontiguousarray(g)
-            g2 = g.reshape(-1, c)  # a view, so gx is formed in g's buffer
-            g2 *= out > 0
-            centered = x2 - mu
-            gbeta = g2.sum(axis=0)
-            ggamma = np.einsum("ij,ij->j", g2, centered) * inv
-            gx = None
-            if x.requires_grad:
-                # Ioffe & Szegedy (arXiv 1502.03167); every sum over g is
-                # taken above, before g is overwritten
-                if training:
-                    g2 -= gbeta / n
-                    g2 *= a
-                    centered *= a * inv * ggamma / n
-                    g2 -= centered
-                else:
-                    g2 *= a
-                gx = g
-            return (gx, ggamma if gamma.requires_grad else None,
-                    gbeta if beta.requires_grad else None)
-        return vjp
+    def vjp(g):
+        if not g.flags.c_contiguous:
+            g = np.ascontiguousarray(g)
+        g2 = g.reshape(-1, c)  # a view, so gx is formed in g's buffer
+        g2 *= out > 0
+        centered = x2 - mu
+        gbeta = g2.sum(axis=0)
+        ggamma = np.einsum("ij,ij->j", g2, centered) * inv
+        gx = None
+        if x.requires_grad:
+            # Ioffe & Szegedy (arXiv 1502.03167); every sum over g is
+            # taken above, before g is overwritten
+            if training:
+                g2 -= gbeta / n
+                g2 *= a
+                centered *= a * inv * ggamma / n
+                g2 -= centered
+            else:
+                g2 *= a
+            gx = g
+        return (gx, ggamma if gamma.requires_grad else None,
+                gbeta if beta.requires_grad else None)
 
-    return _maybe_record("batch_norm", (x, gamma, beta), out_data, make_vjp)
+    return _maybe_record("batch_norm", (x, gamma, beta), out_data, vjp)
 
 
 # ---------------------------------------------------------------------------

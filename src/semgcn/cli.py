@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -272,12 +273,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gen-data" and args.n < 10:
         parser.error("--n must be at least 10 (splits need one sample each)")
+    if args.command == "gen-data" and not 0.0 <= args.noise_sigma < math.inf:
+        parser.error("--noise-sigma must be finite and >= 0")
+    if args.command == "grad-check" and args.seeds < 1:
+        parser.error("--seeds must be at least 1")
     try:
         return args.func(args)
     except (NonFiniteError, NonFiniteGradientError) as exc:
         log.error("numeric failure: %s", exc)
         return EXIT_NUMERIC
-    except (DatasetError, CheckpointError, AnalysisError, TrainingError) as exc:
+    except (DatasetError, CheckpointError, AnalysisError, TrainingError,
+            OSError) as exc:
         log.error("%s", exc)
         return EXIT_DATA
     except ConfigError as exc:

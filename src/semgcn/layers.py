@@ -30,7 +30,6 @@ from .autodiff import (
     parameter,
     relu,
     reshape,
-    scale,
     softmax_lastdim,
     tensor_sum,
     transpose,
@@ -195,7 +194,7 @@ class NonLocalBlock(Layer):
                      self.wf_b)
         f = relu(logits)                                    # (B, K, G)
         message = matmul(f, val)                            # (B, K, E)
-        return matmul(message, scale(self.wx, 1.0 / n_groups), x)
+        return matmul(message, mul(self.wx, 1.0 / n_groups), x)
 
 
 class BatchNormNodes(Layer):

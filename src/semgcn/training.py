@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
-from .autodiff import NonFiniteError, ShapeError, Tape, Tensor, matmul, mul, scale, sub
+from .autodiff import NonFiniteError, ShapeError, Tape, Tensor, add, matmul, mul
 from .network import ConfigError, Network, check_field_types
 from .posedata import PoseDataset, centered_arrays, mpjpe
 from .skeleton import SkeletonGraph, skeleton_hash
@@ -71,17 +71,18 @@ def bone_vectors(j3d, g: SkeletonGraph):
 
 def pose_loss(pred: Tensor, gt, g: SkeletonGraph, use_bone: bool = False) -> Tensor:
     """Squared joint error (plus optional squared bone error) per pose,
-    averaged over the batch."""
-    gt_t = gt if isinstance(gt, Tensor) else Tensor(gt)
-    if pred.shape != gt_t.shape:
-        raise ShapeError(f"loss shape mismatch: {pred.shape} vs {gt_t.shape}")
+    averaged over the batch.  The target ``gt`` is a constant."""
+    gt = gt.data if isinstance(gt, Tensor) else np.asarray(gt, dtype=np.float64)
+    if pred.shape != gt.shape:
+        raise ShapeError(f"loss shape mismatch: {pred.shape} vs {gt.shape}")
     batch = pred.shape[0] if pred.ndim == 3 else 1
-    diff = sub(pred, gt_t)
+    # a - b is a + (-b) in IEEE arithmetic, bit for bit
+    diff = add(pred, -gt)
     loss = mul(diff, diff).sum()
     if use_bone:
-        bdiff = sub(bone_vectors(pred, g), Tensor(bone_vectors(gt_t.data, g)))
-        loss = loss + mul(bdiff, bdiff).sum()
-    return scale(loss, 1.0 / batch)
+        bdiff = add(bone_vectors(pred, g), -bone_vectors(gt, g))
+        loss = add(loss, mul(bdiff, bdiff).sum())
+    return mul(loss, 1.0 / batch)
 
 
 class Adam:
@@ -137,7 +138,9 @@ class Adam:
 class PlateauScheduler:
     """Halve-on-plateau: halve the rate when the best validation loss has
     not improved by the relative ``THRESHOLD`` for ``PATIENCE`` consecutive
-    epochs, then hold for ``COOLDOWN`` epochs."""
+    epochs, then hold for ``COOLDOWN`` epochs.  As in PyTorch's
+    ``ReduceLROnPlateau``, every epoch counts the cooldown down and no
+    epoch in it counts as bad."""
 
     FACTOR = 0.5
     PATIENCE = 5
@@ -154,14 +157,14 @@ class PlateauScheduler:
         if val_loss < self._best * (1.0 - self.THRESHOLD):
             self._best = val_loss
             self._bad_epochs = 0
-        elif self._cooldown_left > 0:
-            self._cooldown_left -= 1
-        else:
+        elif self._cooldown_left == 0:
             self._bad_epochs += 1
-            if self._bad_epochs >= self.PATIENCE:
-                self.lr *= self.FACTOR
-                self._bad_epochs = 0
-                self._cooldown_left = self.COOLDOWN
+        if self._cooldown_left > 0:
+            self._cooldown_left -= 1
+        elif self._bad_epochs >= self.PATIENCE:
+            self.lr *= self.FACTOR
+            self._bad_epochs = 0
+            self._cooldown_left = self.COOLDOWN
         return self.lr
 
 

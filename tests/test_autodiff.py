@@ -22,9 +22,7 @@ from semgcn.autodiff import (
     narrow,
     relu,
     reshape,
-    scale,
     softmax_lastdim,
-    sub,
     tensor_sum,
     transpose,
 )
@@ -139,8 +137,8 @@ class TestMatmul:
         rng = np.random.default_rng(13)
         m = Tensor(rng.standard_normal((6, 16, 8)))
         w = Tensor(rng.standard_normal((8, 7)))
-        np.testing.assert_array_equal(matmul(m, scale(w, 0.125)).data,
-                                      scale(matmul(m, w), 0.125).data)
+        np.testing.assert_array_equal(matmul(m, mul(w, 0.125)).data,
+                                      mul(matmul(m, w), 0.125).data)
 
     def test_enlarging_addend_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(3, 4, 2\).*\(4, 2\)"):
@@ -183,6 +181,23 @@ class TestAdd:
     def test_shape_mismatch_names_every_shape(self):
         with pytest.raises(ShapeError, match=r"\(2,\) vs \(2,\) vs \(3,\)"):
             add(Tensor(np.ones(2)), Tensor(np.ones(2)), Tensor(np.ones(3)))
+
+
+class TestMul:
+    @pytest.mark.parametrize("shape, c", [((3, 4), 3.0), ((3, 4), -2.5),
+                                          ((3, 4), 0.125), ((), 1.0 / 64)])
+    def test_constant_factor_scales_forward_and_backward_exactly(self, shape,
+                                                                  c):
+        # a constant's gradient is not formed, and a same-shape operand
+        # takes g scaled in place: both sides are one rounding of x * c
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        g = rng.standard_normal(shape)
+        with Tape() as tape:
+            out = mul(x, c)
+            tape.backward(out, grad=g)
+        np.testing.assert_array_equal(out.data, x.data * c)
+        np.testing.assert_array_equal(x.grad, g * c)
 
 
 class TestRelu:
@@ -471,7 +486,7 @@ class TestStructural:
         with Tape() as tape:
             part = narrow(x, 0, 1, 2)
             np.testing.assert_array_equal(part.data, x.data[1:3])
-            tape.backward(scale(part, 2.0).sum())
+            tape.backward(mul(part, 2.0).sum())
         expected = np.zeros((4, 3))
         expected[1:3] = 2.0  # rows outside the slice get no gradient
         np.testing.assert_array_equal(x.grad, expected)
@@ -485,14 +500,14 @@ class TestStructural:
         probe = rng.standard_normal((2, 4, 3))
 
         def f(x, y, w):
-            h = add(mul(relu(x), y), scale(sub(x, y), 0.5))
+            h = add(mul(relu(x), y), mul(add(x, mul(y, -1.0)), 0.5))
             # a selection matrix that repeats channel 0 sums its gradient
             select = np.eye(5)[:, [4, 0, 1, 2, 3, 0]]
             h = matmul(narrow(h, 2, 1, 5), select)
             h = matmul(transpose(reshape(h, (2, 6, 4)), (0, 2, 1)), w)
             h = mul(h, Tensor(probe))
             p = max_over_set(softmax_lastdim(h), [(0, 1), (2, 3)])
-            return add(tensor_sum(p), tensor_sum(h - 0.5, axis=1)).sum()
+            return add(tensor_sum(p), tensor_sum(add(h, -0.5), axis=1)).sum()
 
         assert grad_check(f, [x, y, w]) < 1e-4
 
@@ -508,7 +523,7 @@ class TestGradCheckOracle:
 
     def test_linear_is_exact(self):
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-        err = grad_check(lambda x: scale(x, 3.0).sum(), [x])
+        err = grad_check(lambda x: mul(x, 3.0).sum(), [x])
         assert err < 1e-9
 
     def test_detects_injected_wrong_backward(self):
@@ -517,12 +532,10 @@ class TestGradCheckOracle:
         def broken_square(x):
             out_data = x.data * x.data
 
-            def make_vjp():
-                def vjp(g):
-                    return (g,)  # wrong on purpose: should be 2 * x * g
-                return vjp
+            def vjp(g):
+                return (g,)  # wrong on purpose: should be 2 * x * g
 
-            return ad._maybe_record("broken_square", (x,), out_data, make_vjp)
+            return ad._maybe_record("broken_square", (x,), out_data, vjp)
 
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         err = grad_check(lambda x: broken_square(x).sum(), [x])
@@ -539,7 +552,7 @@ class TestBackwardBuffers:
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         ops = {
             "relu": lambda x: relu(x),
-            "scale": lambda x: scale(x, -3.0),
+            "scale": lambda x: mul(x, -3.0),
             "add": lambda x: add(x, x),
             "mul": lambda x: mul(x, x),
             "batch_norm": lambda x: batch_norm(
@@ -578,9 +591,9 @@ class TestBackwardBuffers:
             "relu_and_add_of_leaf": lambda x, w: add(relu(x), x),
             "relu_and_add_of_node": lambda x, w: (
                 lambda h: add(relu(h), h, h))(mul(x, w)),
-            "scale_of_relu": lambda x, w: scale(relu(x), -2.5),
+            "scale_of_relu": lambda x, w: mul(relu(x), -2.5),
             "add_of_scale_and_relu": lambda x, w: (
-                lambda h: add(scale(h, 3.0), relu(h)))(sub(x, w)),
+                lambda h: add(mul(h, 3.0), relu(h)))(add(x, mul(w, -1.0))),
         }
 
         def f(x, w):
@@ -599,10 +612,10 @@ class TestBackwardBuffers:
         probe = Tensor(rng.standard_normal((2, 3, 4)))
         cases = {
             "square": lambda x, w: mul(x, x),
-            "broadcast_weight": lambda x, w: mul(scale(x, 1.5), w),
-            "weight_first": lambda x, w: mul(w, scale(x, 1.5)),
+            "broadcast_weight": lambda x, w: mul(mul(x, 1.5), w),
+            "weight_first": lambda x, w: mul(w, mul(x, 1.5)),
             "add_of_mul_and_operand": lambda x, w: (
-                lambda h: add(mul(h, w), h))(scale(x, 1.5)),
+                lambda h: add(mul(h, w), h))(mul(x, 1.5)),
         }
 
         def f(x, w):
@@ -680,11 +693,6 @@ class TestTensorAndTape:
 
     def test_no_tape_means_no_recording(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        out = scale(x, 2.0)
+        out = mul(x, 2.0)
         assert out.grad is None
         assert x.grad is None
-
-    def test_scalar_operator_sugar(self):
-        x = Tensor(np.array([1.0, 2.0]))
-        np.testing.assert_array_equal((x * 2.0 + 1.0).data, [3.0, 5.0])
-        np.testing.assert_array_equal((x - 1.0).data, [0.0, 1.0])

@@ -218,6 +218,38 @@ def test_export_weights(run_dir, tmp_path, flags):
                                    atol=1e-12)
 
 
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_gen_data_with_invalid_noise_sigma_is_usage_error(tmp_path, sigma):
+    out = tmp_path / "data"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--n", "20", "--noise-sigma", sigma, "--out",
+              str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_grad_check_without_seeds_is_usage_error(capsys, seeds):
+    with pytest.raises(SystemExit) as exc:
+        main(["grad-check", "--seeds", seeds])
+    assert exc.value.code == EXIT_USAGE
+    assert "operation" not in capsys.readouterr().out
+
+
+def test_eval_of_missing_checkpoint_is_data_error(data_dir, tmp_path, capsys):
+    assert main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                 "--data", str(data_dir)]) == EXIT_DATA
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_train_on_directory_without_splits_is_data_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(tmp_path), "--out", str(out),
+                 *TOY]) == EXIT_DATA
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grad_check_passes(capsys):
     assert main(["grad-check", "--seeds", "1"]) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out

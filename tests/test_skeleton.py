@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semgcn.autodiff import Tape, Tensor
+from semgcn.autodiff import Tape, Tensor, mul
 from semgcn.layers import SemGConv
 from semgcn.skeleton import (
     DEFAULT_NODE_GROUPS,
@@ -160,7 +160,7 @@ class TestMaskedSoftmax:
         with Tape() as tape:
             s = conv.edge_weights()
             # arbitrary loss touching every output entry
-            loss = (s * Tensor(rng.standard_normal((16, 16)))).sum()
+            loss = mul(s, Tensor(rng.standard_normal((16, 16)))).sum()
             tape.backward(loss)
         assert (conv.mask.grad[adj == 0] == 0.0).all()
         assert np.abs(conv.mask.grad[adj == 1]).max() > 0
@@ -170,7 +170,7 @@ class TestMaskedSoftmax:
         conv = conv_with_logits(rng.standard_normal((5, 16, 16)), adj)
         with Tape() as tape:
             s = conv.edge_weights()
-            tape.backward((s * Tensor(rng.standard_normal((5, 16, 16)))).sum())
+            tape.backward(mul(s, Tensor(rng.standard_normal((5, 16, 16)))).sum())
         assert s.shape == (5, 16, 16)
         np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-9)
         assert (s.data[:, adj == 0] == 0.0).all()

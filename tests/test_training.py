@@ -94,7 +94,7 @@ class TestPoseLoss:
         with Tape() as tape:
             pose_loss(pred, rng.standard_normal((2, 16, 3)), skel, use_bone=True)
         assert Counter(node.op for node in tape.nodes) == {
-            "sub": 2, "mul": 2, "sum": 2, "matmul": 1, "add": 1, "scale": 1}
+            "add": 3, "mul": 3, "sum": 2, "matmul": 1}
 
     def test_bone_gradient_matches_explicit_scatter(self, skel):
         # the reference gathers parents and children and scatter-adds the
@@ -258,9 +258,9 @@ class TestPlateauScheduler:
         for _ in range(6):
             lr = sched.step(1.0)
         assert lr == pytest.approx(5e-4)
-        lr = sched.step(0.5)  # clear improvement resets the counter
-        # the cooldown still runs out first: 5 held epochs, then 5 bad ones
-        lrs = [sched.step(0.5) for _ in range(10)]
+        lr = sched.step(0.5)  # epoch 6: a clear improvement, cooldown 4 left
+        # every epoch counts the cooldown down: 4 more held, then 5 bad ones
+        lrs = [sched.step(0.5) for _ in range(9)]
         assert lrs[-2] == pytest.approx(5e-4)
         assert lrs[-1] == pytest.approx(2.5e-4)
 
