@@ -24,7 +24,6 @@ by the next instead of being faulted in again.
 from __future__ import annotations
 
 import ctypes
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -130,28 +129,15 @@ class TapeNode:
         self.vjp = vjp
 
 
-_STATE = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_STATE, "stack", None)
-    if stack is None:
-        stack = []
-        _STATE.stack = stack
-    return stack
+_TAPES: list["Tape"] = []  # open tapes, innermost last
 
 
 def _current_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 class Tape:
-    """Execution-ordered record of operations for one forward pass.
-
-    A tape is confined to the thread that opened it; independent tapes in
-    different threads do not interact.
-    """
+    """Execution-ordered record of operations for one forward pass."""
 
     __slots__ = ("nodes",)
 
@@ -159,11 +145,11 @@ class Tape:
         self.nodes: list[TapeNode] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _tape_stack().pop()
+        popped = _TAPES.pop()
         assert popped is self, "tape stack corrupted"
 
     def backward(self, root: Tensor, grad: np.ndarray | None = None) -> None:
@@ -319,6 +305,75 @@ def matmul(a, b, *addends) -> Tensor:
         return ga, gb, *rest
 
     return _maybe_record("matmul", (a, b, *terms), out_data, vjp)
+
+
+def graph_conv(x, w, b, *aggregations) -> Tensor:
+    """Graph convolution ``[A_1 x | ... | A_R x] @ w + b`` as one tape node.
+
+    ``x`` is (..., K, C_in), each aggregation ``A_r`` is (K, K) and acts on
+    the node axis, ``w`` is (R, C_in, C_out) and ``b`` is (C_out,).  The R
+    aggregated inputs are laid side by side into one (N, R*C_in) operand,
+    so ``w[r]`` transforms ``A_r x`` and the product is one GEMM.  The node
+    is a ``matmul`` that keeps only its output: the vjp recomputes the
+    small ``A_r x`` products for the weight gradient instead of storing
+    them (Chen et al., arXiv 1604.06174).
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    aggs = tuple(_as_tensor(a) for a in aggregations)
+    if x.ndim < 2:
+        raise ShapeError(f"graph_conv needs a (..., K, C) input, got {x.shape}")
+    k, c_in = x.shape[-2:]
+    r = len(aggs)
+    if r < 1 or w.ndim != 3 or w.shape[:2] != (r, c_in):
+        raise ShapeError(f"graph_conv weight {w.shape} does not fit {r} "
+                         f"aggregations of {c_in} channels")
+    c_out = w.shape[2]
+    if b.shape != (c_out,):
+        raise ShapeError(f"graph_conv bias {b.shape} does not fit {c_out} channels")
+    for agg in aggs:
+        if agg.shape != (k, k):
+            raise ShapeError(f"graph_conv aggregation {agg.shape} does not fit "
+                             f"{k} nodes")
+    x3 = x.data.reshape(-1, k, c_in)
+    w_flat = w.data.reshape(r * c_in, c_out)
+    a_data = [agg.data for agg in aggs]
+
+    def side_by_side() -> np.ndarray:
+        z = np.empty((x3.shape[0], k, r * c_in))
+        for i, a in enumerate(a_data):
+            np.matmul(a, x3, out=z[..., i * c_in:(i + 1) * c_in])
+        return z.reshape(-1, r * c_in)
+
+    out_data = side_by_side() @ w_flat
+    out_data += b.data
+    out_data = out_data.reshape(x.shape[:-1] + (c_out,))
+    _ensure_finite(out_data, "matmul")
+
+    def vjp(g: np.ndarray):
+        # gradients are written into arrays of their final shape, so each
+        # owns its memory
+        g2 = g.reshape(-1, c_out)
+        gx = gw = None
+        gaggs = [None] * r
+        if w.requires_grad:
+            gw = np.empty(w.shape)
+            np.matmul(side_by_side().T, g2, out=gw.reshape(w_flat.shape))
+        gb = g2.sum(axis=0) if b.requires_grad else None
+        if x.requires_grad or any(agg.requires_grad for agg in aggs):
+            gz = (g2 @ w_flat.T).reshape(-1, k, r * c_in)
+            parts = [gz[..., i * c_in:(i + 1) * c_in] for i in range(r)]
+            for i, (agg, part) in enumerate(zip(aggs, parts)):
+                if agg.requires_grad:
+                    gaggs[i] = np.matmul(part, x3.swapaxes(-1, -2)).sum(axis=0)
+            if x.requires_grad:
+                gx = np.empty(x.shape)
+                gx3 = gx.reshape(x3.shape)
+                np.matmul(a_data[0].T, parts[0], out=gx3)
+                for a, part in zip(a_data[1:], parts[1:]):
+                    gx3 += np.matmul(a.T, part)
+        return (gx, gw, gb, *gaggs)
+
+    return _maybe_record("matmul", (x, w, b, *aggs), out_data, vjp)
 
 
 def add(a, b, *more) -> Tensor:

@@ -4,6 +4,12 @@ Layout: one UTF-8 JSON line (format version, network config, skeleton
 hash, training metadata, tensor manifest) followed by the concatenation
 of every manifest entry as little-endian float64 in manifest order.
 Round-trips are bitwise exact.
+
+Compatibility rule: checkpoints written before a SemGConv's two weight
+matrices became one ``w`` of shape (2, in, out) store them as the params
+``<layer>.w0`` and ``<layer>.w1``.  Such a pair loads as
+``w = stack(w0, w1)``.  A header with only one of the pair, or with both
+the pair and ``<layer>.w``, is rejected.
 """
 
 from __future__ import annotations
@@ -106,10 +112,8 @@ def load_checkpoint(path, skeleton: SkeletonGraph | None = None
     repeated = sorted(name for name, n in counts.items() if n > 1)
     if repeated:
         raise CheckpointError(f"checkpoint names tensors more than once: {repeated}")
-    missing = sorted(set().union(*tables.values()) - counts.keys())
-    if missing:
-        raise CheckpointError(f"checkpoint is missing tensors: {missing}")
 
+    stored = {}
     offset = 0
     for entry in header["tensors"]:
         shape = tuple(entry["shape"])
@@ -119,20 +123,47 @@ def load_checkpoint(path, skeleton: SkeletonGraph | None = None
         if len(chunk) != nbytes:
             raise CheckpointError(f"truncated checkpoint at tensor {entry['name']}")
         offset += nbytes
+        if entry["kind"] not in tables:
+            raise CheckpointError(f"unknown tensor kind {entry['kind']!r}")
         values = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-        name, kind = entry["name"], entry["kind"]
-        if kind not in tables:
-            raise CheckpointError(f"unknown tensor kind {kind!r}")
+        stored[entry["name"]] = (entry["kind"], values)
+    if offset != len(blob):
+        raise CheckpointError("checkpoint has trailing bytes")
+    _stack_legacy_weights(stored)
+
+    missing = sorted(set().union(*tables.values()) - stored.keys())
+    if missing:
+        raise CheckpointError(f"checkpoint is missing tensors: {missing}")
+    for name, (kind, values) in stored.items():
         if name not in tables[kind]:
             raise CheckpointError(f"unexpected {kind} {name!r}")
         target = tables[kind][name]
-        if target.shape != shape:
+        if target.shape != values.shape:
             raise CheckpointError(
-                f"{kind} {name!r} shape {shape} does not match {target.shape}")
+                f"{kind} {name!r} shape {values.shape} does not match {target.shape}")
         if kind == "param":
             target.data = values
         else:
             target[...] = values
-    if offset != len(blob):
-        raise CheckpointError("checkpoint has trailing bytes")
     return net, header["training"]
+
+
+def _stack_legacy_weights(stored: dict[str, tuple[str, np.ndarray]]) -> None:
+    """Replace each ``<layer>.w0``/``<layer>.w1`` param pair of ``stored``
+    by ``<layer>.w = stack(w0, w1)`` (see the module docstring)."""
+    layers = sorted({name[:-3] for name, (kind, _) in stored.items()
+                     if kind == "param" and name.endswith((".w0", ".w1"))})
+    for layer in layers:
+        pair = (f"{layer}.w0", f"{layer}.w1")
+        kinds = [stored[name][0] if name in stored else None for name in pair]
+        if kinds != ["param", "param"]:
+            raise CheckpointError(f"checkpoint has one of {list(pair)} "
+                                  f"without the other")
+        if f"{layer}.w" in stored:
+            raise CheckpointError(f"checkpoint has both {layer}.w and "
+                                  f"{list(pair)}")
+        w0, w1 = (stored.pop(name)[1] for name in pair)
+        if w0.shape != w1.shape:
+            raise CheckpointError(f"checkpoint {list(pair)} shapes {w0.shape} "
+                                  f"and {w1.shape} differ")
+        stored[f"{layer}.w"] = ("param", np.stack([w0, w1]))

@@ -7,7 +7,8 @@ grouping, and batch normalization over batch and node axes.
 
 Weight layout note: transformation matrices are stored (in, out) so the
 forward pass is ``x @ w``; the math is the transpose of the usual
-(out, in) convention.
+(out, in) convention.  SemGConv stacks its self and neighbor matrices
+into one (2, in, out) ``w``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .autodiff import (
     Tensor,
     add,
     batch_norm,
+    graph_conv,
     matmul,
     max_over_set,
     mul,
@@ -31,7 +33,6 @@ from .autodiff import (
     relu,
     reshape,
     softmax_lastdim,
-    tensor_sum,
     transpose,
 )
 from .skeleton import mask_logit_bias
@@ -86,15 +87,16 @@ class SemGConv(Layer):
     ``edge_weights`` softmax-normalizes the logits over each receiving
     node's neighbor set (self-loop included); entries off the adjacency are
     exactly zero.  The logits start at zero, so the layer starts as uniform
-    neighbor averaging.  The self contribution goes through ``w0`` and
-    neighbor contributions through ``w1``, followed by a bias.  With one
-    shared mask the self term and the bias are addends of the neighbor
-    product.  With ``channelwise=True`` every output channel owns its own
-    logit matrix, and an ``add`` sums the two transposed aggregations and
-    the bias.
+    neighbor averaging.  ``w`` is (2, in, out): the self contribution goes
+    through ``w[0]`` and neighbor contributions through ``w[1]``, followed
+    by a bias.  With one shared mask the layer is one :func:`graph_conv`
+    node over the self and neighbor parts of the edge weights.  With
+    ``channelwise=True`` every output channel owns its own logit matrix,
+    and an ``add`` sums the two transposed aggregations of ``x @ w[0]`` and
+    ``x @ w[1]`` and the bias.
     """
 
-    _param_names = ("w0", "w1", "mask", "b")
+    _param_names = ("w", "mask", "b")
 
     def __init__(self, in_dim: int, out_dim: int, adjacency: np.ndarray,
                  rng: np.random.Generator, channelwise: bool = False):
@@ -105,8 +107,8 @@ class SemGConv(Layer):
         self._mask_bias = Tensor(mask_logit_bias(adjacency))
         self._self_sel = Tensor(np.eye(k))
         self._neigh_sel = Tensor(1.0 - np.eye(k))
-        self.w0 = parameter(glorot_uniform(rng, in_dim, out_dim, (in_dim, out_dim)))
-        self.w1 = parameter(glorot_uniform(rng, in_dim, out_dim, (in_dim, out_dim)))
+        self.w = parameter(glorot_uniform(rng, in_dim, out_dim,
+                                          (2, in_dim, out_dim)))
         self.mask = parameter(np.zeros((out_dim, k, k) if channelwise else (k, k)))
         self.b = parameter(np.zeros(out_dim))
 
@@ -120,14 +122,13 @@ class SemGConv(Layer):
         s = self.edge_weights()
         s_self = mul(s, self._self_sel)
         s_neigh = mul(s, self._neigh_sel)
-        h0 = matmul(x, self.w0)
-        h1 = matmul(x, self.w1)
-        if self.channelwise:
-            return add(_per_channel_aggregate(s_self, h0),
-                       _per_channel_aggregate(s_neigh, h1), self.b)
-        # the self term is diagonal: a per-node weight beats a matmul
-        self_weight = tensor_sum(s_self, axis=-1, keepdims=True)  # (K, 1)
-        return matmul(s_neigh, h1, mul(h0, self_weight), self.b)
+        if not self.channelwise:
+            return graph_conv(x, self.w, self.b, s_self, s_neigh)
+        # each (1, in, out) slice broadcasts over the batch axis
+        h0 = matmul(x, narrow(self.w, 0, 0, 1))
+        h1 = matmul(x, narrow(self.w, 0, 1, 1))
+        return add(_per_channel_aggregate(s_self, h0),
+                   _per_channel_aggregate(s_neigh, h1), self.b)
 
 
 def _per_channel_aggregate(s: Tensor, h: Tensor) -> Tensor:

@@ -16,6 +16,7 @@ from semgcn.autodiff import (
     add,
     batch_norm,
     grad_check,
+    graph_conv,
     matmul,
     max_over_set,
     mul,
@@ -156,6 +157,121 @@ class TestMatmul:
                          Tensor(rng.standard_normal(2)))
         assert tape.nodes == []
         assert not out.requires_grad
+
+
+def graph_conv_inputs(rng, batch=3, k=5, c_in=4, c_out=6):
+    """x, w, b, and a diagonal (self) and an off-diagonal (neighbor)
+    aggregation, shaped as a SemGConv uses them."""
+    x = rng.standard_normal((batch, k, c_in))
+    w = rng.standard_normal((2, c_in, c_out))
+    b = rng.standard_normal(c_out)
+    s = rng.random((k, k))
+    return x, w, b, s * np.eye(k), s * (1.0 - np.eye(k))
+
+
+def arrays_held_by(fn, seen=None):
+    """Every array reachable from a closure's cells, nested closures and
+    lists included."""
+    seen = set() if seen is None else seen
+    found = []
+    for cell in fn.__closure__ or ():
+        stack = [cell.cell_contents]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                found.append(obj)
+            elif isinstance(obj, (list, tuple)):
+                stack.extend(obj)
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                found += arrays_held_by(obj, seen)
+    return found
+
+
+class TestGraphConv:
+    def test_matches_the_composition_it_replaces(self):
+        # the SemGConv form before graph_conv: two products, the self
+        # weight as row sums of the diagonal aggregation, one addend each
+        rng = np.random.default_rng(30)
+        x, w, b, a_self, a_neigh = graph_conv_inputs(rng)
+        probe = Tensor(rng.standard_normal((3, 5, 6)))
+
+        def old(x, w0, w1, b, a_self, a_neigh):
+            self_weight = tensor_sum(a_self, axis=-1, keepdims=True)
+            return matmul(a_neigh, matmul(x, w1),
+                          mul(matmul(x, w0), self_weight), b)
+
+        def new(x, w, b, a_self, a_neigh):
+            return graph_conv(x, w, b, a_self, a_neigh)
+
+        np.testing.assert_allclose(new(*map(Tensor, (x, w, b, a_self, a_neigh))).data,
+                                   old(*map(Tensor, (x, w[0], w[1], b, a_self,
+                                                     a_neigh))).data,
+                                   rtol=1e-12, atol=0)
+        gx, gw0, gw1, gb, gself, gneigh = backward_of(
+            lambda *t: mul(old(*t), probe).sum(), x, w[0], w[1], b, a_self,
+            a_neigh)
+        nx, nw, nb, nself, nneigh = backward_of(
+            lambda *t: mul(new(*t), probe).sum(), x, w, b, a_self, a_neigh)
+        for got, want in ((nx, gx), (nw, np.stack([gw0, gw1])), (nb, gb),
+                          (nneigh, gneigh)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        # the old form reads only the diagonal's row sums, so only the
+        # diagonal entries of the self gradient share a meaning
+        np.testing.assert_allclose(np.diag(nself), np.diag(gself),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("leading", [(3,), (), (2, 3)])
+    def test_every_input_against_oracle(self, leading):
+        # a full first aggregation: the engine does not rely on a diagonal
+        rng = np.random.default_rng(31)
+        _, w, b, _, a_neigh = graph_conv_inputs(rng)
+        x = rng.standard_normal(leading + (5, 4))
+        tensors = [Tensor(v) for v in (x, w, b, rng.random((5, 5)), a_neigh)]
+        probe = Tensor(rng.standard_normal(leading + (5, 6)))
+        err = grad_check(lambda *t: mul(graph_conv(*t), probe).sum(), tensors)
+        assert err < 1e-6
+
+    def test_input_alone_against_oracle(self):
+        rng = np.random.default_rng(32)
+        x, *rest = (Tensor(v) for v in graph_conv_inputs(rng))
+        probe = Tensor(rng.standard_normal((3, 5, 6)))
+        err = grad_check(lambda x: mul(graph_conv(x, *rest), probe).sum(), [x])
+        assert err < 1e-6
+        assert not any(t.requires_grad for t in rest)
+
+    @pytest.mark.parametrize("w_shape, agg_shapes, b_shape", [
+        ((2, 4, 6), [(5, 5), (5, 4)], (6,)),
+        ((2, 4, 6), [(5, 5), (4, 4)], (6,)),
+        ((3, 4, 6), [(5, 5), (5, 5)], (6,)),
+        ((2, 3, 6), [(5, 5), (5, 5)], (6,)),
+        ((8, 6), [(5, 5), (5, 5)], (6,)),
+        ((2, 4, 6), [(5, 5), (5, 5)], (5,)),
+        ((0, 4, 6), [], (6,)),
+    ])
+    def test_mismatched_shapes_raise(self, w_shape, agg_shapes, b_shape):
+        with pytest.raises(ShapeError):
+            graph_conv(Tensor(np.ones((3, 5, 4))), Tensor(np.ones(w_shape)),
+                       Tensor(np.ones(b_shape)),
+                       *(Tensor(np.ones(s)) for s in agg_shapes))
+
+    def test_one_matmul_node_that_keeps_only_its_output(self):
+        rng = np.random.default_rng(33)
+        tensors = [Tensor(v, requires_grad=True)
+                   for v in graph_conv_inputs(rng)]
+        with Tape() as tape:
+            out = graph_conv(*tensors)
+        (node,) = tape.nodes
+        assert node.op == "matmul" and node.output is out
+        assert node.inputs == tuple(tensors)
+        held = arrays_held_by(node.vjp)
+        assert held
+        for arr in held:  # views of the inputs, nothing of its own
+            assert any(np.shares_memory(arr, t.data) for t in tensors)
+        gx, gw, *_ = node.vjp(rng.standard_normal(out.shape))
+        assert gx.flags.owndata and gw.flags.owndata
 
 
 class TestAdd:

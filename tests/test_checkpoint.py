@@ -89,7 +89,67 @@ def test_header_with_removed_settings_loads_bitwise(net, ckpt, skel):
     assert np.array_equal(predict(loaded, x), predict(net, x))
 
 
-@pytest.mark.parametrize("name", ["input.conv.w0", "blocks.0.bn2.running_var"])
+def split_semgconv_weights(header):
+    """The manifest as checkpoints stored it before each SemGConv's
+    (2, in, out) ``w`` became one tensor: ``w0`` then ``w1``, over the
+    same bytes."""
+    tensors = []
+    for entry in header["tensors"]:
+        if entry["name"].endswith(".w") and len(entry["shape"]) == 3:
+            stem, shape = entry["name"][:-2], entry["shape"][1:]
+            tensors += [{"name": f"{stem}.w0", "shape": shape, "kind": "param"},
+                        {"name": f"{stem}.w1", "shape": shape, "kind": "param"}]
+        else:
+            tensors.append(entry)
+    assert len(tensors) == len(header["tensors"]) + 4  # four SemGConvs
+    header["tensors"] = tensors
+
+
+def test_header_with_split_weights_loads_bitwise(net, ckpt, skel):
+    header, blob = read(ckpt)
+    split_semgconv_weights(header)
+    write(ckpt, header, blob)
+    loaded, _ = load_checkpoint(ckpt, skel)
+    for (name, p), (_, q) in zip(net.named_parameters(),
+                                 loaded.named_parameters()):
+        assert np.array_equal(p.data, q.data), name
+    x, _ = centered_arrays(generate_synthetic(6, seed=1, skeleton=skel))
+    assert np.array_equal(predict(loaded, x), predict(net, x))
+
+
+@pytest.mark.parametrize("dropped", ["input.conv.w0", "blocks.0.conv2.w1"])
+def test_header_with_half_a_weight_pair_rejected(ckpt, skel, dropped):
+    header, blob = read(ckpt)
+    split_semgconv_weights(header)
+    lo, hi = span(header, dropped)
+    header["tensors"] = [e for e in header["tensors"] if e["name"] != dropped]
+    write(ckpt, header, blob[:lo] + blob[hi:])
+    with pytest.raises(CheckpointError, match="without the other"):
+        load_checkpoint(ckpt, skel)
+
+
+def test_header_with_weight_pair_and_stacked_weight_rejected(ckpt, skel):
+    header, blob = read(ckpt)
+    lo, hi = span(header, "input.conv.w")
+    stacked = next(e for e in header["tensors"] if e["name"] == "input.conv.w")
+    split_semgconv_weights(header)
+    header["tensors"].append(stacked)
+    write(ckpt, header, blob + blob[lo:hi])
+    with pytest.raises(CheckpointError, match="both input.conv.w and"):
+        load_checkpoint(ckpt, skel)
+
+
+def test_header_with_weight_pair_of_two_shapes_rejected(ckpt, skel):
+    header, blob = read(ckpt)
+    split_semgconv_weights(header)
+    entry = next(e for e in header["tensors"] if e["name"] == "input.conv.w1")
+    entry["shape"] = [int(np.prod(entry["shape"]))]  # same bytes, flat
+    write(ckpt, header, blob)
+    with pytest.raises(CheckpointError, match="shapes.*differ"):
+        load_checkpoint(ckpt, skel)
+
+
+@pytest.mark.parametrize("name", ["input.conv.w", "blocks.0.bn2.running_var"])
 def test_missing_tensor_rejected(ckpt, skel, name):
     header, blob = read(ckpt)
     lo, hi = span(header, name)
@@ -101,11 +161,11 @@ def test_missing_tensor_rejected(ckpt, skel, name):
 
 def test_repeated_tensor_rejected(ckpt, skel):
     header, blob = read(ckpt)
-    lo, hi = span(header, "input.conv.w0")
-    entry = next(e for e in header["tensors"] if e["name"] == "input.conv.w0")
+    lo, hi = span(header, "input.conv.w")
+    entry = next(e for e in header["tensors"] if e["name"] == "input.conv.w")
     header["tensors"].append(entry)
     write(ckpt, header, blob + blob[lo:hi])
-    with pytest.raises(CheckpointError, match="more than once.*input.conv.w0"):
+    with pytest.raises(CheckpointError, match="more than once.*input.conv.w"):
         load_checkpoint(ckpt, skel)
 
 
@@ -193,7 +253,7 @@ def test_malformed_config_rejected(ckpt, skel, config):
 
 @pytest.mark.parametrize("key, value", [
     ("shape", "ab"), ("shape", [2.0, 4]), ("shape", 8), ("shape", [True, 4]),
-    ("shape", [-4]), ("name", ["input.conv.w0"]), ("kind", ["param"]),
+    ("shape", [-4]), ("name", ["input.conv.w"]), ("kind", ["param"]),
 ])
 def test_tensor_entry_of_wrong_type_rejected(ckpt, skel, key, value):
     header, blob = read(ckpt)

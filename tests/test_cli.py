@@ -236,6 +236,24 @@ def test_grad_check_without_seeds_is_usage_error(capsys, seeds):
     assert "operation" not in capsys.readouterr().out
 
 
+def test_eval_of_header_with_half_a_weight_pair_is_data_error(run_dir, data_dir,
+                                                             tmp_path, caplog):
+    # checkpoints once stored each SemGConv's w as w0 and w1; one alone is
+    # no weight
+    header, _, blob = (run_dir / "best.ckpt").read_bytes().partition(b"\n")
+    header = json.loads(header)
+    entry = header["tensors"][0]
+    assert entry["name"] == "input.conv.w"
+    entry.update(name="input.conv.w0", shape=entry["shape"][1:])
+    half = 8 * int(np.prod(entry["shape"]))
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(json.dumps(header).encode("utf-8") + b"\n"
+                       + blob[:half] + blob[2 * half:])
+    assert main(["eval", "--checkpoint", str(broken), "--data",
+                 str(data_dir)]) == EXIT_DATA
+    assert "without the other" in caplog.text
+
+
 def test_eval_of_missing_checkpoint_is_data_error(data_dir, tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
                  "--data", str(data_dir)]) == EXIT_DATA

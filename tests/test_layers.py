@@ -86,29 +86,29 @@ class TestSemGConv:
     def test_two_node_hand_value(self):
         adj2 = np.ones((2, 2))
         conv = SemGConv(1, 1, adj2, rng_for(6))
-        conv.w0.data = np.array([[1.0]])
-        conv.w1.data = np.array([[1.0]])
+        conv.w.data[0] = np.array([[1.0]])
+        conv.w.data[1] = np.array([[1.0]])
         out = conv(Tensor(np.array([[[1.0], [3.0]]])))
         # uniform mask: node 0 gets 0.5*1 (self) + 0.5*3 (neighbor)
         np.testing.assert_allclose(out.data.ravel(), [2.0, 2.0])
 
     def test_zero_mask_equals_uniform_brute_force(self, skel, adj):
-        # degenerate-equivalence oracle: M = 0 and w0 == w1 must reproduce
+        # degenerate-equivalence oracle: M = 0 and w[0] == w[1] must reproduce
         # uniform-neighbor averaging computed independently from the edges
         rng = rng_for(7)
         conv = SemGConv(C, C, adj, rng)
-        conv.w1.data = conv.w0.data.copy()
+        conv.w.data[1] = conv.w.data[0]
         x = rng.standard_normal((3, K, C))
-        expected = brute_force_uniform_aggregation(x, conv.w0.data,
+        expected = brute_force_uniform_aggregation(x, conv.w.data[0],
                                                    skel.edges, K)
         np.testing.assert_allclose(conv(Tensor(x)).data, expected, atol=1e-10)
 
     def test_matches_vanilla_with_uniform_propagation(self, adj):
         rng = rng_for(8)
         sem = SemGConv(C, C, adj, rng)
-        sem.w1.data = sem.w0.data.copy()
+        sem.w.data[1] = sem.w.data[0]
         van = VanillaGConv(C, C, adj / adj.sum(1, keepdims=True), rng)
-        van.w.data = sem.w0.data.copy()
+        van.w.data = sem.w.data[0].copy()
         x = rng.standard_normal((2, K, C))
         np.testing.assert_allclose(sem(Tensor(x)).data, van(Tensor(x)).data,
                                    atol=1e-10)
@@ -128,7 +128,7 @@ class TestSemGConvChannelwise:
         rng = rng_for(10)
         single = SemGConv(C, C, adj, rng, channelwise=False)
         cw = SemGConv(C, C, adj, rng, channelwise=True)
-        for name in ("w0", "w1", "b"):
+        for name in ("w", "b"):
             getattr(cw, name).data = getattr(single, name).data.copy()
         base_mask = rng_for(11).standard_normal((K, K))
         single.mask.data = base_mask.copy()
@@ -146,8 +146,8 @@ class TestSemGConvChannelwise:
         out = cw(Tensor(x)).data
         # same input columns, different masks: channel outputs must differ
         cw2 = SemGConv(C, C, adj, rng_for(12), channelwise=True)
-        cw2.w0.data = cw.w0.data.copy()
-        cw2.w1.data = cw.w1.data.copy()
+        cw2.w.data[0] = cw.w.data[0]
+        cw2.w.data[1] = cw.w.data[1]
         cw2.mask.data[...] = 0.0
         out_uniform = cw2(Tensor(x)).data
         assert np.abs(out[..., 1] - out_uniform[..., 1]).max() > 1e-6
@@ -242,8 +242,8 @@ class TestResidualBlock:
         rng = rng_for(20)
         block = self._block(adj, rng)
         for conv in (block.conv1, block.conv2):
-            conv.w0.data[...] = 0.0
-            conv.w1.data[...] = 0.0
+            conv.w.data[0] = 0.0
+            conv.w.data[1] = 0.0
         x = rng.standard_normal((2, K, C))
         out = block(Tensor(x), train=False).data
         np.testing.assert_array_equal(out, x)
@@ -258,8 +258,8 @@ class TestResidualBlock:
         rng = rng_for(22)
         block = self._block(adj, rng, with_nonlocal=False)
         for conv in (block.conv1, block.conv2):
-            conv.w0.data[...] = 0.0
-            conv.w1.data[...] = 0.0
+            conv.w.data[0] = 0.0
+            conv.w.data[1] = 0.0
         from semgcn.autodiff import Tape
         x = Tensor(rng.standard_normal((2, K, C)), requires_grad=True)
         with Tape() as tape:
@@ -310,8 +310,8 @@ class TestEquivariance:
 
         adj_p = adj[np.ix_(perm, perm)]
         conv_p = SemGConv(C, C, adj_p, rng)
-        conv_p.w0.data = conv.w0.data.copy()
-        conv_p.w1.data = conv.w1.data.copy()
+        conv_p.w.data[0] = conv.w.data[0]
+        conv_p.w.data[1] = conv.w.data[1]
         conv_p.b.data = conv.b.data.copy()
         conv_p.mask.data = conv.mask.data[np.ix_(perm, perm)]
         out_p = conv_p(Tensor(x[:, perm, :])).data
