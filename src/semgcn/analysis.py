@@ -24,8 +24,7 @@ class AnalysisError(ValueError):
 class WeightReport:
     joint_names: list[str]
     layer_labels: list[str]
-    matrices: list[np.ndarray]              # (K, K), channel-mean if channelwise
-    per_channel: dict[str, np.ndarray]      # label -> (D, K, K), channelwise only
+    matrices: list[np.ndarray]              # (K, K) row-stochastic, per layer
     block_layer_indices: list[int]          # entries belonging to residual blocks
     adjacency: np.ndarray
 
@@ -36,19 +35,15 @@ def export_weights(net: Network) -> WeightReport:
     if not layers:
         raise AnalysisError(
             f"variant {net.config.variant!r} has no semantic masks to export")
-    labels, matrices, per_channel, block_idx = [], [], {}, []
+    labels, matrices, block_idx = [], [], []
     for i, (label, conv) in enumerate(layers):
-        s = conv.edge_weights().data
-        if s.ndim == 3:
-            per_channel[label] = s.copy()
-            s = s.mean(axis=0)
         labels.append(label)
-        matrices.append(s.copy())
+        matrices.append(conv.edge_weights().data)
         if label.startswith("block"):
             block_idx.append(i)
     return WeightReport(joint_names=list(net.skeleton.joints),
                         layer_labels=labels, matrices=matrices,
-                        per_channel=per_channel, block_layer_indices=block_idx,
+                        block_layer_indices=block_idx,
                         adjacency=adjacency(net.skeleton))
 
 
@@ -82,9 +77,6 @@ def report_to_json(report: WeightReport, include_self: bool = False) -> str:
             {"label": label, "weights": matrix.tolist()}
             for label, matrix in zip(report.layer_labels, report.matrices)
         ],
-        "per_channel": {
-            label: stack.tolist() for label, stack in report.per_channel.items()
-        },
         "block_layer_labels": [report.layer_labels[i]
                                for i in report.block_layer_indices],
         "average_joint_weight": average_joint_weight(

@@ -457,39 +457,6 @@ def softmax_lastdim(x) -> Tensor:
     return _maybe_record("softmax", (x,), out_data, vjp)
 
 
-def narrow(x, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis."""
-    x = _as_tensor(x)
-    axis = axis % x.ndim
-    if start < 0 or start + length > x.shape[axis]:
-        raise ShapeError(
-            f"narrow [{start}:{start + length}] out of range for axis {axis} "
-            f"of shape {x.shape}")
-    index = tuple(slice(None) if i != axis else slice(start, start + length)
-                  for i in range(x.ndim))
-    out_data = np.ascontiguousarray(x.data[index])
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[index] = g
-        return (gx,)
-
-    return _maybe_record("narrow", (x,), out_data, vjp)
-
-
-def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    try:
-        out_data = x.data.reshape(shape)  # view when possible; data never mutates
-    except ValueError as exc:
-        raise ShapeError(f"cannot reshape {x.shape} to {shape}") from exc
-
-    def vjp(g):
-        return (g.reshape(x.shape),)
-
-    return _maybe_record("reshape", (x,), out_data, vjp)
-
-
 def transpose(x, axes) -> Tensor:
     x = _as_tensor(x)
     axes = tuple(int(a) % x.ndim for a in axes)

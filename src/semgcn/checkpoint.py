@@ -10,6 +10,15 @@ matrices became one ``w`` of shape (2, in, out) store them as the params
 ``<layer>.w0`` and ``<layer>.w1``.  Such a pair loads as
 ``w = stack(w0, w1)``.  A header with only one of the pair, or with both
 the pair and ``<layer>.w``, is rejected.
+
+Likewise, checkpoints written before a non-local layer's (2E, 1)
+affinity weight became the two (E, 1) params ``wf_q`` and ``wf_k`` store
+it as ``<layer>.wf_w``, which loads as ``wf_q = wf_w[:E]`` and
+``wf_k = wf_w[E:]``.  A header with ``wf_w`` and either half is rejected.
+
+Per-channel edge masks are gone: a config with ``channelwise_masks: true``
+is rejected, and one with ``channelwise_masks: false`` loads as the shared
+mask it always described.
 """
 
 from __future__ import annotations
@@ -100,6 +109,11 @@ def load_checkpoint(path, skeleton: SkeletonGraph | None = None
                 "checkpoint was written for a different skeleton")
         blob = fh.read()
 
+    if isinstance(header["config"], dict) and \
+            header["config"].get("channelwise_masks", False) is not False:
+        raise CheckpointError(
+            "checkpoint uses per-channel edge masks (channelwise_masks), "
+            "a removed setting; only the shared mask is supported")
     try:
         config = NetworkConfig.from_dict(header["config"])
     except ConfigError as exc:
@@ -130,6 +144,7 @@ def load_checkpoint(path, skeleton: SkeletonGraph | None = None
     if offset != len(blob):
         raise CheckpointError("checkpoint has trailing bytes")
     _stack_legacy_weights(stored)
+    _split_legacy_affinity_weights(stored)
 
     missing = sorted(set().union(*tables.values()) - stored.keys())
     if missing:
@@ -167,3 +182,24 @@ def _stack_legacy_weights(stored: dict[str, tuple[str, np.ndarray]]) -> None:
             raise CheckpointError(f"checkpoint {list(pair)} shapes {w0.shape} "
                                   f"and {w1.shape} differ")
         stored[f"{layer}.w"] = ("param", np.stack([w0, w1]))
+
+
+def _split_legacy_affinity_weights(stored: dict[str, tuple[str, np.ndarray]]
+                                   ) -> None:
+    """Replace each ``<layer>.wf_w`` param of ``stored`` by its halves
+    ``<layer>.wf_q`` and ``<layer>.wf_k`` (see the module docstring)."""
+    legacy = sorted(name for name, (kind, _) in stored.items()
+                    if kind == "param" and name.endswith(".wf_w"))
+    for name in legacy:
+        layer = name[:-len(".wf_w")]
+        halves = (f"{layer}.wf_q", f"{layer}.wf_k")
+        present = [half for half in halves if half in stored]
+        if present:
+            raise CheckpointError(f"checkpoint has both {name} and {present}")
+        wf = stored.pop(name)[1]
+        if wf.ndim != 2 or wf.shape[0] % 2:
+            raise CheckpointError(f"checkpoint {name} shape {wf.shape} is not "
+                                  f"(2E, 1)")
+        e = wf.shape[0] // 2
+        stored[halves[0]] = ("param", wf[:e].copy())
+        stored[halves[1]] = ("param", wf[e:].copy())

@@ -100,8 +100,7 @@ def _resolve_run_config(args) -> dict:
     merged = _load_config_file(args.config)
     overrides = {
         "variant": args.variant, "channels": args.channels,
-        "blocks": args.blocks, "channelwise_masks": args.channelwise_masks,
-        "lr": args.lr, "batch_size": args.batch_size,
+        "blocks": args.blocks, "lr": args.lr, "batch_size": args.batch_size,
         "max_epochs": args.epochs, "seed": args.seed,
         "use_bone_loss": args.use_bone_loss,
     }
@@ -242,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--use-bone-loss", action="store_const", const=True)
-    p.add_argument("--channelwise-masks", action="store_const", const=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint (MPJPE, mm)")

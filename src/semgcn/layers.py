@@ -1,8 +1,8 @@
 """Graph convolution layer families and the residual block composing them.
 
 Four layer kinds: the vanilla shared-weight graph convolution (the
-baseline), the edge-weighted semantic convolution in single-mask and
-per-channel-mask form, the non-local attention layer with pairwise node
+baseline), the edge-weighted semantic convolution with one learned mask
+shared by all channels, the non-local attention layer with pairwise node
 grouping, and batch normalization over batch and node axes.
 
 Weight layout note: transformation matrices are stored (in, out) so the
@@ -28,10 +28,8 @@ from .autodiff import (
     matmul,
     max_over_set,
     mul,
-    narrow,
     parameter,
     relu,
-    reshape,
     softmax_lastdim,
     transpose,
 )
@@ -89,54 +87,36 @@ class SemGConv(Layer):
     exactly zero.  The logits start at zero, so the layer starts as uniform
     neighbor averaging.  ``w`` is (2, in, out): the self contribution goes
     through ``w[0]`` and neighbor contributions through ``w[1]``, followed
-    by a bias.  With one shared mask the layer is one :func:`graph_conv`
-    node over the self and neighbor parts of the edge weights.  With
-    ``channelwise=True`` every output channel owns its own logit matrix,
-    and an ``add`` sums the two transposed aggregations of ``x @ w[0]`` and
-    ``x @ w[1]`` and the bias.
+    by a bias.  One (K, K) mask is shared by every channel, and the layer
+    is one :func:`graph_conv` node over the self and neighbor parts of the
+    edge weights.
     """
 
     _param_names = ("w", "mask", "b")
 
     def __init__(self, in_dim: int, out_dim: int, adjacency: np.ndarray,
-                 rng: np.random.Generator, channelwise: bool = False):
+                 rng: np.random.Generator):
         k = adjacency.shape[0]
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.channelwise = channelwise
         self._mask_bias = Tensor(mask_logit_bias(adjacency))
         self._self_sel = Tensor(np.eye(k))
         self._neigh_sel = Tensor(1.0 - np.eye(k))
         self.w = parameter(glorot_uniform(rng, in_dim, out_dim,
                                           (2, in_dim, out_dim)))
-        self.mask = parameter(np.zeros((out_dim, k, k) if channelwise else (k, k)))
+        self.mask = parameter(np.zeros((k, k)))
         self.b = parameter(np.zeros(out_dim))
 
     def edge_weights(self) -> Tensor:
-        """Row-stochastic weights over the adjacency support, (K,K) or (D,K,K)."""
+        """Row-stochastic (K, K) weights over the adjacency support."""
         return softmax_lastdim(add(self.mask, self._mask_bias))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"expected {self.in_dim} input channels, got {x.shape}")
         s = self.edge_weights()
-        s_self = mul(s, self._self_sel)
-        s_neigh = mul(s, self._neigh_sel)
-        if not self.channelwise:
-            return graph_conv(x, self.w, self.b, s_self, s_neigh)
-        # each (1, in, out) slice broadcasts over the batch axis
-        h0 = matmul(x, narrow(self.w, 0, 0, 1))
-        h1 = matmul(x, narrow(self.w, 0, 1, 1))
-        return add(_per_channel_aggregate(s_self, h0),
-                   _per_channel_aggregate(s_neigh, h1), self.b)
-
-
-def _per_channel_aggregate(s: Tensor, h: Tensor) -> Tensor:
-    """out[b,i,d] = sum_j s[d,i,j] * h[b,j,d] for per-channel weights."""
-    b, k, d = h.shape
-    ht = reshape(transpose(h, (0, 2, 1)), (b, d, k, 1))
-    y = matmul(s, ht)  # (D,K,K) @ (B,D,K,1) -> (B,D,K,1)
-    return transpose(reshape(y, (b, d, k)), (0, 2, 1))
+        return graph_conv(x, self.w, self.b, mul(s, self._self_sel),
+                          mul(s, self._neigh_sel))
 
 
 class NonLocalBlock(Layer):
@@ -155,7 +135,7 @@ class NonLocalBlock(Layer):
     """
 
     _param_names = ("theta_w", "theta_b", "phi_w", "phi_b",
-                    "g_w", "g_b", "wf_w", "wf_b", "wx")
+                    "g_w", "g_b", "wf_q", "wf_k", "wf_b", "wx")
 
     def __init__(self, channels: int, groups: tuple[tuple[int, ...], ...],
                  num_nodes: int, rng: np.random.Generator):
@@ -171,7 +151,12 @@ class NonLocalBlock(Layer):
         self.phi_b = parameter(np.zeros(e))
         self.g_w = parameter(glorot_uniform(rng, channels, e, (channels, e)))
         self.g_b = parameter(np.zeros(e))
-        self.wf_w = parameter(glorot_uniform(rng, 2 * e, 1, (2 * e, 1)))
+        # the affinity weight is one (2E, 1) map of [q || k]: drawn whole,
+        # with that map's Glorot fan, and kept as its query and key halves,
+        # each in its own array
+        wf = glorot_uniform(rng, 2 * e, 1, (2 * e, 1))
+        self.wf_q = parameter(wf[:e].copy())
+        self.wf_k = parameter(wf[e:].copy())
         self.wf_b = parameter(np.zeros(1))
         self.wx = parameter(np.zeros((e, channels)))  # zero: identity at init
 
@@ -179,20 +164,17 @@ class NonLocalBlock(Layer):
         if x.shape[-1] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape}")
         n_groups = len(self.groups)
-        e = self.embed_dim
         pooled = max_over_set(x, self.groups)               # (B, G, C)
         val = matmul(pooled, self.g_w, self.g_b)            # (B, G, E)
-        # The affinity wf . [q_i || k_j] + wf_b is linear in the query
-        # q_i = x_i theta_w + theta_b and the key k_j = p_j phi_w + phi_b,
-        # so wf[:e] and wf[e:] fold into the embeddings and neither q nor
-        # k is formed: (C, 1) vectors in place of (C, E) GEMMs.
-        wq = narrow(self.wf_w, 0, 0, e)                     # (E, 1)
-        wk = narrow(self.wf_w, 0, e, e)                     # (E, 1)
-        q_score = matmul(x, matmul(self.theta_w, wq))       # (B, K, 1)
-        k_score = matmul(pooled, matmul(self.phi_w, wk))    # (B, G, 1)
+        # The affinity [wf_q; wf_k] . [q_i || k_j] + wf_b is linear in the
+        # query q_i = x_i theta_w + theta_b and the key k_j = p_j phi_w +
+        # phi_b, so wf_q and wf_k fold into the embeddings and neither q
+        # nor k is formed: (C, 1) vectors in place of (C, E) GEMMs.
+        q_score = matmul(x, matmul(self.theta_w, self.wf_q))     # (B, K, 1)
+        k_score = matmul(pooled, matmul(self.phi_w, self.wf_k))  # (B, G, 1)
         logits = add(q_score, transpose(k_score, (0, 2, 1)),
-                     matmul(self.theta_b, wq), matmul(self.phi_b, wk),
-                     self.wf_b)
+                     matmul(self.theta_b, self.wf_q),
+                     matmul(self.phi_b, self.wf_k), self.wf_b)
         f = relu(logits)                                    # (B, K, G)
         message = matmul(f, val)                            # (B, K, E)
         return matmul(message, mul(self.wx, 1.0 / n_groups), x)

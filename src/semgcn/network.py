@@ -62,7 +62,6 @@ class NetworkConfig:
     variant: str = "semgcn"
     channels: int = 128
     blocks: int = 4
-    channelwise_masks: bool = False
 
     def validate(self) -> None:
         check_field_types(self)
@@ -191,8 +190,7 @@ def build_network(config: NetworkConfig, skeleton: SkeletonGraph,
 
     def make_conv(in_dim: int, out_dim: int) -> Layer:
         if config.uses_edge_weights:
-            return SemGConv(in_dim, out_dim, adj, rng,
-                            channelwise=config.channelwise_masks)
+            return SemGConv(in_dim, out_dim, adj, rng)
         return VanillaGConv(in_dim, out_dim, norm_adj, rng)
 
     def make_nonlocal() -> NonLocalBlock | None:

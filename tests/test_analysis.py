@@ -1,5 +1,5 @@
 """Edge-weight export: stochastic rows on the adjacency support, the
-per-channel export, the joint average, and the JSON and CSV reports."""
+joint average, and the JSON and CSV reports."""
 
 import json
 from fractions import Fraction
@@ -23,55 +23,42 @@ def skel():
     return build_skeleton()
 
 
-def perturbed_net(skel, channelwise, seed=0):
-    net = build_network(NetworkConfig(variant="semgcn", channels=4, blocks=2,
-                                      channelwise_masks=channelwise), skel)
+def perturbed_net(skel, seed=0):
+    net = build_network(NetworkConfig(variant="semgcn", channels=4, blocks=2),
+                        skel)
     rng = np.random.default_rng(seed)
     for _, conv in net.semgconv_layers():
         conv.mask.data = 2.0 * rng.standard_normal(conv.mask.shape)
     return net
 
 
-@pytest.mark.parametrize("channelwise", [False, True])
 class TestExport:
-    def test_rows_stochastic_and_zero_off_adjacency(self, skel, channelwise):
-        report = export_weights(perturbed_net(skel, channelwise))
+    def test_rows_stochastic_and_zero_off_adjacency(self, skel):
+        report = export_weights(perturbed_net(skel))
         off = adjacency(skel) == 0.0
-        stacks = list(report.matrices) + list(report.per_channel.values())
-        assert len(stacks) == (12 if channelwise else 6)
-        for s in stacks:
+        assert len(report.matrices) == 6
+        for s in report.matrices:
             np.testing.assert_allclose(s.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
-            assert np.all(s[..., off] == 0.0)
-            assert np.all(s[..., ~off] > 0.0)
+            assert np.all(s[off] == 0.0)
+            assert np.all(s[~off] > 0.0)
 
-    def test_matrices_come_from_the_layers(self, skel, channelwise):
-        net = perturbed_net(skel, channelwise)
+    def test_matrices_come_from_the_layers(self, skel):
+        net = perturbed_net(skel)
         report = export_weights(net)
         layers = net.semgconv_layers()
         assert report.layer_labels == [label for label, _ in layers]
         assert report.block_layer_indices == [1, 2, 3, 4]
-        assert set(report.per_channel) == (
-            {label for label, _ in layers} if channelwise else set())
-        for matrix, (label, conv) in zip(report.matrices, layers):
-            s = conv.edge_weights().data
-            if channelwise:
-                np.testing.assert_array_equal(report.per_channel[label], s)
-                np.testing.assert_array_equal(matrix, s.mean(axis=0))
-            else:
-                np.testing.assert_array_equal(matrix, s)
+        for matrix, (_, conv) in zip(report.matrices, layers):
+            np.testing.assert_array_equal(matrix, conv.edge_weights().data)
 
-    def test_reports_round_trip(self, skel, channelwise):
-        report = export_weights(perturbed_net(skel, channelwise))
+    def test_reports_round_trip(self, skel):
+        report = export_weights(perturbed_net(skel))
         payload = json.loads(report_to_json(report))
         assert payload["joint_names"] == list(skel.joints)
         assert [layer["label"] for layer in payload["layers"]] == \
             report.layer_labels
         for layer, matrix in zip(payload["layers"], report.matrices):
             np.testing.assert_array_equal(np.array(layer["weights"]), matrix)
-        assert set(payload["per_channel"]) == set(report.per_channel)
-        for label, stack in report.per_channel.items():
-            np.testing.assert_array_equal(
-                np.array(payload["per_channel"][label]), stack)
         np.testing.assert_array_equal(payload["average_joint_weight"],
                                       average_joint_weight(report))
         lines = joint_weight_csv(report).splitlines()

@@ -76,12 +76,12 @@ def test_round_trip_bitwise(net, ckpt, skel, tmp_path):
 
 def test_header_with_removed_settings_loads_bitwise(net, ckpt, skel):
     # the config block as checkpoints carried it before input_dim,
-    # output_dim, mask_init and nonlocal_embed became constants
+    # output_dim, mask_init and nonlocal_embed became constants and
+    # per-channel masks were removed
     header, blob = read(ckpt)
-    assert set(header["config"]) == {"variant", "channels", "blocks",
-                                     "channelwise_masks"}
+    assert set(header["config"]) == {"variant", "channels", "blocks"}
     header["config"].update(input_dim=2, output_dim=3, mask_init="zeros",
-                            nonlocal_embed=None)
+                            nonlocal_embed=None, channelwise_masks=False)
     write(ckpt, header, blob)
     loaded, _ = load_checkpoint(ckpt, skel)
     assert loaded.config == net.config
@@ -146,6 +146,75 @@ def test_header_with_weight_pair_of_two_shapes_rejected(ckpt, skel):
     entry["shape"] = [int(np.prod(entry["shape"]))]  # same bytes, flat
     write(ckpt, header, blob)
     with pytest.raises(CheckpointError, match="shapes.*differ"):
+        load_checkpoint(ckpt, skel)
+
+
+@pytest.mark.parametrize("value", [True, 1, "false", None])
+def test_header_with_channelwise_masks_rejected(ckpt, skel, value):
+    header, blob = read(ckpt)
+    header["config"]["channelwise_masks"] = value
+    write(ckpt, header, blob)
+    with pytest.raises(CheckpointError, match="channelwise_masks"):
+        load_checkpoint(ckpt, skel)
+
+
+def join_affinity_weights(header):
+    """The manifest as checkpoints stored it before each non-local layer's
+    (2E, 1) ``wf_w`` became ``wf_q`` and ``wf_k``: one entry over the same
+    bytes, as the two halves are adjacent."""
+    tensors = []
+    for entry in header["tensors"]:
+        if entry["name"].endswith(".wf_q"):
+            stem = entry["name"][:-5]
+            tensors.append({"name": f"{stem}.wf_w", "kind": "param",
+                            "shape": [2 * entry["shape"][0], 1]})
+        elif not entry["name"].endswith(".wf_k"):
+            tensors.append(entry)
+    assert len(tensors) == len(header["tensors"]) - 2  # two non-local layers
+    header["tensors"] = tensors
+
+
+def test_header_with_joined_affinity_weights_loads_bitwise(net, ckpt, skel,
+                                                           tmp_path):
+    header, blob = read(ckpt)
+    join_affinity_weights(header)
+    write(ckpt, header, blob)
+    loaded, meta = load_checkpoint(ckpt, skel)
+    for (name, p), (_, q) in zip(net.named_parameters(),
+                                 loaded.named_parameters()):
+        assert np.array_equal(p.data, q.data), name
+        assert q.data.base is None, name
+    x, _ = centered_arrays(generate_synthetic(6, seed=1, skeleton=skel))
+    assert np.array_equal(predict(loaded, x), predict(net, x))
+    # saved again, it is the current layout over the same bytes
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(again, loaded, meta)
+    assert read(again)[1] == blob
+
+
+@pytest.mark.parametrize("half", ["wf_q", "wf_k"])
+def test_header_with_joined_and_split_affinity_weight_rejected(ckpt, skel,
+                                                               half):
+    header, blob = read(ckpt)
+    name = f"blocks.0.nonlocal.{half}"
+    lo, hi = span(header, name)
+    kept = next(e for e in header["tensors"] if e["name"] == name)
+    join_affinity_weights(header)
+    header["tensors"].append(kept)
+    write(ckpt, header, blob + blob[lo:hi])
+    with pytest.raises(CheckpointError,
+                       match=f"both blocks.0.nonlocal.wf_w and.*{half}"):
+        load_checkpoint(ckpt, skel)
+
+
+def test_header_with_odd_affinity_weight_rejected(ckpt, skel):
+    header, blob = read(ckpt)
+    join_affinity_weights(header)
+    entry = next(e for e in header["tensors"]
+                 if e["name"] == "input.nonlocal.wf_w")
+    entry["shape"] = [1, entry["shape"][0]]  # same bytes, one row
+    write(ckpt, header, blob)
+    with pytest.raises(CheckpointError, match="input.nonlocal.wf_w shape"):
         load_checkpoint(ckpt, skel)
 
 

@@ -40,7 +40,8 @@ def eval_report(capsys, checkpoint, data_dir, *flags):
     {"mask_init": "zeros"}, {"mask_init": "glorot"}, {"input_dim": 2},
     {"output_dim": 3}, {"nonlocal_embed": None}, {"decay_factor": 0.5},
     {"plateau_patience": 5}, {"plateau_threshold": 1e-3},
-    {"plateau_cooldown": None},
+    {"plateau_cooldown": None}, {"channelwise_masks": False},
+    {"channelwise_masks": True},
 ])
 def test_config_naming_removed_setting_is_usage_error(data_dir, tmp_path,
                                                       removed):
@@ -49,6 +50,15 @@ def test_config_naming_removed_setting_is_usage_error(data_dir, tmp_path,
     out = tmp_path / "run"
     assert main(["train", "--data", str(data_dir), "--out", str(out),
                  "--config", str(config), *TOY]) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_channelwise_masks_flag_is_usage_error(data_dir, tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(data_dir), "--out", str(out), *TOY,
+              "--channelwise-masks"])
+    assert exc.value.code == EXIT_USAGE
     assert not out.exists()
 
 
@@ -191,11 +201,12 @@ def test_eval_of_dataset_with_wrong_shape_is_data_error(run_dir, data_dir,
 def test_eval_of_header_with_removed_settings_is_unchanged(run_dir, data_dir,
                                                           tmp_path, capsys):
     # the config block as checkpoints carried it before input_dim,
-    # output_dim, mask_init and nonlocal_embed became constants
+    # output_dim, mask_init and nonlocal_embed became constants and
+    # per-channel masks were removed
     header, _, blob = (run_dir / "best.ckpt").read_bytes().partition(b"\n")
     header = json.loads(header)
     header["config"].update(input_dim=2, output_dim=3, mask_init="zeros",
-                            nonlocal_embed=None)
+                            nonlocal_embed=None, channelwise_masks=False)
     legacy = tmp_path / "legacy.ckpt"
     legacy.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8")
                        + b"\n" + blob)
@@ -252,6 +263,18 @@ def test_eval_of_header_with_half_a_weight_pair_is_data_error(run_dir, data_dir,
     assert main(["eval", "--checkpoint", str(broken), "--data",
                  str(data_dir)]) == EXIT_DATA
     assert "without the other" in caplog.text
+
+
+def test_eval_of_header_with_channelwise_masks_is_data_error(run_dir, data_dir,
+                                                            tmp_path, caplog):
+    header, _, blob = (run_dir / "best.ckpt").read_bytes().partition(b"\n")
+    header = json.loads(header)
+    header["config"]["channelwise_masks"] = True
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+    assert main(["eval", "--checkpoint", str(broken), "--data",
+                 str(data_dir)]) == EXIT_DATA
+    assert "channelwise_masks" in caplog.text
 
 
 def test_eval_of_missing_checkpoint_is_data_error(data_dir, tmp_path, capsys):

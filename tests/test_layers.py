@@ -1,6 +1,8 @@
 """Layer-family tests: hand-computed values, degenerate equivalences,
 init identities, gradient checks, and permutation equivariance."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from semgcn.layers import (
     ResidualGConvBlock,
     SemGConv,
     VanillaGConv,
+    glorot_uniform,
 )
+from semgcn.network import VARIANTS, NetworkConfig, build_network, count_params
 from semgcn.skeleton import (
     DEFAULT_NODE_GROUPS,
     adjacency,
@@ -123,51 +127,6 @@ class TestSemGConv:
         assert err < 1e-4
 
 
-class TestSemGConvChannelwise:
-    def test_identical_masks_equal_single_mode(self, adj):
-        rng = rng_for(10)
-        single = SemGConv(C, C, adj, rng, channelwise=False)
-        cw = SemGConv(C, C, adj, rng, channelwise=True)
-        for name in ("w", "b"):
-            getattr(cw, name).data = getattr(single, name).data.copy()
-        base_mask = rng_for(11).standard_normal((K, K))
-        single.mask.data = base_mask.copy()
-        cw.mask.data = np.repeat(base_mask[None], C, axis=0)
-        x = rng.standard_normal((2, K, C))
-        np.testing.assert_allclose(cw(Tensor(x)).data, single(Tensor(x)).data,
-                                   atol=1e-10)
-
-    def test_distinct_masks_change_channels(self, adj):
-        rng = rng_for(12)
-        cw = SemGConv(C, C, adj, rng, channelwise=True)
-        cw.mask.data[0] = 0.0
-        cw.mask.data[1] = rng.standard_normal((K, K)) * 2.0
-        x = rng.standard_normal((2, K, C))
-        out = cw(Tensor(x)).data
-        # same input columns, different masks: channel outputs must differ
-        cw2 = SemGConv(C, C, adj, rng_for(12), channelwise=True)
-        cw2.w.data[0] = cw.w.data[0]
-        cw2.w.data[1] = cw.w.data[1]
-        cw2.mask.data[...] = 0.0
-        out_uniform = cw2(Tensor(x)).data
-        assert np.abs(out[..., 1] - out_uniform[..., 1]).max() > 1e-6
-        np.testing.assert_allclose(out[..., 0], out_uniform[..., 0],
-                                   atol=1e-12)
-
-    def test_gradient_over_all_masks(self, adj):
-        rng = rng_for(13)
-        conv = SemGConv(C, C, adj, rng, channelwise=True)
-        conv.mask.data = rng.standard_normal((C, K, K)) * 0.3
-        x = Tensor(rng.standard_normal((2, K, C)), requires_grad=True)
-        params = [p for _, p in conv.named_parameters()]
-        err = grad_check(lambda *_: relu(conv(x)).sum(), [x] + params)
-        assert err < 1e-4
-
-    def test_mask_count_mismatch(self, adj):
-        conv = SemGConv(C, C, adj, rng_for(14), channelwise=True)
-        assert conv.mask.shape == (C, K, K)
-
-
 class TestNonLocal:
     def test_identity_at_init(self, skel):
         rng = rng_for(15)
@@ -181,7 +140,8 @@ class TestNonLocal:
         layer = NonLocalBlock(C, DEFAULT_NODE_GROUPS, K, rng)
         layer.wx.data = rng.standard_normal((C // 2, C))
         # drive every pre-ReLU affinity negative: f == 0 kills the message
-        layer.wf_w.data[...] = 0.0
+        layer.wf_q.data[...] = 0.0
+        layer.wf_k.data[...] = 0.0
         layer.wf_b.data[...] = -5.0
         x = rng.standard_normal((2, K, C))
         np.testing.assert_array_equal(layer(Tensor(x)).data, x)
@@ -213,11 +173,24 @@ class TestNonLocal:
         concat = np.concatenate([np.broadcast_to(q[:, :, None], (b, K, g, e)),
                                  np.broadcast_to(key[:, None], (b, K, g, e))],
                                 axis=-1)                         # (B, K, G, 2E)
-        f = np.maximum(concat @ layer.wf_w.data[:, 0] + layer.wf_b.data, 0.0)
+        wf = np.concatenate([layer.wf_q.data, layer.wf_k.data])[:, 0]
+        f = np.maximum(concat @ wf + layer.wf_b.data, 0.0)
         assert 0 < np.count_nonzero(f) < f.size  # both sides of the ReLU
         expected = x + f @ val @ layer.wx.data / g
         np.testing.assert_allclose(layer(Tensor(x)).data, expected,
                                    rtol=1e-12, atol=0)
+
+    def test_affinity_halves_are_one_draw_in_own_arrays(self):
+        # wf_q and wf_k are the halves of one (2E, 1) Glorot draw, made
+        # after theta_w, phi_w and g_w; each owns its memory
+        layer = NonLocalBlock(C, DEFAULT_NODE_GROUPS, K, rng_for(18))
+        rng = rng_for(18)
+        for _ in range(3):
+            glorot_uniform(rng, C, C // 2, (C, C // 2))
+        wf = glorot_uniform(rng, C, 1, (C, 1))
+        assert np.array_equal(layer.wf_q.data, wf[:C // 2])
+        assert np.array_equal(layer.wf_k.data, wf[C // 2:])
+        assert layer.wf_q.data.base is None and layer.wf_k.data.base is None
 
     def test_grouping_must_partition(self):
         with pytest.raises(ShapeError):
@@ -351,11 +324,39 @@ class TestEquivariance:
         perm = np.array(perm)  # perm[new_index] = old_index
 
         layer_p = NonLocalBlock(C, tuple(new_groups), K, rng)
-        for name in ("theta_w", "theta_b", "phi_w", "phi_b", "g_w", "g_b",
-                     "wf_w", "wf_b", "wx"):
-            getattr(layer_p, name).data = getattr(layer, name).data.copy()
+        for (_, p), (_, q) in zip(layer.named_parameters(),
+                                  layer_p.named_parameters()):
+            q.data = p.data.copy()
 
         x = rng.standard_normal((2, K, C))
         out = layer(Tensor(x)).data
         out_p = layer_p(Tensor(x[:, perm, :])).data
         np.testing.assert_allclose(out_p, out[:, perm, :], atol=1e-12)
+
+
+# sha256 of each variant's seed-0 parameters at the paper's size, as
+# little-endian float64 bytes in ``named_parameters`` order, and the
+# parameter count.  The values come from PCG64 draws and elementwise
+# arithmetic only (no BLAS), so they are the same on every machine; a
+# change to a layer's draw order or parameter layout shows up here.
+SEED0_PARAMS = {
+    "semgcn": ("b8e7f020450de97365e3accf5716a24077e48436cba629274916ae7100c6786b",
+               434_888),
+    "semgcn-nonl-only": (
+        "07caad3775a32b9ec7957fb58b9f669242a8c401f34644696520e7c57e4bf22c",
+        300_616),
+    "semgcn-conv-only": (
+        "23c8457c384f0d906af85b6a2d414bd1aabed92a115ee5b393b269cbcdb30aad",
+        269_443),
+    "resgcn": ("557e017f1ff0b69fbb44b97b79e4994faeba4235e84163ea6130faefb15849f9",
+               135_171),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_seed0_parameters_are_pinned(skel, variant):
+    net = build_network(NetworkConfig(variant=variant), skel, seed=0)
+    digest = hashlib.sha256()
+    for _, p in net.named_parameters():
+        digest.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    assert (digest.hexdigest(), count_params(net)) == SEED0_PARAMS[variant]

@@ -119,10 +119,8 @@ class TestNormalizeAdjacency:
 
 
 def conv_with_logits(logits: np.ndarray, adj: np.ndarray) -> SemGConv:
-    """A SemGConv whose edge logits are ``logits``, (K, K) or (D, K, K)."""
-    channelwise = logits.ndim == 3
-    conv = SemGConv(1, logits.shape[0] if channelwise else 1, adj,
-                    np.random.default_rng(0), channelwise=channelwise)
+    """A SemGConv whose (K, K) edge logits are ``logits``."""
+    conv = SemGConv(1, 1, adj, np.random.default_rng(0))
     conv.mask.data = logits
     return conv
 
@@ -165,31 +163,18 @@ class TestMaskedSoftmax:
         assert (conv.mask.grad[adj == 0] == 0.0).all()
         assert np.abs(conv.mask.grad[adj == 1]).max() > 0
 
-    def test_channelwise_masks_supported(self, adj):
-        rng = np.random.default_rng(3)
-        conv = conv_with_logits(rng.standard_normal((5, 16, 16)), adj)
-        with Tape() as tape:
-            s = conv.edge_weights()
-            tape.backward(mul(s, Tensor(rng.standard_normal((5, 16, 16)))).sum())
-        assert s.shape == (5, 16, 16)
-        np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-9)
-        assert (s.data[:, adj == 0] == 0.0).all()
-        assert (conv.mask.grad[:, adj == 0] == 0.0).all()
-
 
 class TestUniformPropagation:
     """Edge logits start at zero, so a new SemGConv weighs each neighbor
     set uniformly: its edge weights are the row-normalized adjacency."""
 
     def test_rows_sum_to_one(self, adj):
-        for channelwise in (False, True):
-            conv = SemGConv(1, 3, adj, np.random.default_rng(4),
-                            channelwise=channelwise)
-            np.testing.assert_allclose(conv.edge_weights().data.sum(axis=-1),
-                                       1.0, atol=1e-15)
+        conv = SemGConv(1, 3, adj, np.random.default_rng(4))
+        np.testing.assert_allclose(conv.edge_weights().data.sum(axis=-1),
+                                   1.0, atol=1e-15)
 
     def test_matches_masked_softmax_at_zero_logits(self, adj):
-        conv = SemGConv(1, 3, adj, np.random.default_rng(5), channelwise=True)
+        conv = SemGConv(1, 3, adj, np.random.default_rng(5))
         uniform = adj / adj.sum(1, keepdims=True)
-        for s in conv.edge_weights().data:
-            np.testing.assert_allclose(s, uniform, atol=1e-12)
+        np.testing.assert_allclose(conv.edge_weights().data, uniform,
+                                   atol=1e-12)

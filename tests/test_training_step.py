@@ -23,13 +23,11 @@ from semgcn.training import Adam, pose_loss
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
-def make_step(variant, channels, blocks, batch, channelwise=False,
-              use_bone=False):
+def make_step(variant, channels, blocks, batch, use_bone=False):
     """A closure running one training step; it returns that step's tape."""
     g = build_skeleton()
     net = build_network(NetworkConfig(variant=variant, channels=channels,
-                                      blocks=blocks,
-                                      channelwise_masks=channelwise), g, seed=0)
+                                      blocks=blocks), g, seed=0)
     opt = Adam(net.named_parameters(), lr=1e-3)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((batch, g.num_joints, 2))
@@ -62,13 +60,12 @@ def test_every_op_kind_has_a_caller():
     recorded = set(re.findall(r'_maybe_record\("(\w+)"',
                               Path(autodiff.__file__).read_text()))
     configs = [dict(variant=v) for v in VARIANTS] + [
-        dict(variant="semgcn", channelwise=True),
         dict(variant="semgcn", use_bone=True)]
     used = set()
     for config in configs:
         used |= {node.op for node in make_step(channels=4, blocks=1, batch=4,
                                                 **config)().nodes}
-    assert len(recorded) > 10
+    assert len(recorded) == 9
     assert used == recorded
 
 
@@ -79,8 +76,8 @@ def test_every_op_kind_has_a_caller():
 # these counts and bytes.
 TAPE_AT_SMALL_SIZE = {
     "semgcn": ({"matmul": 22, "mul": 12, "add": 8, "relu": 2, "sum": 1,
-                "narrow": 4, "softmax": 4, "batch_norm": 3,
-                "max_over_set": 2, "transpose": 2}, 79_728),
+                "softmax": 4, "batch_norm": 3, "max_over_set": 2,
+                "transpose": 2}, 79_664),
     "resgcn": ({"matmul": 8, "batch_norm": 3, "add": 2, "mul": 2,
                 "sum": 1}, 26_640),
 }
