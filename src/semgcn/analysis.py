@@ -2,7 +2,7 @@
 
 Exports each edge-weighted convolution's row-stochastic weight matrix
 and summarizes how much weight each joint contributes to its neighbors,
-averaged over the eight block-level layers.
+averaged over the block-level layers (two per residual block).
 """
 
 from __future__ import annotations

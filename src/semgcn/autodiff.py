@@ -107,8 +107,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self) -> "Tensor":
+        return tensor_sum(self)
 
 
 def parameter(data) -> Tensor:
@@ -311,9 +311,10 @@ def graph_conv(x, w, b, *aggregations) -> Tensor:
     """Graph convolution ``[A_1 x | ... | A_R x] @ w + b`` as one tape node.
 
     ``x`` is (..., K, C_in), each aggregation ``A_r`` is (K, K) and acts on
-    the node axis, ``w`` is (R, C_in, C_out) and ``b`` is (C_out,).  The R
-    aggregated inputs are laid side by side into one (N, R*C_in) operand,
-    so ``w[r]`` transforms ``A_r x`` and the product is one GEMM.  The node
+    the node axis, ``w`` is (R, C_in, C_out), or (C_in, C_out) when R = 1,
+    and ``b`` is (C_out,).  The R aggregated inputs are laid side by side
+    into one (N, R*C_in) operand, so ``w[r]`` transforms ``A_r x`` and the
+    product is one GEMM; the weight gradient takes ``w``'s shape.  The node
     is a ``matmul`` that keeps only its output: the vjp recomputes the
     small ``A_r x`` products for the weight gradient instead of storing
     them (Chen et al., arXiv 1604.06174).
@@ -324,10 +325,11 @@ def graph_conv(x, w, b, *aggregations) -> Tensor:
         raise ShapeError(f"graph_conv needs a (..., K, C) input, got {x.shape}")
     k, c_in = x.shape[-2:]
     r = len(aggs)
-    if r < 1 or w.ndim != 3 or w.shape[:2] != (r, c_in):
+    if r < 1 or not (w.shape[:-1] == (r, c_in)
+                     or (r == 1 and w.shape[:-1] == (c_in,))):
         raise ShapeError(f"graph_conv weight {w.shape} does not fit {r} "
                          f"aggregations of {c_in} channels")
-    c_out = w.shape[2]
+    c_out = w.shape[-1]
     if b.shape != (c_out,):
         raise ShapeError(f"graph_conv bias {b.shape} does not fit {c_out} channels")
     for agg in aggs:
@@ -470,17 +472,13 @@ def transpose(x, axes) -> Tensor:
     return _maybe_record("transpose", (x,), out_data, vjp)
 
 
-def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(x) -> Tensor:
     x = _as_tensor(x)
-    out_data = x.data.sum(axis=axis, keepdims=keepdims)
-    out_data = np.asarray(out_data)
+    out_data = np.asarray(x.data.sum())
     _ensure_finite(out_data, "sum")
 
     def vjp(g):
-        if axis is None:
-            return (np.full(x.shape, float(g)),)
-        g_expanded = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_expanded, x.shape),)
+        return (np.full(x.shape, float(g)),)
 
     return _maybe_record("sum", (x,), out_data, vjp)
 

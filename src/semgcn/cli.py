@@ -18,7 +18,7 @@ from pathlib import Path
 from .analysis import AnalysisError, export_weights, joint_weight_csv, report_to_json
 from .autodiff import NonFiniteError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .network import ConfigError, NetworkConfig, build_network, count_params
+from .network import VARIANTS, ConfigError, NetworkConfig, build_network, count_params
 from .posedata import (
     DatasetError,
     centered_arrays,
@@ -232,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory with *.poses splits")
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--variant", choices=("semgcn", "semgcn-nonl-only",
-                                         "semgcn-conv-only", "resgcn"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--channels", type=int)
     p.add_argument("--blocks", type=int)
     p.add_argument("--epochs", type=int)

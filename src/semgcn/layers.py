@@ -7,8 +7,9 @@ grouping, and batch normalization over batch and node axes.
 
 Weight layout note: transformation matrices are stored (in, out) so the
 forward pass is ``x @ w``; the math is the transpose of the usual
-(out, in) convention.  SemGConv stacks its self and neighbor matrices
-into one (2, in, out) ``w``.
+(out, in) convention.  Both graph convolutions are one :func:`graph_conv`
+node: VanillaGConv's ``w`` is (in, out), and SemGConv stacks its self and
+neighbor matrices into one (2, in, out) ``w``.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ class Layer:
 
 class VanillaGConv(Layer):
     """Shared-weight graph convolution: aggregate with a fixed propagation
-    matrix, transform with one matrix for self and neighbors alike.  The
-    bias is the aggregation product's addend."""
+    matrix, transform with one matrix for self and neighbors alike, then
+    add a bias.  It is one :func:`graph_conv` node with one aggregation."""
 
     _param_names = ("w", "b")
 
@@ -76,7 +77,7 @@ class VanillaGConv(Layer):
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"expected {self.in_dim} input channels, got {x.shape}")
-        return matmul(self.propagation, matmul(x, self.w), self.b)
+        return graph_conv(x, self.w, self.b, self.propagation)
 
 
 class SemGConv(Layer):

@@ -195,9 +195,10 @@ class TestGraphConv:
         rng = np.random.default_rng(30)
         x, w, b, a_self, a_neigh = graph_conv_inputs(rng)
         probe = Tensor(rng.standard_normal((3, 5, 6)))
+        row_sums = Tensor(np.ones((a_self.shape[-1], 1)))
 
         def old(x, w0, w1, b, a_self, a_neigh):
-            self_weight = tensor_sum(a_self, axis=-1, keepdims=True)
+            self_weight = matmul(a_self, row_sums)
             return matmul(a_neigh, matmul(x, w1),
                           mul(matmul(x, w0), self_weight), b)
 
@@ -223,14 +224,18 @@ class TestGraphConv:
 
     @pytest.mark.parametrize("leading", [(3,), (), (2, 3)])
     def test_every_input_against_oracle(self, leading):
-        # a full first aggregation: the engine does not rely on a diagonal
+        # a full first aggregation: the engine does not rely on a diagonal;
+        # with one aggregation the weight is 2-D
         rng = np.random.default_rng(31)
         _, w, b, _, a_neigh = graph_conv_inputs(rng)
         x = rng.standard_normal(leading + (5, 4))
-        tensors = [Tensor(v) for v in (x, w, b, rng.random((5, 5)), a_neigh)]
+        a_full = rng.random((5, 5))
         probe = Tensor(rng.standard_normal(leading + (5, 6)))
-        err = grad_check(lambda *t: mul(graph_conv(*t), probe).sum(), tensors)
-        assert err < 1e-6
+        for inputs in ((x, w, b, a_full, a_neigh), (x, w[0], b, a_full)):
+            tensors = [Tensor(v) for v in inputs]
+            err = grad_check(lambda *t: mul(graph_conv(*t), probe).sum(),
+                             tensors)
+            assert err < 1e-6
 
     def test_input_alone_against_oracle(self):
         rng = np.random.default_rng(32)
@@ -248,6 +253,7 @@ class TestGraphConv:
         ((8, 6), [(5, 5), (5, 5)], (6,)),
         ((2, 4, 6), [(5, 5), (5, 5)], (5,)),
         ((0, 4, 6), [], (6,)),
+        ((4, 6), [(5, 5), (5, 5)], (6,)),
     ])
     def test_mismatched_shapes_raise(self, w_shape, agg_shapes, b_shape):
         with pytest.raises(ShapeError):
@@ -257,19 +263,23 @@ class TestGraphConv:
 
     def test_one_matmul_node_that_keeps_only_its_output(self):
         rng = np.random.default_rng(33)
-        tensors = [Tensor(v, requires_grad=True)
-                   for v in graph_conv_inputs(rng)]
-        with Tape() as tape:
-            out = graph_conv(*tensors)
-        (node,) = tape.nodes
-        assert node.op == "matmul" and node.output is out
-        assert node.inputs == tuple(tensors)
-        held = arrays_held_by(node.vjp)
-        assert held
-        for arr in held:  # views of the inputs, nothing of its own
-            assert any(np.shares_memory(arr, t.data) for t in tensors)
-        gx, gw, *_ = node.vjp(rng.standard_normal(out.shape))
-        assert gx.flags.owndata and gw.flags.owndata
+        x, w, b, a_self, a_neigh = graph_conv_inputs(rng)
+        g = rng.standard_normal((3, 5, 6))
+        # two aggregations, and one with a 2-D weight
+        for inputs in ((x, w, b, a_self, a_neigh), (x, w[1], b, a_neigh)):
+            tensors = [Tensor(v, requires_grad=True) for v in inputs]
+            with Tape() as tape:
+                out = graph_conv(*tensors)
+            (node,) = tape.nodes
+            assert node.op == "matmul" and node.output is out
+            assert node.inputs == tuple(tensors)
+            held = arrays_held_by(node.vjp)
+            assert held
+            for arr in held:  # views of the inputs, nothing of its own
+                assert any(np.shares_memory(arr, t.data) for t in tensors)
+            gx, gw, *_ = node.vjp(g.copy())
+            assert gx.flags.owndata and gw.flags.owndata
+            assert gw.shape == tensors[1].shape
 
 
 class TestAdd:
@@ -612,7 +622,7 @@ class TestStructural:
             h = matmul(transpose(h, (0, 2, 1)), w)          # (2, 6, 3)
             h = mul(h, Tensor(probe))
             p = max_over_set(softmax_lastdim(h), [(0, 1), (2, 3)])
-            return add(tensor_sum(p), tensor_sum(add(h, -0.5), axis=1)).sum()
+            return add(tensor_sum(p), tensor_sum(add(h, -0.5))).sum()
 
         assert grad_check(f, [x, y, w]) < 1e-4
 

@@ -62,6 +62,15 @@ def test_channelwise_masks_flag_is_usage_error(data_dir, tmp_path):
     assert not out.exists()
 
 
+def test_unknown_variant_is_usage_error(data_dir, tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(data_dir), "--out", str(out), *TOY,
+              "--variant", "gcn"])
+    assert exc.value.code == EXIT_USAGE
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--lr", "-1"], ["--batch-size", "0"]])
 def test_invalid_training_setting_is_usage_error(data_dir, tmp_path, flags):
     out = tmp_path / "run"

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from semgcn.autodiff import ShapeError, Tensor, grad_check, mul, relu
+from semgcn.autodiff import ShapeError, Tape, Tensor, grad_check, matmul, mul, relu
 from semgcn.layers import (
     BatchNormNodes,
     NonLocalBlock,
@@ -64,6 +64,28 @@ class TestVanillaGConv:
         params = [p for _, p in conv.named_parameters()]
         err = grad_check(lambda *_: relu(conv(x)).sum(), [x] + params)
         assert err < 1e-4
+
+    def test_matches_the_two_products_it_replaces(self, adj):
+        # the form before graph_conv: propagation @ (x @ w) with the bias
+        # as the outer product's addend
+        rng = rng_for(6)
+        conv = VanillaGConv(C, C, normalize_adjacency(adj), rng)
+        conv.b.data = rng.standard_normal(C)
+        x = Tensor(rng.standard_normal((3, K, C)), requires_grad=True)
+        probe = Tensor(rng.standard_normal((3, K, C)))
+
+        def run(forward):
+            for t in (x, conv.w, conv.b):
+                t.grad = None
+            with Tape() as tape:
+                out = forward()
+                tape.backward(mul(out, probe).sum())
+            return [out.data] + [t.grad for t in (x, conv.w, conv.b)]
+
+        new = run(lambda: conv(x))
+        old = run(lambda: matmul(conv.propagation, matmul(x, conv.w), conv.b))
+        for got, want in zip(new, old):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_width_mismatch(self, adj):
         conv = VanillaGConv(C, C, normalize_adjacency(adj), rng_for(5))

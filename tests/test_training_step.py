@@ -69,17 +69,17 @@ def test_every_op_kind_has_a_caller():
     assert used == recorded
 
 
-# One step's tape at channels 4, one block, batch 4: each SemGConv is one
-# graph_conv node that keeps only its output, each other graph layer's
-# bias and residual are addends of its product, and each batch norm
+# One step's tape at channels 4, one block, batch 4: every graph conv is
+# one graph_conv node that keeps only its output, the non-local layer's
+# bias and residual are addends of its products, and each batch norm
 # applies its ReLU, so splitting a fold back into its own node changes
 # these counts and bytes.
 TAPE_AT_SMALL_SIZE = {
     "semgcn": ({"matmul": 22, "mul": 12, "add": 8, "relu": 2, "sum": 1,
                 "softmax": 4, "batch_norm": 3, "max_over_set": 2,
                 "transpose": 2}, 79_664),
-    "resgcn": ({"matmul": 8, "batch_norm": 3, "add": 2, "mul": 2,
-                "sum": 1}, 26_640),
+    "resgcn": ({"matmul": 4, "batch_norm": 3, "add": 2, "mul": 2,
+                "sum": 1}, 18_960),
 }
 
 
@@ -98,7 +98,7 @@ FAULT_PROBE = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 from test_training_step import make_step
-step = make_step("resgcn", 64, 2, 64)
+step = make_step("resgcn", 64, 3, 64)
 tape = step()
 step()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
