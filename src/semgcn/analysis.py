@@ -2,7 +2,8 @@
 
 Exports each edge-weighted convolution's row-stochastic weight matrix
 and summarizes how much weight each joint contributes to its neighbors,
-averaged over the block-level layers (two per residual block).
+averaged over the block-level layers (two per residual block).  Labels
+are the layers' checkpoint names (``input.conv``, ``blocks.0.conv1``, ...).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .layers import SemGConv
 from .network import Network
 from .skeleton import adjacency
 
@@ -31,19 +33,17 @@ class WeightReport:
 
 def export_weights(net: Network) -> WeightReport:
     """Evaluate every learned edge-weight matrix; read-only on the network."""
-    layers = net.semgconv_layers()
+    layers = [(name, layer) for name, layer in net.named_layers()
+              if isinstance(layer, SemGConv)]
     if not layers:
         raise AnalysisError(
             f"variant {net.config.variant!r} has no semantic masks to export")
-    labels, matrices, block_idx = [], [], []
-    for i, (label, conv) in enumerate(layers):
-        labels.append(label)
-        matrices.append(conv.edge_weights().data)
-        if label.startswith("block"):
-            block_idx.append(i)
+    labels = [label for label, _ in layers]
     return WeightReport(joint_names=list(net.skeleton.joints),
-                        layer_labels=labels, matrices=matrices,
-                        block_layer_indices=block_idx,
+                        layer_labels=labels,
+                        matrices=[conv.edge_weights().data for _, conv in layers],
+                        block_layer_indices=[i for i, label in enumerate(labels)
+                                             if label.startswith("blocks.")],
                         adjacency=adjacency(net.skeleton))
 
 

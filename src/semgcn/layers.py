@@ -5,6 +5,11 @@ baseline), the edge-weighted semantic convolution with one learned mask
 shared by all channels, the non-local attention layer with pairwise node
 grouping, and batch normalization over batch and node axes.
 
+A layer's widths are its weights' shapes: an input of another width
+fails in the op that reads the weight (:func:`graph_conv` or
+:func:`matmul` raises ``ShapeError``).  A layer names its own tensors
+without a prefix, and ``Network.named_layers`` names the layers.
+
 Weight layout note: transformation matrices are stored (in, out) so the
 forward pass is ``x @ w``; the math is the transpose of the usual
 (out, in) convention.  Both graph convolutions are one :func:`graph_conv`
@@ -44,15 +49,15 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 
 class Layer:
-    """Base: named parameter/buffer traversal shared by all layers."""
+    """Base: the layer's own parameters and buffers, by unprefixed name."""
 
     _param_names: tuple[str, ...] = ()
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         for name in self._param_names:
-            yield prefix + name, getattr(self, name)
+            yield name, getattr(self, name)
 
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
+    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
         return iter(())
 
     def __call__(self, x: Tensor, train: bool = False) -> Tensor:
@@ -68,15 +73,11 @@ class VanillaGConv(Layer):
 
     def __init__(self, in_dim: int, out_dim: int, propagation: np.ndarray,
                  rng: np.random.Generator):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.propagation = Tensor(np.asarray(propagation, dtype=np.float64))
         self.w = parameter(glorot_uniform(rng, in_dim, out_dim, (in_dim, out_dim)))
         self.b = parameter(np.zeros(out_dim))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise ShapeError(f"expected {self.in_dim} input channels, got {x.shape}")
         return graph_conv(x, self.w, self.b, self.propagation)
 
 
@@ -98,8 +99,6 @@ class SemGConv(Layer):
     def __init__(self, in_dim: int, out_dim: int, adjacency: np.ndarray,
                  rng: np.random.Generator):
         k = adjacency.shape[0]
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self._mask_bias = Tensor(mask_logit_bias(adjacency))
         self._self_sel = Tensor(np.eye(k))
         self._neigh_sel = Tensor(1.0 - np.eye(k))
@@ -113,8 +112,6 @@ class SemGConv(Layer):
         return softmax_lastdim(add(self.mask, self._mask_bias))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise ShapeError(f"expected {self.in_dim} input channels, got {x.shape}")
         s = self.edge_weights()
         return graph_conv(x, self.w, self.b, mul(s, self._self_sel),
                           mul(s, self._neigh_sel))
@@ -143,8 +140,7 @@ class NonLocalBlock(Layer):
         flat = sorted(i for grp in groups for i in grp)
         if flat != list(range(num_nodes)):
             raise ShapeError("node grouping must be a perfect partition")
-        self.channels = channels
-        self.embed_dim = e = max(1, channels // 2)
+        e = max(1, channels // 2)
         self.groups = tuple(tuple(sorted(grp)) for grp in groups)
         self.theta_w = parameter(glorot_uniform(rng, channels, e, (channels, e)))
         self.theta_b = parameter(np.zeros(e))
@@ -162,8 +158,6 @@ class NonLocalBlock(Layer):
         self.wx = parameter(np.zeros((e, channels)))  # zero: identity at init
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        if x.shape[-1] != self.channels:
-            raise ShapeError(f"expected {self.channels} channels, got {x.shape}")
         n_groups = len(self.groups)
         pooled = max_over_set(x, self.groups)               # (B, G, C)
         val = matmul(pooled, self.g_w, self.g_b)            # (B, G, E)
@@ -188,14 +182,13 @@ class BatchNormNodes(Layer):
     _param_names = ("gamma", "beta")
 
     def __init__(self, channels: int):
-        self.channels = channels
         self.gamma = parameter(np.ones(channels))
         self.beta = parameter(np.zeros(channels))
         self.state = BatchNormState(channels)
 
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        yield prefix + "running_mean", self.state.running_mean
-        yield prefix + "running_var", self.state.running_var
+    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
+        yield "running_mean", self.state.running_mean
+        yield "running_var", self.state.running_var
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.state, training=train)
@@ -204,7 +197,8 @@ class BatchNormNodes(Layer):
 class ResidualGConvBlock(Layer):
     """Two conv+BN+ReLU stages under a skip connection, then an optional
     non-local layer (which carries its own residual).  Each ReLU is
-    applied inside its batch norm's node."""
+    applied inside its batch norm's node.  The block owns no tensors of
+    its own: ``Network.named_layers`` walks its layers."""
 
     def __init__(self, conv1: Layer, bn1: BatchNormNodes, conv2: Layer,
                  bn2: BatchNormNodes, nonlocal_layer: NonLocalBlock | None):
@@ -213,18 +207,6 @@ class ResidualGConvBlock(Layer):
         self.conv2 = conv2
         self.bn2 = bn2
         self.nonlocal_layer = nonlocal_layer
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield from self.conv1.named_parameters(prefix + "conv1.")
-        yield from self.bn1.named_parameters(prefix + "bn1.")
-        yield from self.conv2.named_parameters(prefix + "conv2.")
-        yield from self.bn2.named_parameters(prefix + "bn2.")
-        if self.nonlocal_layer is not None:
-            yield from self.nonlocal_layer.named_parameters(prefix + "nonlocal.")
-
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        yield from self.bn1.named_buffers(prefix + "bn1.")
-        yield from self.bn2.named_buffers(prefix + "bn2.")
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         h = self.bn1(self.conv1(x, train), train)

@@ -110,19 +110,33 @@ class Network:
         self.blocks = blocks
         self.output_conv = output_conv
 
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield from self.input_conv.named_parameters("input.conv.")
-        yield from self.input_bn.named_parameters("input.bn.")
+    def named_layers(self) -> Iterator[tuple[str, Layer]]:
+        """Each conv, batch norm and non-local layer under its checkpoint
+        prefix, in parameter order: ``input.conv``, ``input.bn``,
+        ``input.nonlocal``, ``blocks.i.conv1``, ``bn1``, ``conv2``, ``bn2``,
+        ``nonlocal`` per block, then ``output.conv``."""
+        yield "input.conv", self.input_conv
+        yield "input.bn", self.input_bn
         if self.input_nonlocal is not None:
-            yield from self.input_nonlocal.named_parameters("input.nonlocal.")
+            yield "input.nonlocal", self.input_nonlocal
         for i, block in enumerate(self.blocks):
-            yield from block.named_parameters(f"blocks.{i}.")
-        yield from self.output_conv.named_parameters("output.conv.")
+            yield f"blocks.{i}.conv1", block.conv1
+            yield f"blocks.{i}.bn1", block.bn1
+            yield f"blocks.{i}.conv2", block.conv2
+            yield f"blocks.{i}.bn2", block.bn2
+            if block.nonlocal_layer is not None:
+                yield f"blocks.{i}.nonlocal", block.nonlocal_layer
+        yield "output.conv", self.output_conv
+
+    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
+        for prefix, layer in self.named_layers():
+            for name, t in layer.named_parameters():
+                yield f"{prefix}.{name}", t
 
     def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
-        yield from self.input_bn.named_buffers("input.bn.")
-        for i, block in enumerate(self.blocks):
-            yield from block.named_buffers(f"blocks.{i}.")
+        for prefix, layer in self.named_layers():
+            for name, b in layer.named_buffers():
+                yield f"{prefix}.{name}", b
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
@@ -130,20 +144,6 @@ class Network:
     def zero_grad(self) -> None:
         for t in self.parameters():
             t.grad = None
-
-    def semgconv_layers(self) -> list[tuple[str, SemGConv]]:
-        """All edge-weighted convolutions in network order."""
-        out = []
-        if isinstance(self.input_conv, SemGConv):
-            out.append(("input", self.input_conv))
-        for i, block in enumerate(self.blocks):
-            if isinstance(block.conv1, SemGConv):
-                out.append((f"block{i}.conv1", block.conv1))
-            if isinstance(block.conv2, SemGConv):
-                out.append((f"block{i}.conv2", block.conv2))
-        if isinstance(self.output_conv, SemGConv):
-            out.append(("output", self.output_conv))
-        return out
 
     def forward(self, p2d, train: bool = False,
                 skip_nonlocal: bool = False) -> Tensor:

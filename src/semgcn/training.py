@@ -9,7 +9,7 @@ halved when validation loss plateaus.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 

@@ -44,16 +44,13 @@ def _layer_case(layer, x_shape: tuple[int, ...], rng: np.random.Generator,
             p.data = rng.standard_normal(p.data.shape) * 0.1
     # Project with fixed random weights: a plain sum is blind to directions
     # the layer's output cannot move in (batch norm output sums to beta).
-    probe = Tensor(rng.standard_normal(x_shape[:-1] + (layer_out_dim(layer),)))
+    # Each layer checked here keeps the input's width.
+    probe = Tensor(rng.standard_normal(x_shape))
 
     def f(*_):
         return mul(layer.forward(x, train=train), probe).sum()
 
     return f, [x] + params
-
-
-def layer_out_dim(layer) -> int:
-    return getattr(layer, "out_dim", getattr(layer, "channels", 0))
 
 
 def _pose_loss_case(g, rng: np.random.Generator):

@@ -14,6 +14,7 @@ from semgcn.analysis import (
     joint_weight_csv,
     report_to_json,
 )
+from semgcn.layers import SemGConv
 from semgcn.network import NetworkConfig, build_network
 from semgcn.skeleton import adjacency, build_skeleton
 
@@ -23,11 +24,16 @@ def skel():
     return build_skeleton()
 
 
+def semgconv_layers(net):
+    return [(name, layer) for name, layer in net.named_layers()
+            if isinstance(layer, SemGConv)]
+
+
 def perturbed_net(skel, seed=0):
     net = build_network(NetworkConfig(variant="semgcn", channels=4, blocks=2),
                         skel)
     rng = np.random.default_rng(seed)
-    for _, conv in net.semgconv_layers():
+    for _, conv in semgconv_layers(net):
         conv.mask.data = 2.0 * rng.standard_normal(conv.mask.shape)
     return net
 
@@ -45,8 +51,11 @@ class TestExport:
     def test_matrices_come_from_the_layers(self, skel):
         net = perturbed_net(skel)
         report = export_weights(net)
-        layers = net.semgconv_layers()
+        layers = semgconv_layers(net)
         assert report.layer_labels == [label for label, _ in layers]
+        assert report.layer_labels == [
+            "input.conv", "blocks.0.conv1", "blocks.0.conv2",
+            "blocks.1.conv1", "blocks.1.conv2", "output.conv"]
         assert report.block_layer_indices == [1, 2, 3, 4]
         for matrix, (_, conv) in zip(report.matrices, layers):
             np.testing.assert_array_equal(matrix, conv.edge_weights().data)

@@ -233,7 +233,12 @@ def test_export_weights(run_dir, tmp_path, flags):
     report = json.loads((out / "weight_report.json").read_text())
     assert report["aggregation"] == ("outgoing-mean-incl-self" if flags
                                      else "outgoing-mean-excl-self")
+    # labels are checkpoint layer names: each one's logits are in the file
+    header = json.loads((run_dir / "best.ckpt").read_bytes().partition(b"\n")[0])
+    manifest = {entry["name"] for entry in header["tensors"]}
+    assert report["layers"]
     for layer in report["layers"]:
+        assert layer["label"] + ".mask" in manifest
         np.testing.assert_allclose(np.sum(layer["weights"], axis=-1), 1.0,
                                    atol=1e-12)
 

@@ -88,9 +88,11 @@ class TestVanillaGConv:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_width_mismatch(self, adj):
-        conv = VanillaGConv(C, C, normalize_adjacency(adj), rng_for(5))
-        with pytest.raises(ShapeError):
-            conv(Tensor(np.zeros((2, K, C + 1))))
+        # both graph convolutions leave the check to graph_conv
+        for conv in (VanillaGConv(C, C, normalize_adjacency(adj), rng_for(5)),
+                     SemGConv(C, C, adj, rng_for(5))):
+            with pytest.raises(ShapeError):
+                conv(Tensor(np.zeros((2, K, C + 1))))
 
 
 def brute_force_uniform_aggregation(x, w, edges, k):
@@ -233,6 +235,13 @@ class TestResidualBlock:
             conv2=SemGConv(C, C, adj, rng), bn2=BatchNormNodes(C),
             nonlocal_layer=nl)
 
+    @staticmethod
+    def _named_parameters(block):
+        # the block owns no tensors of its own: collect its layers'
+        for layer in (block.conv1, block.bn1, block.conv2, block.bn2,
+                      block.nonlocal_layer):
+            yield from layer.named_parameters()
+
     def test_dead_branch_is_identity(self, adj):
         rng = rng_for(20)
         block = self._block(adj, rng)
@@ -268,7 +277,8 @@ class TestResidualBlock:
         block = self._block(adj, rng)
         block.nonlocal_layer.wx.data = rng.standard_normal((C // 2, C)) * 0.2
         x = Tensor(rng.standard_normal((2, K, C)), requires_grad=True)
-        params = [p for _, p in block.named_parameters()]
+        params = [p for _, p in self._named_parameters(block)]
+        assert len(params) == 20
         probe = Tensor(rng.standard_normal((2, K, C)))
         err = grad_check(lambda *_: mul(block(x, train=False), probe).sum(),
                          [x] + params)
@@ -282,8 +292,9 @@ class TestResidualBlock:
         block = self._block(adj, rng)
         block.nonlocal_layer.wx.data = rng.standard_normal((C // 2, C)) * 0.2
         x = Tensor(rng.standard_normal((2, K, C)), requires_grad=True)
-        params = [p for name, p in block.named_parameters()
-                  if not name.endswith(".b")]
+        params = [p for name, p in self._named_parameters(block)
+                  if name != "b"]
+        assert len(params) == 18
         probe = Tensor(rng.standard_normal((2, K, C)))
         err = grad_check(lambda *_: mul(block(x, train=True), probe).sum(),
                          [x] + params)
@@ -382,3 +393,52 @@ def test_seed0_parameters_are_pinned(skel, variant):
     for _, p in net.named_parameters():
         digest.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
     assert (digest.hexdigest(), count_params(net)) == SEED0_PARAMS[variant]
+
+
+# sha256 of each variant's parameter names and buffer names at 4 channels
+# and 2 blocks, joined by newlines in ``named_parameters`` and
+# ``named_buffers`` order.  Checkpoint manifests are written in this order
+# and under these names, so a renamed or reordered tensor shows up here.
+NAME_DIGESTS = {
+    "semgcn": "e110f1f0efb9e46b460f7cbc1ead07900723aab6f3805814282d0b30f46c135c",
+    "semgcn-nonl-only":
+        "011ea96b6d2d8550a219e2a1f242964f9d29c722c4868f117aad0c072d4cedd4",
+    "semgcn-conv-only":
+        "046702f6572df9f4178da912b599c3011aaeb632546b4d8fecb3369010538f01",
+    "resgcn": "d356834900a427e305dda1b831895f5e621083bc03b38234ca8ede1ede95f22b",
+}
+BUFFER_NAME_DIGEST = \
+    "db3b1c90576d56bd31cf38ad1689c3e81c77c5d494548dd4e088d61f809eae53"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_parameter_and_buffer_names_are_pinned(skel, variant):
+    net = build_network(NetworkConfig(variant=variant, channels=4, blocks=2),
+                        skel)
+
+    def digest(named):
+        return hashlib.sha256("\n".join(n for n, _ in named).encode()).hexdigest()
+
+    assert digest(net.named_parameters()) == NAME_DIGESTS[variant]
+    assert digest(net.named_buffers()) == BUFFER_NAME_DIGEST
+
+
+@pytest.mark.parametrize("variant, names", [
+    ("semgcn", ["input.conv", "input.bn", "input.nonlocal",
+                "blocks.0.conv1", "blocks.0.bn1", "blocks.0.conv2",
+                "blocks.0.bn2", "blocks.0.nonlocal", "output.conv"]),
+    ("resgcn", ["input.conv", "input.bn", "blocks.0.conv1", "blocks.0.bn1",
+                "blocks.0.conv2", "blocks.0.bn2", "output.conv"]),
+])
+def test_named_layers_name_the_parameters(skel, variant, names):
+    net = build_network(NetworkConfig(variant=variant, channels=4, blocks=1),
+                        skel)
+    layers = list(net.named_layers())
+    assert [name for name, _ in layers] == names
+    # each layer's tensors sit together, in the layer's own order, under
+    # its prefix
+    expected = [(f"{prefix}.{name}", t) for prefix, layer in layers
+                for name, t in layer.named_parameters()]
+    got = list(net.named_parameters())
+    assert [n for n, _ in got] == [n for n, _ in expected]
+    assert all(a is b for (_, a), (_, b) in zip(got, expected))

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from semgcn.posedata import (
-    CameraConfig,
     DatasetError,
     PoseSample,
     centered_arrays,
@@ -19,7 +18,7 @@ from semgcn.posedata import (
     save_dataset,
     split_dataset,
 )
-from semgcn.skeleton import build_skeleton, skeleton_hash
+from semgcn.skeleton import build_skeleton
 
 
 @pytest.fixture(scope="module")
