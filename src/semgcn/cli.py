@@ -151,7 +151,8 @@ def cmd_train(args) -> int:
                                 sort_keys=True) + "\n")
 
     meta = {"seed": train_cfg.seed, "best_epoch": result.best_epoch,
-            "best_val_loss": result.best_val_loss,
+            "best_val_loss": (result.best_val_loss if result.best_epoch >= 0
+                              else None),
             "epochs_run": len(result.history), "aborted": result.aborted}
     save_checkpoint(out / "final.ckpt", net, {**meta, "which": "final"})
     restore_snapshot(net, result.best_params, result.best_buffers)

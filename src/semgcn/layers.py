@@ -194,11 +194,14 @@ class BatchNormNodes(Layer):
         return batch_norm(x, self.gamma, self.beta, self.state, training=train)
 
 
-class ResidualGConvBlock(Layer):
+class ResidualGConvBlock:
     """Two conv+BN+ReLU stages under a skip connection, then an optional
     non-local layer (which carries its own residual).  Each ReLU is
-    applied inside its batch norm's node.  The block owns no tensors of
-    its own: ``Network.named_layers`` walks its layers."""
+    applied inside its batch norm's node.
+
+    The block is not a ``Layer``: it owns no tensors, so it has no tensor
+    walk that could quietly yield nothing.  ``Network.named_layers`` walks
+    its layers, and ``Network.forward`` calls its ``forward``."""
 
     def __init__(self, conv1: Layer, bn1: BatchNormNodes, conv2: Layer,
                  bn2: BatchNormNodes, nonlocal_layer: NonLocalBlock | None):

@@ -86,11 +86,14 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkConfig":
-        """Build and validate; unknown keys are dropped, so checkpoint
-        headers that still carry removed settings keep loading."""
+        """Build and validate; a key that names no field, such as a
+        removed setting, is a ConfigError."""
         if not isinstance(d, dict):
             raise ConfigError(f"network config must be a JSON object, got {d!r}")
-        cfg = cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown network config keys: {sorted(unknown)}")
+        cfg = cls(**d)
         cfg.validate()
         return cfg
 
@@ -167,15 +170,12 @@ class Network:
             if skip_nonlocal and block.nonlocal_layer is not None:
                 saved, block.nonlocal_layer = block.nonlocal_layer, None
                 try:
-                    h = block(h, train)
+                    h = block.forward(h, train)
                 finally:
                     block.nonlocal_layer = saved
             else:
-                h = block(h, train)
+                h = block.forward(h, train)
         return self.output_conv(h, train)
-
-    def __call__(self, p2d, train: bool = False) -> Tensor:
-        return self.forward(p2d, train)
 
 
 def build_network(config: NetworkConfig, skeleton: SkeletonGraph,

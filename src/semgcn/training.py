@@ -8,6 +8,7 @@ halved when validation loss plateaus.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, asdict
 
@@ -42,8 +43,8 @@ class TrainConfig:
 
     def validate(self) -> None:
         check_field_types(self)
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError("lr must be finite and >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.max_epochs < 0:

@@ -1,5 +1,5 @@
 """Command-line runs at toy size: exit codes, the eval report, and configs
-that name settings the network no longer has."""
+and checkpoints that name settings or tensors the network no longer has."""
 
 import json
 
@@ -71,7 +71,8 @@ def test_unknown_variant_is_usage_error(data_dir, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--lr", "-1"], ["--batch-size", "0"]])
+@pytest.mark.parametrize("flags", [["--lr", "-1"], ["--batch-size", "0"],
+                                   ["--lr", "nan"], ["--lr", "inf"]])
 def test_invalid_training_setting_is_usage_error(data_dir, tmp_path, flags):
     out = tmp_path / "run"
     assert main(["train", "--data", str(data_dir), "--out", str(out),
@@ -166,6 +167,10 @@ def test_train_on_dataset_with_non_string_header_field_is_data_error(
     assert not out.exists()
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_diverging_run_ends_its_log_with_an_abort_record(data_dir, tmp_path):
     out = tmp_path / "run"
     assert main(["train", "--data", str(data_dir), "--out", str(out),
@@ -175,6 +180,11 @@ def test_diverging_run_ends_its_log_with_an_abort_record(data_dir, tmp_path):
     assert set(last) == {"event", "reason", "epochs_run", "best_epoch"}
     assert "non-finite" in last["reason"]
     assert (last["epochs_run"], last["best_epoch"]) == (0, -1)
+    # no epoch finished, so there is no best loss: null, not Infinity
+    for name in ("final.ckpt", "best.ckpt"):
+        header = (out / name).read_bytes().partition(b"\n")[0]
+        training = json.loads(header, parse_constant=reject_constant)["training"]
+        assert training["best_val_loss"] is None
 
 
 def test_eval_reports_mpjpe_of_predictions(run_dir, data_dir, capsys):
@@ -207,8 +217,20 @@ def test_eval_of_dataset_with_wrong_shape_is_data_error(run_dir, data_dir,
                  str(broken)]) == EXIT_DATA
 
 
-def test_eval_of_header_with_removed_settings_is_unchanged(run_dir, data_dir,
-                                                          tmp_path, capsys):
+def assert_one_line_data_error(argv, caplog, capsys, *words):
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert "Traceback" not in capsys.readouterr().err
+    [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+    message = record.getMessage()
+    assert "\n" not in message
+    for word in words:
+        assert word in message
+
+
+def test_eval_of_header_with_removed_settings_is_data_error(run_dir, data_dir,
+                                                           tmp_path, caplog,
+                                                           capsys):
     # the config block as checkpoints carried it before input_dim,
     # output_dim, mask_init and nonlocal_embed became constants and
     # per-channel masks were removed
@@ -219,10 +241,9 @@ def test_eval_of_header_with_removed_settings_is_unchanged(run_dir, data_dir,
     legacy = tmp_path / "legacy.ckpt"
     legacy.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8")
                        + b"\n" + blob)
-    before = eval_report(capsys, run_dir / "best.ckpt", data_dir)
-    after = eval_report(capsys, legacy, data_dir)
-    assert {k: v for k, v in after.items() if k != "checkpoint"} == \
-        {k: v for k, v in before.items() if k != "checkpoint"}
+    assert_one_line_data_error(
+        ["eval", "--checkpoint", str(legacy), "--data", str(data_dir)],
+        caplog, capsys, "unknown network config keys", "'input_dim'")
 
 
 @pytest.mark.parametrize("flags", [[], ["--include-self"]])
@@ -262,9 +283,10 @@ def test_grad_check_without_seeds_is_usage_error(capsys, seeds):
 
 
 def test_eval_of_header_with_half_a_weight_pair_is_data_error(run_dir, data_dir,
-                                                             tmp_path, caplog):
+                                                             tmp_path, caplog,
+                                                             capsys):
     # checkpoints once stored each SemGConv's w as w0 and w1; one alone is
-    # no weight
+    # no weight, and the pair is no longer read either
     header, _, blob = (run_dir / "best.ckpt").read_bytes().partition(b"\n")
     header = json.loads(header)
     entry = header["tensors"][0]
@@ -274,9 +296,9 @@ def test_eval_of_header_with_half_a_weight_pair_is_data_error(run_dir, data_dir,
     broken = tmp_path / "broken.ckpt"
     broken.write_bytes(json.dumps(header).encode("utf-8") + b"\n"
                        + blob[:half] + blob[2 * half:])
-    assert main(["eval", "--checkpoint", str(broken), "--data",
-                 str(data_dir)]) == EXIT_DATA
-    assert "without the other" in caplog.text
+    assert_one_line_data_error(
+        ["eval", "--checkpoint", str(broken), "--data", str(data_dir)],
+        caplog, capsys, "missing tensors", "'input.conv.w'")
 
 
 def test_eval_of_header_with_channelwise_masks_is_data_error(run_dir, data_dir,

@@ -242,6 +242,15 @@ class TestResidualBlock:
                       block.nonlocal_layer):
             yield from layer.named_parameters()
 
+    def test_has_no_tensor_walk(self, adj):
+        # a walk of the block itself would find nothing; only
+        # Network.named_layers walks its layers
+        block = self._block(adj, rng_for(19))
+        with pytest.raises(AttributeError):
+            block.named_parameters
+        with pytest.raises(AttributeError):
+            block.named_buffers
+
     def test_dead_branch_is_identity(self, adj):
         rng = rng_for(20)
         block = self._block(adj, rng)
@@ -249,14 +258,14 @@ class TestResidualBlock:
             conv.w.data[0] = 0.0
             conv.w.data[1] = 0.0
         x = rng.standard_normal((2, K, C))
-        out = block(Tensor(x), train=False).data
+        out = block.forward(Tensor(x), train=False).data
         np.testing.assert_array_equal(out, x)
 
     def test_output_shape_matches_input(self, adj):
         rng = rng_for(21)
         block = self._block(adj, rng)
         x = rng.standard_normal((3, K, C))
-        assert block(Tensor(x), train=True).shape == x.shape
+        assert block.forward(Tensor(x), train=True).shape == x.shape
 
     def test_skip_path_carries_gradient(self, adj):
         rng = rng_for(22)
@@ -267,7 +276,7 @@ class TestResidualBlock:
         from semgcn.autodiff import Tape
         x = Tensor(rng.standard_normal((2, K, C)), requires_grad=True)
         with Tape() as tape:
-            out = block(x, train=False)
+            out = block.forward(x, train=False)
             tape.backward(out.sum())
         # dead residual branch: input gradient equals the output seed
         np.testing.assert_allclose(x.grad, np.ones_like(x.data), atol=1e-12)
@@ -280,8 +289,9 @@ class TestResidualBlock:
         params = [p for _, p in self._named_parameters(block)]
         assert len(params) == 20
         probe = Tensor(rng.standard_normal((2, K, C)))
-        err = grad_check(lambda *_: mul(block(x, train=False), probe).sum(),
-                         [x] + params)
+        err = grad_check(
+            lambda *_: mul(block.forward(x, train=False), probe).sum(),
+            [x] + params)
         assert err < 1e-4
 
     def test_gradient_train_mode(self, adj):
@@ -296,8 +306,9 @@ class TestResidualBlock:
                   if name != "b"]
         assert len(params) == 18
         probe = Tensor(rng.standard_normal((2, K, C)))
-        err = grad_check(lambda *_: mul(block(x, train=True), probe).sum(),
-                         [x] + params)
+        err = grad_check(
+            lambda *_: mul(block.forward(x, train=True), probe).sum(),
+            [x] + params)
         assert err < 1e-4
 
 
