@@ -31,7 +31,6 @@ from .layers import (
 )
 from .network import Network, NetworkConfig, build_network, count_params
 from .posedata import (
-    CameraConfig,
     DatasetError,
     PoseDataset,
     PoseSample,

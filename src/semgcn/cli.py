@@ -21,6 +21,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .network import VARIANTS, ConfigError, NetworkConfig, build_network, count_params
 from .posedata import (
     DatasetError,
+    PoseDataset,
     centered_arrays,
     generate_synthetic,
     load_dataset,
@@ -96,6 +97,15 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _load_split(path: Path, skeleton) -> PoseDataset:
+    """The dataset at ``path``, which must be posed on ``skeleton``."""
+    ds = load_dataset(path)
+    if ds.skeleton_hash != skeleton_hash(skeleton):
+        raise DatasetError(f"skeleton hash {ds.skeleton_hash[:12]} of {path} "
+                           f"does not match the network's")
+    return ds
+
+
 def _resolve_run_config(args) -> dict:
     merged = _load_config_file(args.config)
     overrides = {
@@ -116,11 +126,10 @@ def cmd_train(args) -> int:
                                if k in _TRAIN_KEYS})
     train_cfg.validate()
 
-    data_dir = Path(args.data)
-    train_ds = load_dataset(data_dir / "train.poses")
-    val_ds = load_dataset(data_dir / "val.poses")
-
     skeleton = build_skeleton()
+    data_dir = Path(args.data)
+    train_ds = _load_split(data_dir / "train.poses", skeleton)
+    val_ds = _load_split(data_dir / "val.poses", skeleton)
     net = build_network(net_cfg, skeleton, seed=train_cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -171,9 +180,7 @@ def cmd_eval(args) -> int:
     data_path = Path(args.data)
     if data_path.is_dir():
         data_path = data_path / "test.poses"
-    ds = load_dataset(data_path)
-    if ds.skeleton_hash != skeleton_hash(net.skeleton):
-        raise DatasetError("dataset skeleton does not match the checkpoint")
+    ds = _load_split(data_path, net.skeleton)
 
     x, y = centered_arrays(ds, root=net.skeleton.root)
     pred = predict(net, x)

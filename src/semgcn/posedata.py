@@ -2,20 +2,23 @@
 
 The generator poses the canonical skeleton by forward kinematics with
 per-joint rotations drawn inside anatomically bounded ranges, places the
-subject in front of a pinhole camera, and projects.  2D inputs are exact
-projections of the 3D targets (plus optional Gaussian detector noise),
-so the lifting problem is well posed by construction.
+subject in front of one fixed pinhole camera, and projects.  2D inputs
+are exact projections of the 3D targets (plus optional Gaussian detector
+noise), so the lifting problem is well posed by construction.
 
 Each sample has its own random stream, ``default_rng([seed, i])``, read
 in a fixed order: the joint angles in ``_ANGLE_RANGES`` order, the x, y
 and depth placement, then the 2D noise if any.  A sample is therefore the
 same whatever the number of samples drawn with it.
+
+A ``.poses`` header holds exactly ``version``, ``count``, ``joints``,
+``split`` and ``skeleton_hash``; a file with any other key fails to load.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,20 +26,17 @@ from .skeleton import JOINT_NAMES, SkeletonGraph, skeleton_hash
 
 FORMAT_VERSION = 1
 _VALUES_PER_JOINT = 5  # x,y,z millimeters then u,v projected
-_HEADER_KEYS = ("count", "joints", "split", "skeleton_hash", "camera", "seed",
-                "noise_sigma")
+_HEADER_KEYS = ("version", "count", "joints", "split", "skeleton_hash")
+
+# The one pinhole camera: focal length in projected units, and the uniform
+# placement of the subject's root, in mm, along and across the optical axis.
+FOCAL = 1000.0
+DEPTH_RANGE = (4000.0, 6000.0)
+LATERAL_RANGE = 300.0
 
 
 class DatasetError(ValueError):
     """Malformed dataset file or violated dataset invariant."""
-
-
-@dataclass(frozen=True)
-class CameraConfig:
-    focal: float = 1000.0
-    depth_min: float = 4000.0
-    depth_max: float = 6000.0
-    lateral_range: float = 300.0  # uniform x/y offset of the subject, mm
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,6 @@ class PoseDataset:
     samples: list[PoseSample]
     split: str
     skeleton_hash: str
-    camera: CameraConfig
-    seed: int
-    noise_sigma: float
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -109,12 +106,12 @@ def _axis_rotations(axis: str, degrees: np.ndarray) -> np.ndarray:
     return rot
 
 
-def project(joints3d: np.ndarray, focal: float) -> np.ndarray:
-    """Pinhole projection (x * f / z, y * f / z)."""
+def project(joints3d: np.ndarray) -> np.ndarray:
+    """Pinhole projection (x * f / z, y * f / z) with f = ``FOCAL``."""
     z = joints3d[..., 2:3]
     if (z <= 0).any():
         raise DatasetError("cannot project joints at or behind the camera")
-    return joints3d[..., :2] * (focal / z)
+    return joints3d[..., :2] * (FOCAL / z)
 
 
 def generate_synthetic(n: int, seed: int, noise_sigma: float = 0.0, *,
@@ -133,16 +130,14 @@ def generate_synthetic(n: int, seed: int, noise_sigma: float = 0.0, *,
     if skeleton is None:
         from .skeleton import build_skeleton
         skeleton = build_skeleton()
-    camera = CameraConfig()
     k = skeleton.num_joints
 
     axes = [(JOINT_NAMES.index(name), axis)
             for name, ranges in _ANGLE_RANGES.items() for axis, _, _ in ranges]
     lows, highs = np.array([(low, high) for ranges in _ANGLE_RANGES.values()
                             for _, low, high in ranges]).T
-    reach = camera.lateral_range
-    place_lows = (-reach, -reach, camera.depth_min)
-    place_highs = (reach, reach, camera.depth_max)
+    place_lows = (-LATERAL_RANGE, -LATERAL_RANGE, DEPTH_RANGE[0])
+    place_highs = (LATERAL_RANGE, LATERAL_RANGE, DEPTH_RANGE[1])
     angles = np.empty((n, len(axes)))
     placement = np.empty((n, 3))
     noise = np.empty((n, k, 2))
@@ -168,7 +163,7 @@ def generate_synthetic(n: int, seed: int, noise_sigma: float = 0.0, *,
         rot[c] = rot[p] @ local[c]
 
     joints3d = pos.transpose(1, 0, 2) + placement[:, None, :]
-    joints2d = project(joints3d, camera.focal)
+    joints2d = project(joints3d)
     if noise_sigma > 0:
         joints2d = joints2d + noise
     joints3d.setflags(write=False)
@@ -176,8 +171,7 @@ def generate_synthetic(n: int, seed: int, noise_sigma: float = 0.0, *,
     samples = [PoseSample(joints3d=a, joints2d=b)
                for a, b in zip(joints3d, joints2d)]
     return PoseDataset(samples=samples, split="all",
-                       skeleton_hash=skeleton_hash(skeleton), camera=camera,
-                       seed=seed, noise_sigma=noise_sigma)
+                       skeleton_hash=skeleton_hash(skeleton))
 
 
 def split_dataset(ds: PoseDataset) -> tuple[PoseDataset, PoseDataset, PoseDataset]:
@@ -189,12 +183,8 @@ def split_dataset(ds: PoseDataset) -> tuple[PoseDataset, PoseDataset, PoseDatase
     n_val = int(n * 0.1)
     cuts = [(0, n_train, "train"), (n_train, n_train + n_val, "val"),
             (n_train + n_val, n, "test")]
-    out = []
-    for lo, hi, tag in cuts:
-        out.append(PoseDataset(samples=ds.samples[lo:hi], split=tag,
-                               skeleton_hash=ds.skeleton_hash, camera=ds.camera,
-                               seed=ds.seed, noise_sigma=ds.noise_sigma))
-    return tuple(out)
+    return tuple(replace(ds, samples=ds.samples[lo:hi], split=tag)
+                 for lo, hi, tag in cuts)
 
 
 def centered_arrays(ds: PoseDataset, root: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -209,16 +199,17 @@ def mpjpe(pred: np.ndarray, gt: np.ndarray, root: int = 0) -> float:
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise DatasetError(f"shape mismatch: {pred.shape} vs {gt.shape}")
-    if pred.ndim == 2:
-        pred, gt = pred[None], gt[None]
     pred = pred - pred[:, root:root + 1, :]
     gt = gt - gt[:, root:root + 1, :]
     return float(np.linalg.norm(pred - gt, axis=-1).mean())
 
 
 # ---------------------------------------------------------------------------
-# file format: one JSON header line, then a contiguous little-endian
-# float64 block of shape (N, K, 5) holding x,y,z,u,v per joint.
+# file format: one JSON header line holding exactly the keys version,
+# count, joints, split and skeleton_hash, then a contiguous little-endian
+# float64 block of shape (N, K, 5) holding x,y,z,u,v per joint.  The loader
+# reads only the layout the writer writes: a missing or unknown key is an
+# error that names it, and no older layout is converted.
 
 
 def save_dataset(ds: PoseDataset, path) -> None:
@@ -230,9 +221,6 @@ def save_dataset(ds: PoseDataset, path) -> None:
         "joints": len(JOINT_NAMES),
         "split": ds.split,
         "skeleton_hash": ds.skeleton_hash,
-        "camera": asdict(ds.camera),
-        "seed": ds.seed,
-        "noise_sigma": ds.noise_sigma,
     }
     block = np.concatenate(ds.arrays(), axis=-1)
     with open(path, "wb") as fh:
@@ -241,29 +229,12 @@ def save_dataset(ds: PoseDataset, path) -> None:
         fh.write(block.astype("<f8").tobytes())
 
 
-def _camera_from_header(camera, path) -> CameraConfig:
-    """Every CameraConfig field and no other: a default would stand in for
-    the camera the poses were projected with."""
-    if not isinstance(camera, dict):
-        raise DatasetError(f"camera in the dataset header of {path} is not "
-                           f"a JSON object")
-    names = [f.name for f in fields(CameraConfig)]
-    missing = [name for name in names if name not in camera]
-    unknown = sorted(key for key in camera if key not in names)
-    if missing or unknown:
-        raise DatasetError(f"camera in the dataset header of {path}: "
-                           f"missing {missing}, unknown {unknown}")
-    return CameraConfig(**camera)
-
-
-def _header_number(header: dict, key: str, path, integer: bool = True):
-    """A header field that must be a JSON integer, or with ``integer=False``
-    any JSON number; ``true`` and ``false`` are neither."""
+def _header_integer(header: dict, key: str, path) -> int:
+    """A header field that must be a JSON integer (``true`` is not one)."""
     value = header[key]
-    kinds, what = (int, "an integer") if integer else ((int, float), "a number")
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise DatasetError(f"dataset header field {key!r} in {path} is "
-                           f"{value!r}, not {what}")
+                           f"{value!r}, not an integer")
     return value
 
 
@@ -276,7 +247,7 @@ def load_dataset(path) -> PoseDataset:
             raise DatasetError(f"unreadable dataset header in {path}") from exc
         if not isinstance(header, dict):
             raise DatasetError(f"dataset header in {path} is not a JSON object")
-        version = header.get("version")
+        version = header.get("version", FORMAT_VERSION)
         if version != FORMAT_VERSION:
             raise DatasetError(
                 f"dataset format version {version!r} unsupported "
@@ -284,11 +255,12 @@ def load_dataset(path) -> PoseDataset:
         missing = [key for key in _HEADER_KEYS if key not in header]
         if missing:
             raise DatasetError(f"dataset header in {path} lacks {missing}")
-        n = _header_number(header, "count", path)
-        k = _header_number(header, "joints", path)
-        seed = _header_number(header, "seed", path)
-        noise_sigma = float(_header_number(header, "noise_sigma", path,
-                                           integer=False))
+        unknown = sorted(set(header).difference(_HEADER_KEYS))
+        if unknown:
+            raise DatasetError(f"dataset header in {path} has unknown keys "
+                               f"{unknown}")
+        n = _header_integer(header, "count", path)
+        k = _header_integer(header, "joints", path)
         for key in ("split", "skeleton_hash"):
             if not isinstance(header[key], str):
                 raise DatasetError(f"dataset header field {key!r} in {path} "
@@ -306,9 +278,7 @@ def load_dataset(path) -> PoseDataset:
             f"got {len(blob)}")
     # read-only, since it views the bytes; so do the rows handed out below
     block = np.frombuffer(blob, dtype="<f8").reshape(n, k, _VALUES_PER_JOINT)
-    camera = _camera_from_header(header["camera"], path)
     samples = [PoseSample(joints3d=row[:, :3], joints2d=row[:, 3:])
                for row in block]
     return PoseDataset(samples=samples, split=header["split"],
-                       skeleton_hash=header["skeleton_hash"], camera=camera,
-                       seed=seed, noise_sigma=noise_sigma)
+                       skeleton_hash=header["skeleton_hash"])

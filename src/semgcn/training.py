@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import NonFiniteError, ShapeError, Tape, Tensor, add, matmul, mul
 from .network import ConfigError, Network, check_field_types
 from .posedata import PoseDataset, centered_arrays, mpjpe
-from .skeleton import SkeletonGraph, skeleton_hash
+from .skeleton import SkeletonGraph
 
 
 class TrainingError(RuntimeError):
@@ -47,8 +47,8 @@ class TrainConfig:
             raise ConfigError("lr must be finite and >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.max_epochs < 0:
-            raise ConfigError("max_epochs must be >= 0")
+        if self.max_epochs < 1:
+            raise ConfigError("max_epochs must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -223,18 +223,12 @@ def train(net: Network, train_ds: PoseDataset, val_ds: PoseDataset,
     ``on_epoch``, when given, receives each epoch's log record as soon as
     it exists.  A record's ``wall_s`` spans the whole epoch, validation
     included; ``train_samples_per_s`` counts the training passes alone.
-    A non-finite loss or gradient aborts the run and returns the last good
-    snapshot with ``aborted`` set.
+    A non-finite loss, gradient or validation output aborts the run and
+    returns the last good snapshot with ``aborted`` set.  The datasets'
+    skeleton is the caller's to check.
     """
     cfg.validate()
     g = net.skeleton
-    net_hash = skeleton_hash(g)
-    for ds, tag in ((train_ds, "train"), (val_ds, "val")):
-        if ds.skeleton_hash != net_hash:
-            raise TrainingError(
-                f"{tag} dataset skeleton hash {ds.skeleton_hash[:12]} does not "
-                f"match the network's {net_hash[:12]}")
-
     x_train, y_train = centered_arrays(train_ds, root=g.root)
     x_val, y_val = centered_arrays(val_ds, root=g.root)
     opt = Adam(net.named_parameters(), lr=cfg.lr, beta1=cfg.adam_beta1,
@@ -264,15 +258,15 @@ def train(net: Network, train_ds: PoseDataset, val_ds: PoseDataset,
                 batch_losses.append(loss.item())
                 opt.step()
                 net.zero_grad()
+            t_trained = time.perf_counter()
+            val_loss, val_mpjpe = evaluate(net, x_val, y_val, g,
+                                           cfg.use_bone_loss)
         except (NonFiniteError, NonFiniteGradientError) as exc:
             aborted = True
             abort_reason = str(exc)
             net.zero_grad()
             restore_snapshot(net, best_params, best_buffers)
             break
-        t_trained = time.perf_counter()
-
-        val_loss, val_mpjpe = evaluate(net, x_val, y_val, g, cfg.use_bone_loss)
         lr = sched.step(val_loss)
         opt.lr = lr
         record = {

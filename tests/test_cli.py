@@ -72,7 +72,8 @@ def test_unknown_variant_is_usage_error(data_dir, tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--lr", "-1"], ["--batch-size", "0"],
-                                   ["--lr", "nan"], ["--lr", "inf"]])
+                                   ["--lr", "nan"], ["--lr", "inf"],
+                                   ["--epochs", "0"]])
 def test_invalid_training_setting_is_usage_error(data_dir, tmp_path, flags):
     out = tmp_path / "run"
     assert main(["train", "--data", str(data_dir), "--out", str(out),
@@ -120,50 +121,69 @@ def test_eval_of_tensor_entry_of_wrong_type_is_data_error(run_dir, data_dir,
                  str(data_dir)]) == EXIT_DATA
 
 
-def test_eval_of_dataset_with_incomplete_camera_is_data_error(run_dir, data_dir,
-                                                             tmp_path):
-    broken = tmp_path / "data"
+def data_with_header(data_dir, broken, **changes):
+    """A copy of ``data_dir`` in ``broken`` with ``changes`` set in the
+    header of every split."""
     broken.mkdir()
-    header, _, blob = (data_dir / "test.poses").read_bytes().partition(b"\n")
-    header = json.loads(header)
-    del header["camera"]["depth_max"]
-    (broken / "test.poses").write_bytes(json.dumps(header).encode("utf-8")
-                                        + b"\n" + blob)
-    assert main(["eval", "--checkpoint", str(run_dir / "best.ckpt"), "--data",
-                 str(broken)]) == EXIT_DATA
+    for split in ("train", "val", "test"):
+        header, _, blob = (data_dir / f"{split}.poses").read_bytes() \
+            .partition(b"\n")
+        header = {**json.loads(header), **changes}
+        (broken / f"{split}.poses").write_bytes(
+            json.dumps(header).encode("utf-8") + b"\n" + blob)
+    return broken
 
 
-@pytest.mark.parametrize("key, value", [("seed", "zero"), ("seed", None),
-                                        ("count", "20"), ("noise_sigma", None)])
+def command_on(command, data, run_dir, out):
+    """``train`` into ``out``, or ``eval`` of the run's best checkpoint, on
+    the dataset directory ``data``."""
+    if command == "train":
+        return ["train", "--data", str(data), "--out", str(out), *TOY]
+    return ["eval", "--checkpoint", str(run_dir / "best.ckpt"), "--data",
+            str(data)]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_dataset_with_old_header_keys_is_data_error(run_dir, data_dir,
+                                                    tmp_path, caplog, capsys,
+                                                    command):
+    # the header as files carried it while the camera was a setting
+    broken = data_with_header(data_dir, tmp_path / "data", seed=0,
+                              noise_sigma=0.0, camera={
+                                  "focal": 1000.0, "depth_min": 4000.0,
+                                  "depth_max": 6000.0, "lateral_range": 300.0})
+    out = tmp_path / "run"
+    assert_one_line_data_error(command_on(command, broken, run_dir, out),
+                               caplog, capsys, "unknown keys",
+                               "['camera', 'noise_sigma', 'seed']")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_skeleton_hash_mismatch_is_data_error(run_dir, data_dir, tmp_path,
+                                              command):
+    broken = data_with_header(data_dir, tmp_path / "data",
+                              skeleton_hash="deadbeef")
+    out = tmp_path / "run"
+    assert main(command_on(command, broken, run_dir, out)) == EXIT_DATA
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("joints", "16"), ("joints", None),
+                                        ("count", "20"), ("count", None)])
 def test_eval_of_dataset_with_non_numeric_header_field_is_data_error(
         run_dir, data_dir, tmp_path, key, value):
-    broken = tmp_path / "data"
-    broken.mkdir()
-    header, _, blob = (data_dir / "test.poses").read_bytes().partition(b"\n")
-    header = json.loads(header)
-    header[key] = value
-    (broken / "test.poses").write_bytes(json.dumps(header).encode("utf-8")
-                                        + b"\n" + blob)
-    assert main(["eval", "--checkpoint", str(run_dir / "best.ckpt"), "--data",
-                 str(broken)]) == EXIT_DATA
+    broken = data_with_header(data_dir, tmp_path / "data", **{key: value})
+    assert main(command_on("eval", broken, run_dir, None)) == EXIT_DATA
 
 
 @pytest.mark.parametrize("key, value", [("skeleton_hash", 5),
                                         ("split", None)])
 def test_train_on_dataset_with_non_string_header_field_is_data_error(
         data_dir, tmp_path, key, value):
-    broken = tmp_path / "data"
-    broken.mkdir()
-    for split in ("train", "val"):
-        header, _, blob = (data_dir / f"{split}.poses").read_bytes() \
-            .partition(b"\n")
-        header = json.loads(header)
-        header[key] = value
-        (broken / f"{split}.poses").write_bytes(
-            json.dumps(header).encode("utf-8") + b"\n" + blob)
+    broken = data_with_header(data_dir, tmp_path / "data", **{key: value})
     out = tmp_path / "run"
-    assert main(["train", "--data", str(broken), "--out", str(out),
-                 *TOY]) == EXIT_DATA
+    assert main(command_on("train", broken, None, out)) == EXIT_DATA
     assert not out.exists()
 
 
@@ -171,10 +191,15 @@ def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def test_diverging_run_ends_its_log_with_an_abort_record(data_dir, tmp_path):
+# at batch 16 the 16-row train split is one step, so the first non-finite
+# value shows in the validation pass
+@pytest.mark.parametrize("batch_size", ["8", "16"])
+def test_diverging_run_ends_its_log_with_an_abort_record(data_dir, tmp_path,
+                                                         batch_size):
     out = tmp_path / "run"
     assert main(["train", "--data", str(data_dir), "--out", str(out),
-                 *TOY, "--lr", "1e200"]) == EXIT_NUMERIC
+                 *TOY, "--lr", "1e200", "--batch-size",
+                 batch_size]) == EXIT_NUMERIC
     last = json.loads((out / "log.jsonl").read_text().splitlines()[-1])
     assert last["event"] == "aborted"
     assert set(last) == {"event", "reason", "epochs_run", "best_epoch"}

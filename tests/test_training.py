@@ -16,7 +16,6 @@ from semgcn.training import (
     PlateauScheduler,
     TrainConfig,
     EVAL_CHUNK,
-    TrainingError,
     bone_vectors,
     evaluate,
     pose_loss,
@@ -339,13 +338,6 @@ class TestTrainLoop:
             net.zero_grad()
             loss1 = pose_loss(net.forward(x, train=True), y, skel)
             assert loss1.item() < loss0.item(), f"seed {seed}"
-
-    def test_skeleton_hash_mismatch_rejected(self, skel, small_data):
-        import dataclasses
-        train_ds, val_ds, _ = small_data
-        bad = dataclasses.replace(train_ds, skeleton_hash="deadbeef")
-        with pytest.raises(TrainingError, match="skeleton"):
-            train(small_net(skel), bad, val_ds, small_config())
 
     def test_divergence_aborts_with_last_good_snapshot(self, skel, small_data):
         train_ds, val_ds, _ = small_data
