@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -49,15 +48,6 @@ log = logging.getLogger("semgcn")
 
 _NETWORK_KEYS = set(NetworkConfig.__dataclass_fields__)
 _TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("SEMGCN_LOG", "info").lower()
-    levels = {"quiet": logging.WARNING, "info": logging.INFO,
-              "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level, logging.INFO),
-                        format="%(levelname)s %(name)s: %(message)s",
-                        stream=sys.stderr)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -146,9 +136,6 @@ def cmd_train(args) -> int:
         def stream_record(record):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
             fh.flush()
-            log.debug("epoch %d: train %.1f val %.1f mpjpe %.2f",
-                      record["epoch"], record["train_loss"],
-                      record["val_loss"], record["val_mpjpe"])
 
         result = train(net, train_ds, val_ds, train_cfg,
                        on_epoch=stream_record)
@@ -273,13 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
+    logging.basicConfig(level=logging.INFO, stream=sys.stderr,
+                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "gen-data" and args.n < 10:
         parser.error("--n must be at least 10 (splits need one sample each)")
     if args.command == "gen-data" and not 0.0 <= args.noise_sigma < math.inf:
         parser.error("--noise-sigma must be finite and >= 0")
+    if args.command == "gen-data" and args.seed < 0:
+        parser.error("--seed must be >= 0")
     if args.command == "grad-check" and args.seeds < 1:
         parser.error("--seeds must be at least 1")
     try:

@@ -11,22 +11,24 @@ in a fixed order: the joint angles in ``_ANGLE_RANGES`` order, the x, y
 and depth placement, then the 2D noise if any.  A sample is therefore the
 same whatever the number of samples drawn with it.
 
-A ``.poses`` header holds exactly ``version``, ``count``, ``joints``,
-``split`` and ``skeleton_hash``; a file with any other key fails to load.
+A ``.poses`` file is a ``container`` whose header holds exactly
+``version``, ``count``, ``joints``, ``split`` and ``skeleton_hash``, and
+whose payload is the (N, K, 5) block of x,y,z,u,v per joint.  A loader
+accepts only what its writer writes, so no older layout is converted.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import container
 from .skeleton import JOINT_NAMES, SkeletonGraph, skeleton_hash
 
 FORMAT_VERSION = 1
 _VALUES_PER_JOINT = 5  # x,y,z millimeters then u,v projected
-_HEADER_KEYS = ("version", "count", "joints", "split", "skeleton_hash")
+_HEADER = {"count": int, "joints": int, "split": str, "skeleton_hash": str}
 
 # The one pinhole camera: focal length in projected units, and the uniform
 # placement of the subject's root, in mm, along and across the optical axis.
@@ -205,11 +207,7 @@ def mpjpe(pred: np.ndarray, gt: np.ndarray, root: int = 0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# file format: one JSON header line holding exactly the keys version,
-# count, joints, split and skeleton_hash, then a contiguous little-endian
-# float64 block of shape (N, K, 5) holding x,y,z,u,v per joint.  The loader
-# reads only the layout the writer writes: a missing or unknown key is an
-# error that names it, and no older layout is converted.
+# file format (see the module docstring)
 
 
 def save_dataset(ds: PoseDataset, path) -> None:
@@ -222,62 +220,20 @@ def save_dataset(ds: PoseDataset, path) -> None:
         "split": ds.split,
         "skeleton_hash": ds.skeleton_hash,
     }
-    block = np.concatenate(ds.arrays(), axis=-1)
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(block.astype("<f8").tobytes())
-
-
-def _header_integer(header: dict, key: str, path) -> int:
-    """A header field that must be a JSON integer (``true`` is not one)."""
-    value = header[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DatasetError(f"dataset header field {key!r} in {path} is "
-                           f"{value!r}, not an integer")
-    return value
+    container.write(path, header, [np.concatenate(ds.arrays(), axis=-1)])
 
 
 def load_dataset(path) -> PoseDataset:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DatasetError(f"unreadable dataset header in {path}") from exc
-        if not isinstance(header, dict):
-            raise DatasetError(f"dataset header in {path} is not a JSON object")
-        version = header.get("version", FORMAT_VERSION)
-        if version != FORMAT_VERSION:
-            raise DatasetError(
-                f"dataset format version {version!r} unsupported "
-                f"(expected {FORMAT_VERSION})")
-        missing = [key for key in _HEADER_KEYS if key not in header]
-        if missing:
-            raise DatasetError(f"dataset header in {path} lacks {missing}")
-        unknown = sorted(set(header).difference(_HEADER_KEYS))
-        if unknown:
-            raise DatasetError(f"dataset header in {path} has unknown keys "
-                               f"{unknown}")
-        n = _header_integer(header, "count", path)
-        k = _header_integer(header, "joints", path)
-        for key in ("split", "skeleton_hash"):
-            if not isinstance(header[key], str):
-                raise DatasetError(f"dataset header field {key!r} in {path} "
-                                   f"is {header[key]!r}, not a string")
-        if k != len(JOINT_NAMES):
-            raise DatasetError(f"dataset in {path} has {k} joints per sample, "
-                               f"expected {len(JOINT_NAMES)}")
-        if n < 1:
-            raise DatasetError(f"dataset in {path} holds {n} samples")
-        blob = fh.read()
-    expected = n * k * _VALUES_PER_JOINT * 8
-    if len(blob) != expected:
-        raise DatasetError(
-            f"truncated dataset: expected {expected} payload bytes, "
-            f"got {len(blob)}")
+    header, payload = container.read(path, ("version", FORMAT_VERSION),
+                                     _HEADER, DatasetError)
+    n, k = header["count"], header["joints"]
+    if k != len(JOINT_NAMES):
+        raise DatasetError(f"dataset in {path} has {k} joints per sample, "
+                           f"expected {len(JOINT_NAMES)}")
+    if n < 1:
+        raise DatasetError(f"dataset in {path} holds {n} samples")
     # read-only, since it views the bytes; so do the rows handed out below
-    block = np.frombuffer(blob, dtype="<f8").reshape(n, k, _VALUES_PER_JOINT)
+    block = payload(n * k * _VALUES_PER_JOINT).reshape(n, k, _VALUES_PER_JOINT)
     samples = [PoseSample(joints3d=row[:, :3], joints2d=row[:, 3:])
                for row in block]
     return PoseDataset(samples=samples, split=header["split"],

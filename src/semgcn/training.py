@@ -49,6 +49,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -216,6 +218,17 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray, g: SkeletonGraph,
     return total / x.shape[0], mpjpe(pred, y)
 
 
+def train_step(net: Network, opt: Adam, x: np.ndarray, y: np.ndarray,
+               g: SkeletonGraph, use_bone: bool) -> float:
+    """One optimization step on the batch ``x``, ``y``; returns its loss."""
+    with Tape() as tape:
+        loss = pose_loss(net.forward(x, train=True), y, g, use_bone)
+        tape.backward(loss)
+    opt.step()
+    net.zero_grad()
+    return loss.item()
+
+
 def train(net: Network, train_ds: PoseDataset, val_ds: PoseDataset,
           cfg: TrainConfig, on_epoch=None) -> TrainResult:
     """Run the full recipe and keep the best-validation parameter snapshot.
@@ -251,13 +264,9 @@ def train(net: Network, train_ds: PoseDataset, val_ds: PoseDataset,
         try:
             for start in range(0, n, cfg.batch_size):
                 idx = perm[start:start + cfg.batch_size]
-                with Tape() as tape:
-                    pred = net.forward(x_train[idx], train=True)
-                    loss = pose_loss(pred, y_train[idx], g, cfg.use_bone_loss)
-                    tape.backward(loss)
-                batch_losses.append(loss.item())
-                opt.step()
-                net.zero_grad()
+                batch_losses.append(train_step(net, opt, x_train[idx],
+                                               y_train[idx], g,
+                                               cfg.use_bone_loss))
             t_trained = time.perf_counter()
             val_loss, val_mpjpe = evaluate(net, x_val, y_val, g,
                                            cfg.use_bone_loss)

@@ -73,7 +73,7 @@ def test_unknown_variant_is_usage_error(data_dir, tmp_path):
 
 @pytest.mark.parametrize("flags", [["--lr", "-1"], ["--batch-size", "0"],
                                    ["--lr", "nan"], ["--lr", "inf"],
-                                   ["--epochs", "0"]])
+                                   ["--epochs", "0"], ["--seed", "-1"]])
 def test_invalid_training_setting_is_usage_error(data_dir, tmp_path, flags):
     out = tmp_path / "run"
     assert main(["train", "--data", str(data_dir), "--out", str(out),
@@ -108,7 +108,7 @@ def test_eval_of_header_without_key_is_data_error(run_dir, data_dir,
 
 @pytest.mark.parametrize("key, value", [
     ("shape", "ab"), ("shape", [2.0, 4]), ("shape", 8), ("name", ["x"]),
-    ("kind", ["param"]),
+    ("kind", ["param"]), ("shape", [2, 2, 4.0]),
 ])
 def test_eval_of_tensor_entry_of_wrong_type_is_data_error(run_dir, data_dir,
                                                           tmp_path, key, value):
@@ -289,12 +289,14 @@ def test_export_weights(run_dir, tmp_path, flags):
                                    atol=1e-12)
 
 
-@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
-def test_gen_data_with_invalid_noise_sigma_is_usage_error(tmp_path, sigma):
+@pytest.mark.parametrize("flag, value", [
+    ("--noise-sigma", "-1"), ("--noise-sigma", "nan"), ("--noise-sigma", "inf"),
+    ("--seed", "-1"),
+])
+def test_gen_data_with_invalid_flag_is_usage_error(tmp_path, flag, value):
     out = tmp_path / "data"
     with pytest.raises(SystemExit) as exc:
-        main(["gen-data", "--n", "20", "--noise-sigma", sigma, "--out",
-              str(out)])
+        main(["gen-data", "--n", "20", flag, value, "--out", str(out)])
     assert exc.value.code == EXIT_USAGE
     assert not out.exists()
 
@@ -323,7 +325,68 @@ def test_eval_of_header_with_half_a_weight_pair_is_data_error(run_dir, data_dir,
                        + blob[:half] + blob[2 * half:])
     assert_one_line_data_error(
         ["eval", "--checkpoint", str(broken), "--data", str(data_dir)],
-        caplog, capsys, "missing tensors", "'input.conv.w'")
+        caplog, capsys, "tensor entry 0 is", '"name": "input.conv.w0"',
+        'expected {"kind": "param", "name": "input.conv.w", ')
+
+
+def reverse_tensors(header, blob):
+    """Manifest and payload both in reverse order: each tensor keeps its
+    own bytes, but not the writer's order."""
+    sizes = [8 * int(np.prod(entry["shape"])) for entry in header["tensors"]]
+    ends = np.cumsum(sizes)
+    chunks = [blob[end - size:end] for size, end in zip(sizes, ends)]
+    header["tensors"].reverse()
+    return b"".join(reversed(chunks))
+
+
+# each of these loaded before the header and manifest were held to what
+# save_checkpoint writes
+@pytest.mark.parametrize("edit, words", [
+    (lambda h, b: h.update(format_version=True), ["format version True,"]),
+    (lambda h, b: h.update(format_version=1.0), ["format version 1.0,"]),
+    (lambda h, b: h.update(comment="kept"), ["unknown keys ['comment']"]),
+    (lambda h, b: h.update(training=5), ["'training'", "is 5, not an object"]),
+    (lambda h, b: h.update(training=[1]),
+     ["'training'", "is [1], not an object"]),
+    (reverse_tensors,
+     ["tensor entry 0 is", '"name": "blocks.0.bn2.running_var"',
+      'expected {"kind": "param", "name": "input.conv.w", ']),
+], ids=["version-true", "version-1.0", "unknown-key", "training-5",
+        "training-list", "reversed"])
+def test_eval_of_checkpoint_the_writer_never_writes_is_data_error(
+        run_dir, data_dir, tmp_path, caplog, capsys, edit, words):
+    header, _, blob = (run_dir / "best.ckpt").read_bytes().partition(b"\n")
+    header = json.loads(header)
+    blob = edit(header, blob) or blob
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+    assert_one_line_data_error(
+        ["eval", "--checkpoint", str(broken), "--data", str(data_dir)],
+        caplog, capsys, *words)
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("version, shown", [(True, "True"), (1.0, "1.0")])
+def test_dataset_of_version_the_writer_never_writes_is_data_error(
+        run_dir, data_dir, tmp_path, caplog, capsys, command, version, shown):
+    broken = data_with_header(data_dir, tmp_path / "data", version=version)
+    out = tmp_path / "run"
+    assert_one_line_data_error(command_on(command, broken, run_dir, out),
+                               caplog, capsys, f"format version {shown},")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_dataset_with_trailing_bytes_is_data_error(run_dir, data_dir, tmp_path,
+                                                   caplog, capsys, command):
+    broken = data_with_header(data_dir, tmp_path / "data")
+    for split in ("train", "val", "test"):
+        path = broken / f"{split}.poses"
+        path.write_bytes(path.read_bytes() + bytes(8))
+    out = tmp_path / "run"
+    assert_one_line_data_error(command_on(command, broken, run_dir, out),
+                               caplog, capsys, "8 trailing bytes")
+    assert not out.exists()
 
 
 def test_eval_of_header_with_channelwise_masks_is_data_error(run_dir, data_dir,

@@ -86,3 +86,10 @@ def test_every_definition_has_a_caller():
     sources = [path.read_text() for path in PACKAGE]
     assert sum(len(definitions(ast.parse(s))) for s in sources) > 100
     assert uncalled(sources) == []
+
+
+def test_only_the_container_names_the_file_layout():
+    # the on-disk float64 layout lives in one module, so a rule about it
+    # (formats stay float64 whatever the compute dtype) has one home
+    naming = [path.name for path in PACKAGE if '"<f8"' in path.read_text()]
+    assert naming == ["container.py"]

@@ -213,12 +213,13 @@ class TestFileFormat:
     def test_wrong_version_rejected(self, dataset, tmp_path):
         path = tmp_path / "v9.poses"
         save_dataset(dataset, path)
-        raw = path.read_bytes()
-        header, _, blob = raw.partition(b"\n")
-        patched = header.replace(b'"version": 1', b'"version": 9')
-        path.write_bytes(patched + b"\n" + blob)
-        with pytest.raises(DatasetError, match="version"):
-            load_dataset(path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        # true and 1.0 equal 1 in Python, but the writer writes neither
+        for written, shown in [(b"9", "9"), (b"true", "True"), (b"1.0", "1.0")]:
+            patched = header.replace(b'"version": 1', b'"version": ' + written)
+            path.write_bytes(patched + b"\n" + blob)
+            with pytest.raises(DatasetError, match=f"format version {shown},"):
+                load_dataset(path)
 
     @pytest.mark.parametrize("key", ["version", "count", "joints", "split",
                                      "skeleton_hash"])
@@ -305,6 +306,13 @@ class TestFileFormat:
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(DatasetError, match="truncated"):
+            load_dataset(path)
+
+    def test_trailing_bytes_rejected(self, dataset, tmp_path):
+        path = tmp_path / "long.poses"
+        save_dataset(dataset, path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(DatasetError, match="8 trailing bytes"):
             load_dataset(path)
 
     def test_empty_dataset_rejected(self, dataset, tmp_path):

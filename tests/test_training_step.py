@@ -9,22 +9,34 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import semgcn
-from semgcn import autodiff
+from semgcn import autodiff, training
 from semgcn.autodiff import Tape
 from semgcn.network import VARIANTS, NetworkConfig, build_network
 from semgcn.skeleton import build_skeleton
-from semgcn.training import Adam, pose_loss
+from semgcn.training import Adam, train_step
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
+class KeptTape(Tape):
+    """A tape that remembers the last instance opened, so a test can read
+    the tape ``train_step`` opens and closes itself."""
+
+    last = None
+
+    def __enter__(self):
+        KeptTape.last = self
+        return super().__enter__()
+
+
 def make_step(variant, channels, blocks, batch, use_bone=False):
-    """A closure running one training step; it returns that step's tape."""
+    """A closure running one ``train_step``; it returns that step's tape."""
     g = build_skeleton()
     net = build_network(NetworkConfig(variant=variant, channels=channels,
                                       blocks=blocks), g, seed=0)
@@ -34,11 +46,9 @@ def make_step(variant, channels, blocks, batch, use_bone=False):
     y = rng.standard_normal((batch, g.num_joints, 3)) * 100.0
 
     def step():
-        with Tape() as tape:
-            tape.backward(pose_loss(net.forward(x, train=True), y, g, use_bone))
-        opt.step()
-        net.zero_grad()
-        return tape
+        with mock.patch.object(training, "Tape", KeptTape):
+            train_step(net, opt, x, y, g, use_bone)
+        return KeptTape.last
 
     return step
 
