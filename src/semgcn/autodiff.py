@@ -307,7 +307,7 @@ def matmul(a, b, *addends) -> Tensor:
     return _maybe_record("matmul", (a, b, *terms), out_data, vjp)
 
 
-def graph_conv(x, w, b, *aggregations) -> Tensor:
+def graph_conv(x, w, b, *aggregations, scale=None) -> Tensor:
     """Graph convolution ``[A_1 x | ... | A_R x] @ w + b`` as one tape node.
 
     ``x`` is (..., K, C_in), each aggregation ``A_r`` is (K, K) and acts on
@@ -318,9 +318,20 @@ def graph_conv(x, w, b, *aggregations) -> Tensor:
     is a ``matmul`` that keeps only its output: the vjp recomputes the
     small ``A_r x`` products for the weight gradient instead of storing
     them (Chen et al., arXiv 1604.06174).
+
+    With a (C_out,) ``scale`` the node is an eval-mode conv → batch norm →
+    ReLU stage, ``relu([A_1 x | ... | A_R x] @ w * scale + b)``: this is
+    where eval-mode batch norm lives, and ``b`` is the stage's shift (see
+    ``layers.conv_bn_relu``).  The scale multiplies the product in its own
+    buffer, never ``w``, so a change to one weight keeps its effect on the
+    output bits.  The vjp masks ``g`` with ``out > 0``, as :func:`relu`
+    does, and recomputes the pre-scale product only for ``scale``'s
+    gradient.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     aggs = tuple(_as_tensor(a) for a in aggregations)
+    scale = None if scale is None else _as_tensor(scale)
+    epilogue = () if scale is None else (scale,)
     if x.ndim < 2:
         raise ShapeError(f"graph_conv needs a (..., K, C) input, got {x.shape}")
     k, c_in = x.shape[-2:]
@@ -330,8 +341,10 @@ def graph_conv(x, w, b, *aggregations) -> Tensor:
         raise ShapeError(f"graph_conv weight {w.shape} does not fit {r} "
                          f"aggregations of {c_in} channels")
     c_out = w.shape[-1]
-    if b.shape != (c_out,):
-        raise ShapeError(f"graph_conv bias {b.shape} does not fit {c_out} channels")
+    for t in (b, *epilogue):
+        if t.shape != (c_out,):
+            raise ShapeError(f"graph_conv bias or scale {t.shape} does not fit "
+                             f"{c_out} channels")
     for agg in aggs:
         if agg.shape != (k, k):
             raise ShapeError(f"graph_conv aggregation {agg.shape} does not fit "
@@ -346,10 +359,16 @@ def graph_conv(x, w, b, *aggregations) -> Tensor:
             np.matmul(a, x3, out=z[..., i * c_in:(i + 1) * c_in])
         return z.reshape(-1, r * c_in)
 
-    out_data = side_by_side() @ w_flat
-    out_data += b.data
-    out_data = out_data.reshape(x.shape[:-1] + (c_out,))
-    _ensure_finite(out_data, "matmul")
+    out_flat = side_by_side() @ w_flat
+    if scale is not None:
+        out_flat *= scale.data
+    out_flat += b.data
+    # checked before the ReLU, which would turn -Inf into 0
+    _ensure_finite(out_flat, "matmul")
+    if scale is not None:
+        np.maximum(out_flat, 0.0, out=out_flat)
+    out_data = out_flat.reshape(x.shape[:-1] + (c_out,))
+    relu_out = None if scale is None else out_flat  # the vjp's ReLU mask
 
     def vjp(g: np.ndarray):
         # gradients are written into arrays of their final shape, so each
@@ -357,10 +376,17 @@ def graph_conv(x, w, b, *aggregations) -> Tensor:
         g2 = g.reshape(-1, c_out)
         gx = gw = None
         gaggs = [None] * r
+        gscale = ()
+        if scale is not None:
+            g2 *= relu_out > 0  # subgradient at 0 is 0
+            gscale = (np.einsum("ij,ij->j", g2, side_by_side() @ w_flat)
+                      if scale.requires_grad else None,)
+        gb = g2.sum(axis=0) if b.requires_grad else None
+        if scale is not None:
+            g2 *= scale.data  # from here on, the gradient of the product
         if w.requires_grad:
             gw = np.empty(w.shape)
             np.matmul(side_by_side().T, g2, out=gw.reshape(w_flat.shape))
-        gb = g2.sum(axis=0) if b.requires_grad else None
         if x.requires_grad or any(agg.requires_grad for agg in aggs):
             gz = (g2 @ w_flat.T).reshape(-1, k, r * c_in)
             parts = [gz[..., i * c_in:(i + 1) * c_in] for i in range(r)]
@@ -373,9 +399,9 @@ def graph_conv(x, w, b, *aggregations) -> Tensor:
                 np.matmul(a_data[0].T, parts[0], out=gx3)
                 for a, part in zip(a_data[1:], parts[1:]):
                     gx3 += np.matmul(a.T, part)
-        return (gx, gw, gb, *gaggs)
+        return (gx, gw, gb, *gaggs, *gscale)
 
-    return _maybe_record("matmul", (x, w, b, *aggs), out_data, vjp)
+    return _maybe_record("matmul", (x, w, b, *aggs, *epilogue), out_data, vjp)
 
 
 def add(a, b, *more) -> Tensor:
@@ -536,13 +562,16 @@ class BatchNormState:
         self.running_var = np.ones(channels)
 
 
-def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
-    """Normalize a (B, K, C) tensor per channel over the batch and node axes,
-    then apply ReLU in the same output buffer.
+def batch_norm(x, gamma, beta, state: BatchNormState) -> Tensor:
+    """Train-mode batch norm: normalize a (B, K, C) tensor per channel by
+    its batch statistics over the batch and node axes, update the running
+    ones, then apply ReLU in the same output buffer.
 
     Every batch norm in the network feeds a ReLU, so the two are one tape
     node.  The vjp masks ``g`` with ``out > 0`` read from the output the
-    tape keeps: the subgradient at 0 is 0, as in :func:`relu`.
+    tape keeps: the subgradient at 0 is 0, as in :func:`relu`.  Eval mode
+    is a fixed per-channel affine map, which runs inside the preceding
+    conv's :func:`graph_conv` node (its ``scale`` epilogue).
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.ndim != 3:
@@ -557,30 +586,20 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
 
     x2 = x.data.reshape(-1, c)
     n = x2.shape[0]
-    if training:
-        if n < 2:
-            raise ShapeError("batch_norm in train mode needs batch*nodes >= 2")
-        mu = x2.mean(axis=0)
-        xc = x2 - mu
-        var = np.einsum("ij,ij->j", xc, xc) / n
-        state.running_mean *= 1.0 - BN_MOMENTUM
-        state.running_mean += BN_MOMENTUM * mu
-        state.running_var *= 1.0 - BN_MOMENTUM
-        state.running_var += BN_MOMENTUM * var
-    else:
-        # copied: a later train-mode forward updates the state in place
-        mu = state.running_mean.copy()
-        var = state.running_var
+    if n < 2:
+        raise ShapeError("batch_norm in train mode needs batch*nodes >= 2")
+    mu = x2.mean(axis=0)
+    xc = x2 - mu
+    var = np.einsum("ij,ij->j", xc, xc) / n
+    state.running_mean *= 1.0 - BN_MOMENTUM
+    state.running_mean += BN_MOMENTUM * mu
+    state.running_var *= 1.0 - BN_MOMENTUM
+    state.running_var += BN_MOMENTUM * var
     inv = 1.0 / np.sqrt(var + BN_EPS)
     a = gamma.data * inv
-    if training:
-        out = xc  # the vjp recomputes the centred input instead of keeping it
-        out *= a
-        out += beta.data
-    else:
-        # the scale-and-shift folding of Jacob et al. (arXiv 1712.05877)
-        out = x2 * a
-        out += beta.data - mu * a
+    out = xc  # the vjp recomputes the centred input instead of keeping it
+    out *= a
+    out += beta.data
     # checked before the ReLU, which would turn -Inf into 0
     _ensure_finite(out, "batch_norm")
     np.maximum(out, 0.0, out=out)
@@ -598,13 +617,10 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
         if x.requires_grad:
             # Ioffe & Szegedy (arXiv 1502.03167); every sum over g is
             # taken above, before g is overwritten
-            if training:
-                g2 -= gbeta / n
-                g2 *= a
-                centered *= a * inv * ggamma / n
-                g2 -= centered
-            else:
-                g2 *= a
+            g2 -= gbeta / n
+            g2 *= a
+            centered *= a * inv * ggamma / n
+            g2 -= centered
             gx = g
         return (gx, ggamma if gamma.requires_grad else None,
                 gbeta if beta.requires_grad else None)

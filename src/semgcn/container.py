@@ -2,9 +2,10 @@
 
 A file is one UTF-8 JSON header line, written with sorted keys and no
 NaN or infinity, then its arrays as little-endian float64 values, back
-to back.  A loader accepts only what its writer writes: ``read`` refuses
-any other version, a missing or unknown key, a value of another JSON
-type, and a payload of any other length.
+to back, none of them NaN or infinite.  A loader accepts only what its
+writer writes: ``read`` refuses any other version, a missing or unknown
+key, a value of another JSON type, a payload of any other length, and a
+non-finite payload value.
 """
 
 from __future__ import annotations
@@ -18,11 +19,16 @@ _JSON_TYPES = {int: "an integer", str: "a string", dict: "an object",
 
 
 def write(path, header: dict, arrays) -> None:
+    """Write the file, or raise ValueError before opening ``path`` when
+    the header or an array holds NaN or infinity."""
+    line = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
+    arrays = [np.ascontiguousarray(arr, dtype="<f8") for arr in arrays]
+    if not all(np.isfinite(arr).all() for arr in arrays):
+        raise ValueError(f"refusing to write non-finite values to {path}")
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True, allow_nan=False)
-                 .encode("utf-8") + b"\n")
+        fh.write(line + b"\n")
         for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(arr.tobytes())
 
 
 def _reject_constant(name):
@@ -36,7 +42,8 @@ def read(path, version: tuple[str, int], fields: dict[str, type], error):
     checked first so that a newer file is named as such, and otherwise
     exactly the keys of ``fields``, each of its JSON type (``true`` is no
     integer).  ``payload(count)`` returns the ``count`` float64 values
-    that follow the header, read-only.  Every failure raises ``error``.
+    that follow the header, read-only, all finite.  Every failure raises
+    ``error``.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -72,6 +79,12 @@ def read(path, version: tuple[str, int], fields: dict[str, type], error):
         if len(blob) > 8 * count:
             raise error(f"{path} has {len(blob) - 8 * count} trailing bytes "
                         f"after its {8 * count}-byte payload")
-        return np.frombuffer(blob, dtype="<f8")
+        values = np.frombuffer(blob, dtype="<f8")
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise error(f"{path} holds the non-finite value {values[i]} at "
+                        f"payload index {i}")
+        return values
 
     return header, payload

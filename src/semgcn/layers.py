@@ -3,7 +3,8 @@
 Four layer kinds: the vanilla shared-weight graph convolution (the
 baseline), the edge-weighted semantic convolution with one learned mask
 shared by all channels, the non-local attention layer with pairwise node
-grouping, and batch normalization over batch and node axes.
+grouping, and batch normalization over batch and node axes.  Each conv
+feeding a batch norm and its ReLU forms one stage, :func:`conv_bn_relu`.
 
 A layer's widths are its weights' shapes: an input of another width
 fails in the op that reads the weight (:func:`graph_conv` or
@@ -25,6 +26,8 @@ from typing import Iterator
 import numpy as np
 
 from .autodiff import (
+    BN_EPS,
+    AutodiffError,
     BatchNormState,
     ShapeError,
     Tensor,
@@ -78,7 +81,13 @@ class VanillaGConv(Layer):
         self.b = parameter(np.zeros(out_dim))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        return graph_conv(x, self.w, self.b, self.propagation)
+        return self.conv_node(x, self.b)
+
+    def conv_node(self, x: Tensor, b: Tensor, scale: Tensor | None = None
+                  ) -> Tensor:
+        """The layer's :func:`graph_conv` node with bias ``b``, and with
+        ``scale`` the node of an eval-mode stage (:func:`conv_bn_relu`)."""
+        return graph_conv(x, self.w, b, self.propagation, scale=scale)
 
 
 class SemGConv(Layer):
@@ -112,9 +121,15 @@ class SemGConv(Layer):
         return softmax_lastdim(add(self.mask, self._mask_bias))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
+        return self.conv_node(x, self.b)
+
+    def conv_node(self, x: Tensor, b: Tensor, scale: Tensor | None = None
+                  ) -> Tensor:
+        """The layer's :func:`graph_conv` node with bias ``b``, and with
+        ``scale`` the node of an eval-mode stage (:func:`conv_bn_relu`)."""
         s = self.edge_weights()
-        return graph_conv(x, self.w, self.b, mul(s, self._self_sel),
-                          mul(s, self._neigh_sel))
+        return graph_conv(x, self.w, b, mul(s, self._self_sel),
+                          mul(s, self._neigh_sel), scale=scale)
 
 
 class NonLocalBlock(Layer):
@@ -177,7 +192,11 @@ class NonLocalBlock(Layer):
 
 class BatchNormNodes(Layer):
     """Per-channel batch normalization over the batch and node axes,
-    followed by ReLU in the same tape node (see :func:`batch_norm`)."""
+    followed by ReLU in the same tape node (see :func:`batch_norm`).
+
+    Its forward is train mode only: in eval mode the layer is the
+    scale-and-shift epilogue of its conv's node (:func:`conv_bn_relu`).
+    """
 
     _param_names = ("gamma", "beta")
 
@@ -191,13 +210,39 @@ class BatchNormNodes(Layer):
         yield "running_var", self.state.running_var
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.state, training=train)
+        if not train:
+            raise AutodiffError("eval-mode batch norm runs in its conv's "
+                                "node: call conv_bn_relu")
+        return batch_norm(x, self.gamma, self.beta, self.state)
+
+
+def conv_bn_relu(conv: VanillaGConv | SemGConv, bn: BatchNormNodes,
+                 x: Tensor, train: bool) -> Tensor:
+    """One conv → batch norm → ReLU stage.
+
+    In train mode it is ``bn(conv(x))``, a conv node and a
+    :func:`batch_norm` node, since the batch statistics need the conv's
+    output.  In eval mode batch norm is a fixed per-channel affine map, so
+    the stage is the conv's one :func:`graph_conv` node with a
+    scale-and-shift epilogue (Jacob et al., arXiv 1712.05877): the
+    product is scaled by ``gamma / sqrt(running_var + BN_EPS)`` and the
+    shift ``(b - running_mean) * scale + beta`` takes the bias's place.
+    Scale and shift are small tape ops on (C,) tensors, so gradients
+    still reach ``b``, ``gamma`` and ``beta``; they read copies of the
+    running statistics, which a later train-mode forward updates in place.
+    """
+    if train:
+        return bn(conv(x, train), train)
+    state = bn.state
+    scale = mul(bn.gamma, 1.0 / np.sqrt(state.running_var + BN_EPS))
+    shift = add(mul(add(conv.b, -state.running_mean), scale), bn.beta)
+    return conv.conv_node(x, shift, scale)
 
 
 class ResidualGConvBlock:
-    """Two conv+BN+ReLU stages under a skip connection, then an optional
-    non-local layer (which carries its own residual).  Each ReLU is
-    applied inside its batch norm's node.
+    """Two conv+BN+ReLU stages (:func:`conv_bn_relu`) under a skip
+    connection, then an optional non-local layer (which carries its own
+    residual).
 
     The block is not a ``Layer``: it owns no tensors, so it has no tensor
     walk that could quietly yield nothing.  ``Network.named_layers`` walks
@@ -212,8 +257,8 @@ class ResidualGConvBlock:
         self.nonlocal_layer = nonlocal_layer
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        h = self.bn1(self.conv1(x, train), train)
-        h = self.bn2(self.conv2(h, train), train)
+        h = conv_bn_relu(self.conv1, self.bn1, x, train)
+        h = conv_bn_relu(self.conv2, self.bn2, h, train)
         y = add(x, h)
         if self.nonlocal_layer is not None:
             y = self.nonlocal_layer(y, train)

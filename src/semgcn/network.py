@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor
+from .autodiff import NonFiniteError, ShapeError, Tensor
 from .layers import (
     BatchNormNodes,
     Layer,
@@ -24,6 +24,7 @@ from .layers import (
     ResidualGConvBlock,
     SemGConv,
     VanillaGConv,
+    conv_bn_relu,
 )
 from .skeleton import (
     DEFAULT_NODE_GROUPS,
@@ -162,8 +163,8 @@ class Network:
                 f"expected (B, {self.skeleton.num_joints}, {INPUT_DIM}) input, "
                 f"got {x.shape}")
         if not np.isfinite(x.data).all():
-            raise ShapeError("network input contains non-finite values")
-        h = self.input_bn(self.input_conv(x, train), train)
+            raise NonFiniteError("network input contains non-finite values")
+        h = conv_bn_relu(self.input_conv, self.input_bn, x, train)
         if self.input_nonlocal is not None and not skip_nonlocal:
             h = self.input_nonlocal(h, train)
         for block in self.blocks:

@@ -25,6 +25,7 @@ from semgcn.autodiff import (
     tensor_sum,
     transpose,
 )
+from semgcn.layers import BatchNormNodes, VanillaGConv, conv_bn_relu
 
 
 def backward_of(f, *arrays):
@@ -401,6 +402,21 @@ def perturbed_state(rng, c):
     return state
 
 
+def batch_norm_on(x, gamma, beta, state, training):
+    """Batch norm and its ReLU applied to ``x``: in train mode the
+    ``batch_norm`` op itself, in eval mode the conv → batch norm → ReLU
+    stage of an identity conv, whose one graph_conv node takes the batch
+    norm as its scale-and-shift epilogue and hands it ``x`` exactly."""
+    if training:
+        return batch_norm(x, gamma, beta, state)
+    k, c = x.shape[-2:]
+    conv = VanillaGConv(c, c, np.eye(k), np.random.default_rng(0))
+    conv.w.data = np.eye(c)
+    bn = BatchNormNodes(c)
+    bn.gamma, bn.beta, bn.state = gamma, beta, state
+    return conv_bn_relu(conv, bn, x, train=False)
+
+
 class TestBatchNorm:
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("seed", range(3))
@@ -416,8 +432,11 @@ class TestBatchNorm:
             state.running_var.copy(), BN_EPS, BN_MOMENTUM, training,
             probe)
         with Tape() as tape:
-            out = batch_norm(x, gamma, beta, state, training)
+            out = batch_norm_on(x, gamma, beta, state, training)
             tape.backward(out, grad=probe)
+        ops = [node.op for node in tape.nodes]
+        assert ops[-1] == ("batch_norm" if training else "matmul")
+        assert ops.count("batch_norm") + ops.count("matmul") == 1
         actual = (out.data, x.grad, gamma.grad, beta.grad, state.running_mean,
                   state.running_var)
         for got, want in zip(actual, expected):
@@ -432,8 +451,8 @@ class TestBatchNorm:
         state = perturbed_state(rng, 5)
         probe = rng.standard_normal((3, 4, 5))
         with Tape() as tape:
-            batch_norm(x, gamma, beta, state, training)
-        (node,) = tape.nodes
+            batch_norm_on(x, gamma, beta, state, training)
+        node = tape.nodes[-1]
         c_order = node.vjp(probe.copy())
         f_order = node.vjp(np.asfortranarray(probe))
         for a, b in zip(c_order, f_order):
@@ -448,7 +467,7 @@ class TestBatchNorm:
         probe = Tensor(rng.standard_normal((2, 3, 4)))
 
         def f(x, gamma, beta):
-            return mul(batch_norm(x, gamma, beta, state, training=False),
+            return mul(batch_norm_on(x, gamma, beta, state, training=False),
                        probe).sum()
 
         assert grad_check(f, [x, gamma, beta]) < 1e-6
@@ -462,11 +481,10 @@ class TestBatchNorm:
         mean, var = state.running_mean.copy(), state.running_var.copy()
         probe = rng.standard_normal((2, 3, 4))
         with Tape() as tape:
-            out = batch_norm(x, gamma, beta, state, training=False)
+            out = batch_norm_on(x, gamma, beta, state, training=False)
             # a train-mode forward moves the running statistics in place
             batch_norm(Tensor(5.0 + rng.standard_normal((2, 3, 4))),
-                       Tensor(gamma.data), Tensor(beta.data), state,
-                       training=True)
+                       Tensor(gamma.data), Tensor(beta.data), state)
             assert not np.allclose(state.running_mean, mean)
             assert not np.allclose(state.running_var, var)
             tape.backward(out, grad=probe)
@@ -480,14 +498,14 @@ class TestBatchNorm:
     def test_train_mode_hand_value(self):
         x = Tensor(np.array([1.0, 3.0]).reshape(2, 1, 1), requires_grad=True)
         gamma, beta = Tensor(np.ones(1)), Tensor(np.zeros(1))
-        out = batch_norm(x, gamma, beta, BatchNormState(1), training=True)
+        out = batch_norm(x, gamma, beta, BatchNormState(1))
         np.testing.assert_allclose(out.data.ravel(), [0.0, 1.0], atol=1e-6)
 
     def test_eval_identity_stats(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 3, 4))
-        out = batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                         BatchNormState(4), training=False)
+        out = batch_norm_on(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                            BatchNormState(4), training=False)
         np.testing.assert_allclose(out.data, np.maximum(x, 0.0), atol=1e-6)
 
     def test_output_of_exactly_zero_passes_no_gradient(self):
@@ -496,7 +514,7 @@ class TestBatchNorm:
         gamma = Tensor(np.array([1.5]), requires_grad=True)
         beta = Tensor(np.zeros(1), requires_grad=True)
         with Tape() as tape:
-            out = batch_norm(x, gamma, beta, BatchNormState(1), training=True)
+            out = batch_norm(x, gamma, beta, BatchNormState(1))
             tape.backward(out, grad=np.array([0.0, 1.0, 0.0]).reshape(3, 1, 1))
         assert out.data[1, 0, 0] == 0.0
         np.testing.assert_array_equal(x.grad, np.zeros((3, 1, 1)))
@@ -510,7 +528,7 @@ class TestBatchNorm:
         state = BatchNormState(1)
         inv = 1.0 / np.sqrt(1.0 + BN_EPS)
         with Tape() as tape:
-            out = batch_norm(x, gamma, beta, state, training=False)
+            out = batch_norm_on(x, gamma, beta, state, training=False)
             tape.backward(out, grad=np.array([5.0, 7.0]).reshape(2, 1, 1))
         np.testing.assert_allclose(out.data.ravel(), [0.0, 3.0 * inv],
                                    rtol=1e-15)
@@ -527,8 +545,7 @@ class TestBatchNorm:
         probe = Tensor(rng.standard_normal((2, 3, 4)))
 
         def f(x, gamma, beta):
-            return mul(batch_norm(x, gamma, beta, state, training=True),
-                       probe).sum()
+            return mul(batch_norm(x, gamma, beta, state), probe).sum()
 
         assert grad_check(f, [x, gamma, beta]) < 1e-4
 
@@ -536,13 +553,12 @@ class TestBatchNorm:
         x = Tensor(np.zeros((1, 1, 4)))
         with pytest.raises(ShapeError):
             batch_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                       BatchNormState(4), training=True)
+                       BatchNormState(4))
 
     def test_running_stats_update(self):
         x = Tensor(np.array([1.0, 3.0]).reshape(2, 1, 1))
         state = BatchNormState(1)
-        batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state,
-                   training=True)
+        batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state)
         np.testing.assert_allclose(state.running_mean, [0.2])  # 0.9*0 + 0.1*2
         np.testing.assert_allclose(state.running_var, [1.0])   # 0.9*1 + 0.1*1
 
@@ -660,8 +676,8 @@ class TestGradCheckOracle:
 class TestBackwardBuffers:
     """Each vjp may overwrite the output gradient it is handed."""
 
-    @pytest.mark.parametrize("root_op",
-                             ["relu", "scale", "add", "mul", "batch_norm"])
+    @pytest.mark.parametrize("root_op", ["relu", "scale", "add", "mul",
+                                         "batch_norm", "eval_stage"])
     def test_seed_and_root_grad_are_left_alone(self, root_op):
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
@@ -672,7 +688,10 @@ class TestBackwardBuffers:
             "mul": lambda x: mul(x, x),
             "batch_norm": lambda x: batch_norm(
                 x, Tensor(np.full(4, 2.0)), Tensor(np.zeros(4)),
-                BatchNormState(4), training=True),
+                BatchNormState(4)),
+            "eval_stage": lambda x: batch_norm_on(
+                x, Tensor(np.full(4, 2.0)), Tensor(np.zeros(4)),
+                BatchNormState(4), training=False),
         }
         seed = rng.standard_normal((2, 3, 4))
         kept = seed.copy()

@@ -232,6 +232,27 @@ def test_truncated_payload_rejected(ckpt, skel):
         load_checkpoint(ckpt, skel)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_rejected(ckpt, skel, value):
+    header, blob = read(ckpt)
+    lo, _ = span(header, "blocks.0.bn2.running_var")
+    write(ckpt, header, blob[:lo] + np.array(value, "<f8").tobytes()
+          + blob[lo + 8:])
+    with pytest.raises(CheckpointError,
+                       match=f"non-finite value {value} at payload index "
+                             f"{lo // 8}$"):
+        load_checkpoint(ckpt, skel)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_is_not_written(net, tmp_path, value):
+    net.input_conv.w.data[0, 1, 2] = value
+    path = tmp_path / "net.ckpt"
+    with pytest.raises(ValueError, match="non-finite"):
+        save_checkpoint(path, net)
+    assert not path.exists()
+
+
 def test_trailing_bytes_rejected(ckpt, skel):
     ckpt.write_bytes(ckpt.read_bytes() + bytes(8))
     with pytest.raises(CheckpointError, match="trailing"):

@@ -197,9 +197,10 @@ def reject_constant(name):
 def test_diverging_run_ends_its_log_with_an_abort_record(data_dir, tmp_path,
                                                          batch_size):
     out = tmp_path / "run"
-    assert main(["train", "--data", str(data_dir), "--out", str(out),
-                 *TOY, "--lr", "1e200", "--batch-size",
-                 batch_size]) == EXIT_NUMERIC
+    with pytest.warns(RuntimeWarning, match="overflow encountered"):
+        assert main(["train", "--data", str(data_dir), "--out", str(out),
+                     *TOY, "--lr", "1e200", "--batch-size",
+                     batch_size]) == EXIT_NUMERIC
     last = json.loads((out / "log.jsonl").read_text().splitlines()[-1])
     assert last["event"] == "aborted"
     assert set(last) == {"event", "reason", "epochs_run", "best_epoch"}
@@ -387,6 +388,39 @@ def test_dataset_with_trailing_bytes_is_data_error(run_dir, data_dir, tmp_path,
     assert_one_line_data_error(command_on(command, broken, run_dir, out),
                                caplog, capsys, "8 trailing bytes")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_with_non_finite_value_is_data_error(run_dir, data_dir,
+                                                     tmp_path, caplog, capsys,
+                                                     command, value):
+    broken = data_with_header(data_dir, tmp_path / "data")
+    for split in ("train", "val", "test"):
+        path = broken / f"{split}.poses"
+        # the last value: v of the last joint of the last sample
+        path.write_bytes(path.read_bytes()[:-8]
+                         + np.array(value, "<f8").tobytes())
+    out = tmp_path / "run"
+    first = broken / ("train.poses" if command == "train" else "test.poses")
+    assert_one_line_data_error(command_on(command, broken, run_dir, out),
+                               caplog, capsys, str(first),
+                               f"non-finite value {value}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_eval_of_checkpoint_with_non_finite_value_is_data_error(
+        run_dir, data_dir, tmp_path, caplog, capsys, value):
+    header, _, blob = (run_dir / "best.ckpt").read_bytes().partition(b"\n")
+    broken = tmp_path / "broken.ckpt"
+    # the first value of the first tensor, input.conv.w
+    broken.write_bytes(header + b"\n" + np.array(value, "<f8").tobytes()
+                       + blob[8:])
+    assert_one_line_data_error(
+        ["eval", "--checkpoint", str(broken), "--data", str(data_dir)],
+        caplog, capsys, str(broken), f"non-finite value {value} at payload "
+        "index 0")
 
 
 def test_eval_of_header_with_channelwise_masks_is_data_error(run_dir, data_dir,

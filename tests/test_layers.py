@@ -2,17 +2,30 @@
 init identities, gradient checks, and permutation equivariance."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from semgcn.autodiff import ShapeError, Tape, Tensor, grad_check, matmul, mul, relu
+from semgcn.autodiff import (
+    BN_EPS,
+    AutodiffError,
+    NonFiniteError,
+    ShapeError,
+    Tape,
+    Tensor,
+    grad_check,
+    matmul,
+    mul,
+    relu,
+)
 from semgcn.layers import (
     BatchNormNodes,
     NonLocalBlock,
     ResidualGConvBlock,
     SemGConv,
     VanillaGConv,
+    conv_bn_relu,
     glorot_uniform,
 )
 from semgcn.network import VARIANTS, NetworkConfig, build_network, count_params
@@ -226,6 +239,59 @@ class TestNonLocal:
             layer(Tensor(np.zeros((2, K, C + 2))))
 
 
+def random_stage(kind, adj, rng):
+    """A conv of ``kind`` and the batch norm it feeds, with every tensor
+    and running statistic drawn off its initial value."""
+    if kind == "semgconv":
+        conv = SemGConv(C, C, adj, rng)
+        conv.mask.data = rng.standard_normal((K, K)) * 0.1
+    else:
+        conv = VanillaGConv(C, C, normalize_adjacency(adj), rng)
+    conv.b.data = rng.standard_normal(C)
+    bn = BatchNormNodes(C)
+    bn.gamma.data = rng.standard_normal(C)
+    bn.beta.data = rng.standard_normal(C)
+    bn.state.running_mean[:] = rng.standard_normal(C)
+    bn.state.running_var[:] = rng.uniform(0.5, 2.0, C)
+    return conv, bn
+
+
+class TestConvBnReluStage:
+    @pytest.mark.parametrize("kind", ["vanilla", "semgconv"])
+    def test_eval_stage_gradient(self, adj, kind):
+        rng = rng_for(30)
+        conv, bn = random_stage(kind, adj, rng)
+        x = Tensor(rng.standard_normal((2, K, C)), requires_grad=True)
+        # x, w, b, the edge logits of a SemGConv, gamma and beta
+        params = [p for _, p in conv.named_parameters()] + [bn.gamma, bn.beta]
+        assert len(params) == {"vanilla": 4, "semgconv": 5}[kind]
+        probe = Tensor(rng.standard_normal((2, K, C)))
+        err = grad_check(
+            lambda *_: mul(conv_bn_relu(conv, bn, x, train=False), probe).sum(),
+            [x] + params)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("kind", ["vanilla", "semgconv"])
+    def test_eval_stage_is_conv_then_batch_norm_in_one_node(self, adj, kind):
+        rng = rng_for(31)
+        conv, bn = random_stage(kind, adj, rng)
+        x = Tensor(rng.standard_normal((3, K, C)))
+        with Tape() as tape:
+            out = conv_bn_relu(conv, bn, x, train=False)
+        ops = Counter(node.op for node in tape.nodes)
+        assert ops["matmul"] == 1 and "batch_norm" not in ops
+        # the conv's output, then batch norm by the running statistics
+        z = conv(x).data
+        inv = 1.0 / np.sqrt(bn.state.running_var + BN_EPS)
+        want = np.maximum(
+            bn.gamma.data * (z - bn.state.running_mean) * inv + bn.beta.data, 0.0)
+        np.testing.assert_allclose(out.data, want, rtol=1e-12)
+
+    def test_batch_norm_layer_alone_runs_train_mode_only(self):
+        with pytest.raises(AutodiffError, match="conv_bn_relu"):
+            BatchNormNodes(C)(Tensor(np.zeros((2, K, C))), train=False)
+
+
 class TestResidualBlock:
     def _block(self, adj, rng, with_nonlocal=True):
         nl = NonLocalBlock(C, DEFAULT_NODE_GROUPS, K, rng) if with_nonlocal \
@@ -395,6 +461,16 @@ SEED0_PARAMS = {
     "resgcn": ("557e017f1ff0b69fbb44b97b79e4994faeba4235e84163ea6130faefb15849f9",
                135_171),
 }
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_network_input_must_be_finite(skel, value):
+    net = build_network(NetworkConfig(variant="resgcn", channels=4, blocks=1),
+                        skel)
+    x = np.zeros((2, K, 2))
+    x[1, 3, 0] = value
+    with pytest.raises(NonFiniteError, match="network input"):
+        net.forward(x)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

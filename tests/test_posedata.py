@@ -315,6 +315,29 @@ class TestFileFormat:
         with pytest.raises(DatasetError, match="8 trailing bytes"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, dataset, tmp_path, value):
+        path = tmp_path / "bad.poses"
+        save_dataset(dataset, path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        i = (7 * 16 + 3) * 5 + 4  # v of joint 3 of sample 7
+        path.write_bytes(header + b"\n" + blob[:8 * i]
+                         + np.array(value, "<f8").tobytes() + blob[8 * i + 8:])
+        with pytest.raises(DatasetError,
+                           match=f"non-finite value {value} at payload index "
+                                 f"{i}$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_not_written(self, dataset, tmp_path, value):
+        j3, j2 = dataset.arrays()
+        j2 = j2.copy()
+        j2[7, 3, 1] = value
+        path = tmp_path / "bad.poses"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_dataset(with_arrays(dataset, j3, j2), path)
+        assert not path.exists()
+
     def test_empty_dataset_rejected(self, dataset, tmp_path):
         empty = dataclasses.replace(dataset, samples=[])
         with pytest.raises(DatasetError):

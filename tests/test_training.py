@@ -343,7 +343,8 @@ class TestTrainLoop:
         train_ds, val_ds, _ = small_data
         net = small_net(skel)
         before = {n: p.data.copy() for n, p in net.named_parameters()}
-        result = train(net, train_ds, val_ds, small_config(lr=1e200))
+        with pytest.warns(RuntimeWarning, match="overflow encountered"):
+            result = train(net, train_ds, val_ds, small_config(lr=1e200))
         assert result.aborted
         assert result.abort_reason
         # parameters restored to the last good (initial) snapshot

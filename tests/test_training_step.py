@@ -101,6 +101,34 @@ def test_tape_nodes_and_bytes_are_pinned(variant):
     assert sum(node.output.data.nbytes for node in tape.nodes) == nbytes
 
 
+# An eval-mode forward under a tape at the same size: each conv → batch
+# norm → ReLU stage is one graph_conv ("matmul") node with the batch norm
+# as its epilogue, whose scale and shift are four small ops on (C,)
+# tensors, so there is no batch_norm node; the matmul counts are the
+# training tape's.
+EVAL_TAPE_AT_SMALL_SIZE = {
+    "semgcn": ({"matmul": 22, "mul": 16, "add": 13, "relu": 2, "softmax": 4,
+                "max_over_set": 2, "transpose": 2}, 70_816),
+    "resgcn": ({"matmul": 4, "mul": 6, "add": 7}, 10_112),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(EVAL_TAPE_AT_SMALL_SIZE))
+def test_eval_tape_nodes_and_bytes_are_pinned(variant):
+    ops, nbytes = EVAL_TAPE_AT_SMALL_SIZE[variant]
+    g = build_skeleton()
+    net = build_network(NetworkConfig(variant=variant, channels=4, blocks=1),
+                        g, seed=0)
+    x = np.random.default_rng(0).standard_normal((4, g.num_joints, 2))
+    with Tape() as tape:
+        out = net.forward(x, train=False)
+        assert Counter(node.op for node in tape.nodes) == ops
+        assert sum(node.output.data.nbytes for node in tape.nodes) == nbytes
+        tape.backward(out.sum())
+    # the backward still reaches every parameter, batch norm's included
+    assert [name for name, p in net.named_parameters() if p.grad is None] == []
+
+
 # Three steps after two warm-up steps, in a fresh interpreter: freeing
 # large arrays raises glibc's own trim threshold, so a process that has
 # run other tests may keep its heap whatever the engine asks for.
