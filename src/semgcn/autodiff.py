@@ -1,4 +1,4 @@
-"""Minimal reverse-mode autodiff over dense float64 arrays.
+"""Minimal reverse-mode autodiff over dense floating-point arrays.
 
 Every operation records a node on the active :class:`Tape` (when one is
 open and an input requires gradients) holding a closure that maps the
@@ -12,9 +12,9 @@ and a seed array passed to :meth:`Tape.backward` stay untouched.  When a
 vjp returns ``g`` for several inputs, the first keeps the buffer and the
 others get copies.
 
-All values are 64-bit floats.  Operation outputs are checked for
-NaN/Inf; a violation raises :class:`NonFiniteError` instead of
-propagating silently.
+Values, and every buffer an op allocates, have the compute dtype
+:data:`DTYPE`.  Outputs are checked for NaN/Inf; a violation raises
+:class:`NonFiniteError` instead of propagating silently.
 
 Importing the module tells glibc's allocator to keep freed memory in the
 process (:func:`_keep_freed_memory`), so that one step's tape is reused
@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+DTYPE = np.float64  # the compute dtype; only Tensor.__init__ reads it
 
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
@@ -78,12 +79,12 @@ def _ensure_finite(arr: np.ndarray, op: str) -> None:
 
 
 class Tensor:
-    """Dense n-dimensional float64 array with an optional gradient slot."""
+    """Dense n-dimensional :data:`DTYPE` array with an optional gradient slot."""
 
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=DTYPE)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
 
@@ -162,7 +163,7 @@ class Tape:
         if grad is None:
             grad = np.ones_like(root.data)
         else:
-            grad = np.array(grad, dtype=np.float64)  # root.grad must not alias it
+            grad = np.array(grad, root.data.dtype)  # root.grad must not alias it
             if grad.shape != root.data.shape:
                 raise ShapeError(
                     f"seed gradient shape {grad.shape} != root shape {root.data.shape}")
@@ -289,7 +290,7 @@ def matmul(a, b, *addends) -> Tensor:
             if stacked_by_2d:
                 # written in place so ``ga`` owns its memory
                 gflat = g.reshape(-1, g.shape[-1])
-                ga = np.empty(a_data.shape)
+                ga = np.empty(a_data.shape, a_data.dtype)
                 np.matmul(gflat, b_data.T,
                           out=ga.reshape(gflat.shape[0], -1))
             else:
@@ -354,7 +355,7 @@ def graph_conv(x, w, b, *aggregations, scale=None) -> Tensor:
     a_data = [agg.data for agg in aggs]
 
     def side_by_side() -> np.ndarray:
-        z = np.empty((x3.shape[0], k, r * c_in))
+        z = np.empty((x3.shape[0], k, r * c_in), x3.dtype)
         for i, a in enumerate(a_data):
             np.matmul(a, x3, out=z[..., i * c_in:(i + 1) * c_in])
         return z.reshape(-1, r * c_in)
@@ -385,7 +386,7 @@ def graph_conv(x, w, b, *aggregations, scale=None) -> Tensor:
         if scale is not None:
             g2 *= scale.data  # from here on, the gradient of the product
         if w.requires_grad:
-            gw = np.empty(w.shape)
+            gw = np.empty(w.shape, w.data.dtype)
             np.matmul(side_by_side().T, g2, out=gw.reshape(w_flat.shape))
         if x.requires_grad or any(agg.requires_grad for agg in aggs):
             gz = (g2 @ w_flat.T).reshape(-1, k, r * c_in)
@@ -394,7 +395,7 @@ def graph_conv(x, w, b, *aggregations, scale=None) -> Tensor:
                 if agg.requires_grad:
                     gaggs[i] = np.matmul(part, x3.swapaxes(-1, -2)).sum(axis=0)
             if x.requires_grad:
-                gx = np.empty(x.shape)
+                gx = np.empty(x.shape, x.data.dtype)
                 gx3 = gx.reshape(x3.shape)
                 np.matmul(a_data[0].T, parts[0], out=gx3)
                 for a, part in zip(a_data[1:], parts[1:]):
@@ -504,7 +505,7 @@ def tensor_sum(x) -> Tensor:
     _ensure_finite(out_data, "sum")
 
     def vjp(g):
-        return (np.full(x.shape, float(g)),)
+        return (np.full(x.shape, g, x.data.dtype),)
 
     return _maybe_record("sum", (x,), out_data, vjp)
 
@@ -553,7 +554,7 @@ BN_EPS = 1e-8      # added to the variance before the square root
 
 
 class BatchNormState:
-    """Running statistics for one batch-norm layer (not differentiated)."""
+    """A batch norm's running statistics: checkpoint buffers, so always double."""
 
     __slots__ = ("running_mean", "running_var")
 

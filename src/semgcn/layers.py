@@ -67,30 +67,36 @@ class Layer:
         return self.forward(x, train)
 
 
-class VanillaGConv(Layer):
+class GraphConv(Layer):
+    """One :func:`graph_conv` node over the aggregations a subclass supplies."""
+
+    def forward(self, x: Tensor, train: bool = False) -> Tensor:
+        return self.conv_node(x, self.b)
+
+    def conv_node(self, x: Tensor, b: Tensor, scale: Tensor | None = None) -> Tensor:
+        """The layer's :func:`graph_conv` node with bias ``b``, and with
+        ``scale`` the node of an eval-mode stage (:func:`conv_bn_relu`)."""
+        return graph_conv(x, self.w, b, *self.aggregations(), scale=scale)
+
+
+class VanillaGConv(GraphConv):
     """Shared-weight graph convolution: aggregate with a fixed propagation
     matrix, transform with one matrix for self and neighbors alike, then
-    add a bias.  It is one :func:`graph_conv` node with one aggregation."""
+    add a bias."""
 
     _param_names = ("w", "b")
 
     def __init__(self, in_dim: int, out_dim: int, propagation: np.ndarray,
                  rng: np.random.Generator):
-        self.propagation = Tensor(np.asarray(propagation, dtype=np.float64))
+        self.propagation = Tensor(propagation)
         self.w = parameter(glorot_uniform(rng, in_dim, out_dim, (in_dim, out_dim)))
         self.b = parameter(np.zeros(out_dim))
 
-    def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        return self.conv_node(x, self.b)
-
-    def conv_node(self, x: Tensor, b: Tensor, scale: Tensor | None = None
-                  ) -> Tensor:
-        """The layer's :func:`graph_conv` node with bias ``b``, and with
-        ``scale`` the node of an eval-mode stage (:func:`conv_bn_relu`)."""
-        return graph_conv(x, self.w, b, self.propagation, scale=scale)
+    def aggregations(self) -> tuple[Tensor, ...]:
+        return (self.propagation,)
 
 
-class SemGConv(Layer):
+class SemGConv(GraphConv):
     """Graph convolution with learnable edge logits.
 
     ``edge_weights`` softmax-normalizes the logits over each receiving
@@ -98,9 +104,8 @@ class SemGConv(Layer):
     exactly zero.  The logits start at zero, so the layer starts as uniform
     neighbor averaging.  ``w`` is (2, in, out): the self contribution goes
     through ``w[0]`` and neighbor contributions through ``w[1]``, followed
-    by a bias.  One (K, K) mask is shared by every channel, and the layer
-    is one :func:`graph_conv` node over the self and neighbor parts of the
-    edge weights.
+    by a bias.  One (K, K) mask is shared by every channel, and the
+    aggregations are the self and neighbor parts of the edge weights.
     """
 
     _param_names = ("w", "mask", "b")
@@ -120,16 +125,9 @@ class SemGConv(Layer):
         """Row-stochastic (K, K) weights over the adjacency support."""
         return softmax_lastdim(add(self.mask, self._mask_bias))
 
-    def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        return self.conv_node(x, self.b)
-
-    def conv_node(self, x: Tensor, b: Tensor, scale: Tensor | None = None
-                  ) -> Tensor:
-        """The layer's :func:`graph_conv` node with bias ``b``, and with
-        ``scale`` the node of an eval-mode stage (:func:`conv_bn_relu`)."""
+    def aggregations(self) -> tuple[Tensor, ...]:
         s = self.edge_weights()
-        return graph_conv(x, self.w, b, mul(s, self._self_sel),
-                          mul(s, self._neigh_sel), scale=scale)
+        return mul(s, self._self_sel), mul(s, self._neigh_sel)
 
 
 class NonLocalBlock(Layer):
@@ -216,7 +214,7 @@ class BatchNormNodes(Layer):
         return batch_norm(x, self.gamma, self.beta, self.state)
 
 
-def conv_bn_relu(conv: VanillaGConv | SemGConv, bn: BatchNormNodes,
+def conv_bn_relu(conv: GraphConv, bn: BatchNormNodes,
                  x: Tensor, train: bool) -> Tensor:
     """One conv → batch norm → ReLU stage.
 

@@ -4,7 +4,8 @@ The generator poses the canonical skeleton by forward kinematics with
 per-joint rotations drawn inside anatomically bounded ranges, places the
 subject in front of one fixed pinhole camera, and projects.  2D inputs
 are exact projections of the 3D targets (plus optional Gaussian detector
-noise), so the lifting problem is well posed by construction.
+noise), so the lifting problem is well posed by construction.  Poses,
+their files and MPJPE are float64 whatever the engine's compute dtype.
 
 Each sample has its own random stream, ``default_rng([seed, i])``, read
 in a fixed order: the joint angles in ``_ANGLE_RANGES`` order, the x, y

@@ -133,7 +133,7 @@ def adjacency(g: SkeletonGraph) -> np.ndarray:
 
 def normalize_adjacency(a: np.ndarray) -> np.ndarray:
     """Symmetric normalization D^(-1/2) A D^(-1/2) with self-loop degrees."""
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SkeletonError(f"adjacency must be square, got {a.shape}")
     deg = a.sum(axis=1)
@@ -145,4 +145,4 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
 
 def mask_logit_bias(a: np.ndarray) -> np.ndarray:
     """Additive sentinel that removes non-edges from a softmax's support."""
-    return (1.0 - np.asarray(a, dtype=np.float64)) * MASK_SENTINEL
+    return (1.0 - np.asarray(a)) * MASK_SENTINEL

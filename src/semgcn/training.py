@@ -69,13 +69,13 @@ def bone_vectors(j3d, g: SkeletonGraph):
         incidence[bone, child] = -1.0
     if isinstance(j3d, Tensor):
         return matmul(incidence, j3d)
-    return incidence @ np.asarray(j3d, dtype=np.float64)
+    return incidence @ np.asarray(j3d)
 
 
 def pose_loss(pred: Tensor, gt, g: SkeletonGraph, use_bone: bool = False) -> Tensor:
     """Squared joint error (plus optional squared bone error) per pose,
     averaged over the batch.  The target ``gt`` is a constant."""
-    gt = gt.data if isinstance(gt, Tensor) else np.asarray(gt, dtype=np.float64)
+    gt = gt.data if isinstance(gt, Tensor) else np.asarray(gt)
     if pred.shape != gt.shape:
         raise ShapeError(f"loss shape mismatch: {pred.shape} vs {gt.shape}")
     batch = pred.shape[0] if pred.ndim == 3 else 1
@@ -101,10 +101,10 @@ class Adam:
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.named_params}
         self._v = {name: np.zeros_like(p.data) for name, p in self.named_params}
-        # two update temporaries shared by every parameter, sized to the
-        # largest one; per-parameter buffers would stay resident for nothing
-        largest = max((p.data.size for _, p in self.named_params), default=0)
-        self._scratch = np.empty((2, largest))
+        # two update temporaries of the largest parameter's size and dtype,
+        # shared: per-parameter buffers would stay resident for nothing
+        largest = max((p.data for _, p in self.named_params), key=np.size)
+        self._scratch = np.empty((2, largest.size), largest.dtype)
 
     def step(self) -> None:
         self.step_count += 1

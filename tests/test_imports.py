@@ -93,3 +93,14 @@ def test_only_the_container_names_the_file_layout():
     # (formats stay float64 whatever the compute dtype) has one home
     naming = [path.name for path in PACKAGE if '"<f8"' in path.read_text()]
     assert naming == ["container.py"]
+
+
+def test_only_the_dtype_constant_names_float64():
+    # the compute dtype is named once, as autodiff.DTYPE, so a later dtype
+    # change is that constant; data, metrics and files stay float64 on
+    # purpose, in the two modules that own them
+    naming = [(path.name, line.split("#")[0].strip())
+              for path in sorted(ROOT.glob("src/semgcn/*.py"))
+              if path.name not in ("container.py", "posedata.py")
+              for line in path.read_text().splitlines() if "float64" in line]
+    assert naming == [("autodiff.py", "DTYPE = np.float64")]

@@ -17,9 +17,10 @@ import pytest
 import semgcn
 from semgcn import autodiff, training
 from semgcn.autodiff import Tape
+from semgcn.checkpoint import load_checkpoint, save_checkpoint
 from semgcn.network import VARIANTS, NetworkConfig, build_network
 from semgcn.skeleton import build_skeleton
-from semgcn.training import Adam, train_step
+from semgcn.training import Adam, pose_loss, predict, train_step
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -127,6 +128,45 @@ def test_eval_tape_nodes_and_bytes_are_pinned(variant):
         tape.backward(out.sum())
     # the backward still reaches every parameter, batch norm's included
     assert [name for name, p in net.named_parameters() if p.grad is None] == []
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_compute_dtype_reaches_every_engine_buffer(variant, monkeypatch,
+                                                   tmp_path):
+    # autodiff.DTYPE is the one place the compute dtype is named: at
+    # float32 no tape output, gradient or optimizer buffer may fall back
+    # to float64.  This says nothing about float32 accuracy.
+    monkeypatch.setattr(autodiff, "DTYPE", np.float32)
+    handed = []  # the dtype of every gradient the backward hands on
+    accumulate = autodiff._accumulate
+    monkeypatch.setattr(autodiff, "_accumulate", lambda tensor, g: (
+        handed.append(g.dtype), accumulate(tensor, g)))
+    g = build_skeleton()
+    net = build_network(NetworkConfig(variant=variant, channels=4, blocks=1),
+                        g, seed=0)
+    opt = Adam(net.named_parameters(), lr=1e-3)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, g.num_joints, 2))
+    y = rng.standard_normal((4, g.num_joints, 3)) * 100.0
+    with Tape() as tape:
+        loss = pose_loss(net.forward(x, train=True), y, g, use_bone=True)
+        tape.backward(loss, np.ones(()))  # a double seed takes loss's dtype
+    f32 = np.dtype(np.float32)
+    assert {node.output.data.dtype for node in tape.nodes} == {f32}
+    assert set(handed) == {f32}
+    assert {p.grad.dtype for p in net.parameters()} == {f32}
+    opt.step()
+    buffers = [*opt._m.values(), *opt._v.values(), opt._scratch]
+    assert {a.dtype for a in buffers} == {f32}
+    assert {p.data.dtype for p in net.parameters()} == {f32}
+
+    pred = predict(net, x)
+    assert pred.dtype == f32
+    save_checkpoint(tmp_path / "net.ckpt", net)
+    loaded, _ = load_checkpoint(tmp_path / "net.ckpt", g)
+    assert {p.data.dtype for p in loaded.parameters()} == {f32}
+    again = predict(loaded, x)
+    assert again.dtype == f32 and again.tobytes() == pred.tobytes()
 
 
 # Three steps after two warm-up steps, in a fresh interpreter: freeing
