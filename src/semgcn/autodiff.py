@@ -320,19 +320,19 @@ def graph_conv(x, w, b, *aggregations, scale=None) -> Tensor:
     small ``A_r x`` products for the weight gradient instead of storing
     them (Chen et al., arXiv 1604.06174).
 
-    With a (C_out,) ``scale`` the node is an eval-mode conv → batch norm →
-    ReLU stage, ``relu([A_1 x | ... | A_R x] @ w * scale + b)``: this is
-    where eval-mode batch norm lives, and ``b`` is the stage's shift (see
-    ``layers.conv_bn_relu``).  The scale multiplies the product in its own
-    buffer, never ``w``, so a change to one weight keeps its effect on the
-    output bits.  The vjp masks ``g`` with ``out > 0``, as :func:`relu`
-    does, and recomputes the pre-scale product only for ``scale``'s
-    gradient.
+    With a (C_out,) array ``scale`` the call is an eval-mode conv → batch
+    norm → ReLU stage, ``relu([A_1 x | ... | A_R x] @ w * scale + b)``,
+    where ``b`` is the stage's shift (see ``layers.conv_bn_relu``).  The
+    scale multiplies the product in its own buffer, never ``w``, so a
+    change to one weight keeps its effect on the output bits.  The stage
+    is inference only: it has no backward, so under an open tape, with an
+    input that requires gradients, it raises :class:`AutodiffError`.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     aggs = tuple(_as_tensor(a) for a in aggregations)
-    scale = None if scale is None else _as_tensor(scale)
-    epilogue = () if scale is None else (scale,)
+    if scale is not None and _current_tape() is not None and any(
+            t.requires_grad for t in (x, w, b, *aggs)):
+        raise AutodiffError("an eval-mode conv stage has no backward")
     if x.ndim < 2:
         raise ShapeError(f"graph_conv needs a (..., K, C) input, got {x.shape}")
     k, c_in = x.shape[-2:]
@@ -342,9 +342,9 @@ def graph_conv(x, w, b, *aggregations, scale=None) -> Tensor:
         raise ShapeError(f"graph_conv weight {w.shape} does not fit {r} "
                          f"aggregations of {c_in} channels")
     c_out = w.shape[-1]
-    for t in (b, *epilogue):
-        if t.shape != (c_out,):
-            raise ShapeError(f"graph_conv bias or scale {t.shape} does not fit "
+    for shape in (b.shape, b.shape if scale is None else scale.shape):
+        if shape != (c_out,):
+            raise ShapeError(f"graph_conv bias or scale {shape} does not fit "
                              f"{c_out} channels")
     for agg in aggs:
         if agg.shape != (k, k):
@@ -362,14 +362,13 @@ def graph_conv(x, w, b, *aggregations, scale=None) -> Tensor:
 
     out_flat = side_by_side() @ w_flat
     if scale is not None:
-        out_flat *= scale.data
+        out_flat *= scale
     out_flat += b.data
     # checked before the ReLU, which would turn -Inf into 0
     _ensure_finite(out_flat, "matmul")
     if scale is not None:
         np.maximum(out_flat, 0.0, out=out_flat)
     out_data = out_flat.reshape(x.shape[:-1] + (c_out,))
-    relu_out = None if scale is None else out_flat  # the vjp's ReLU mask
 
     def vjp(g: np.ndarray):
         # gradients are written into arrays of their final shape, so each
@@ -377,14 +376,7 @@ def graph_conv(x, w, b, *aggregations, scale=None) -> Tensor:
         g2 = g.reshape(-1, c_out)
         gx = gw = None
         gaggs = [None] * r
-        gscale = ()
-        if scale is not None:
-            g2 *= relu_out > 0  # subgradient at 0 is 0
-            gscale = (np.einsum("ij,ij->j", g2, side_by_side() @ w_flat)
-                      if scale.requires_grad else None,)
         gb = g2.sum(axis=0) if b.requires_grad else None
-        if scale is not None:
-            g2 *= scale.data  # from here on, the gradient of the product
         if w.requires_grad:
             gw = np.empty(w.shape, w.data.dtype)
             np.matmul(side_by_side().T, g2, out=gw.reshape(w_flat.shape))
@@ -400,9 +392,9 @@ def graph_conv(x, w, b, *aggregations, scale=None) -> Tensor:
                 np.matmul(a_data[0].T, parts[0], out=gx3)
                 for a, part in zip(a_data[1:], parts[1:]):
                     gx3 += np.matmul(a.T, part)
-        return (gx, gw, gb, *gaggs, *gscale)
+        return (gx, gw, gb, *gaggs)
 
-    return _maybe_record("matmul", (x, w, b, *aggs, *epilogue), out_data, vjp)
+    return _maybe_record("matmul", (x, w, b, *aggs), out_data, vjp)
 
 
 def add(a, b, *more) -> Tensor:
@@ -572,7 +564,8 @@ def batch_norm(x, gamma, beta, state: BatchNormState) -> Tensor:
     node.  The vjp masks ``g`` with ``out > 0`` read from the output the
     tape keeps: the subgradient at 0 is 0, as in :func:`relu`.  Eval mode
     is a fixed per-channel affine map, which runs inside the preceding
-    conv's :func:`graph_conv` node (its ``scale`` epilogue).
+    conv's :func:`graph_conv` call (its ``scale`` epilogue) and has no
+    backward.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.ndim != 3:

@@ -58,9 +58,10 @@ def _write_json(path: Path, payload: dict) -> None:
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
+    # bad UTF-8 and bad JSON are ValueErrors, deep nesting a RecursionError
     try:
         values = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DatasetError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError(f"config file {path} does not hold a JSON object")

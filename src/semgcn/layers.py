@@ -5,6 +5,7 @@ baseline), the edge-weighted semantic convolution with one learned mask
 shared by all channels, the non-local attention layer with pairwise node
 grouping, and batch normalization over batch and node axes.  Each conv
 feeding a batch norm and its ReLU forms one stage, :func:`conv_bn_relu`.
+Eval mode is inference only: an eval-mode stage has no backward.
 
 A layer's widths are its weights' shapes: an input of another width
 fails in the op that reads the weight (:func:`graph_conv` or
@@ -29,6 +30,7 @@ from .autodiff import (
     BN_EPS,
     AutodiffError,
     BatchNormState,
+    NonFiniteError,
     ShapeError,
     Tensor,
     add,
@@ -71,12 +73,7 @@ class GraphConv(Layer):
     """One :func:`graph_conv` node over the aggregations a subclass supplies."""
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        return self.conv_node(x, self.b)
-
-    def conv_node(self, x: Tensor, b: Tensor, scale: Tensor | None = None) -> Tensor:
-        """The layer's :func:`graph_conv` node with bias ``b``, and with
-        ``scale`` the node of an eval-mode stage (:func:`conv_bn_relu`)."""
-        return graph_conv(x, self.w, b, *self.aggregations(), scale=scale)
+        return graph_conv(x, self.w, self.b, *self.aggregations())
 
 
 class VanillaGConv(GraphConv):
@@ -192,8 +189,8 @@ class BatchNormNodes(Layer):
     """Per-channel batch normalization over the batch and node axes,
     followed by ReLU in the same tape node (see :func:`batch_norm`).
 
-    Its forward is train mode only: in eval mode the layer is the
-    scale-and-shift epilogue of its conv's node (:func:`conv_bn_relu`).
+    Its forward is train mode only: in eval mode the layer is its conv's
+    scale-and-shift epilogue, which has no backward (:func:`conv_bn_relu`).
     """
 
     _param_names = ("gamma", "beta")
@@ -221,20 +218,24 @@ def conv_bn_relu(conv: GraphConv, bn: BatchNormNodes,
     In train mode it is ``bn(conv(x))``, a conv node and a
     :func:`batch_norm` node, since the batch statistics need the conv's
     output.  In eval mode batch norm is a fixed per-channel affine map, so
-    the stage is the conv's one :func:`graph_conv` node with a
+    the stage is the conv's one :func:`graph_conv` call with a
     scale-and-shift epilogue (Jacob et al., arXiv 1712.05877): the
     product is scaled by ``gamma / sqrt(running_var + BN_EPS)`` and the
     shift ``(b - running_mean) * scale + beta`` takes the bias's place.
-    Scale and shift are small tape ops on (C,) tensors, so gradients
-    still reach ``b``, ``gamma`` and ``beta``; they read copies of the
-    running statistics, which a later train-mode forward updates in place.
+    Scale and shift are plain arrays, each running-statistics term rounded
+    to the compute dtype first, so the stage is inference only: under a
+    tape it raises ``AutodiffError``.
     """
     if train:
         return bn(conv(x, train), train)
-    state = bn.state
-    scale = mul(bn.gamma, 1.0 / np.sqrt(state.running_var + BN_EPS))
-    shift = add(mul(add(conv.b, -state.running_mean), scale), bn.beta)
-    return conv.conv_node(x, shift, scale)
+    inv = (1.0 / np.sqrt(bn.state.running_var + BN_EPS)).astype(bn.gamma.data.dtype)
+    scale = bn.gamma.data * inv
+    shift = ((conv.b.data + (-bn.state.running_mean).astype(inv.dtype)) * scale
+             + bn.beta.data)
+    # checked before the GEMM; a non-finite scale leaves the shift non-finite
+    if not np.isfinite(shift).all():
+        raise NonFiniteError("eval-mode batch norm: non-finite scale or shift")
+    return graph_conv(x, conv.w, shift, *conv.aggregations(), scale=scale)
 
 
 class ResidualGConvBlock:

@@ -282,6 +282,28 @@ class TestGraphConv:
             assert gx.flags.owndata and gw.flags.owndata
             assert gw.shape == tensors[1].shape
 
+    def test_scale_epilogue_is_inference_only(self):
+        # an eval-mode stage has no backward: under a tape, any input that
+        # needs a gradient makes it raise before it records anything
+        rng = np.random.default_rng(34)
+        inputs = graph_conv_inputs(rng)
+        scale = rng.standard_normal(6)
+        for i in range(len(inputs)):
+            tensors = [Tensor(v, requires_grad=j == i)
+                       for j, v in enumerate(inputs)]
+            with Tape() as tape:
+                with pytest.raises(AutodiffError, match="no backward"):
+                    graph_conv(*tensors, scale=scale)
+            assert tape.nodes == []
+        # with nothing to differentiate it runs, taped or not
+        x, w, b, a_self, a_neigh = (Tensor(v) for v in inputs)
+        conv = graph_conv(x, w, Tensor(np.zeros(6)), a_self, a_neigh).data
+        want = np.maximum(conv * scale + b.data, 0.0)
+        with Tape() as tape:
+            out = graph_conv(x, w, b, a_self, a_neigh, scale=scale)
+        assert tape.nodes == []
+        np.testing.assert_array_equal(out.data, want)
+
 
 class TestAdd:
     def test_several_terms_add_left_to_right(self):
@@ -372,7 +394,8 @@ def reference_batch_norm(x, gamma, beta, mean, var, eps, momentum, training,
                          g):
     """The textbook batch norm through xhat followed by ReLU, with the
     three-term backward of the masked gradient: output, gradients for x,
-    gamma and beta, and the running statistics after the call."""
+    gamma and beta (None in eval mode, which has no backward), and the
+    running statistics after the call."""
     if training:
         mu = x.mean(axis=(0, 1))
         v = np.mean((x - mu) * (x - mu), axis=(0, 1))
@@ -384,14 +407,13 @@ def reference_batch_norm(x, gamma, beta, mean, var, eps, momentum, training,
     xhat = (x - mu) * inv
     pre = gamma * xhat + beta
     out = np.maximum(pre, 0.0)
+    if not training:
+        return out, None, None, None, mean, var
     g = g * (pre > 0)  # relu's subgradient at 0 is 0
     ggamma = (g * xhat).sum(axis=(0, 1))
     gbeta = g.sum(axis=(0, 1))
-    if training:
-        gx = gamma * inv * (g - g.mean(axis=(0, 1))
-                            - xhat * (g * xhat).mean(axis=(0, 1)))
-    else:
-        gx = g * gamma * inv
+    gx = gamma * inv * (g - g.mean(axis=(0, 1))
+                        - xhat * (g * xhat).mean(axis=(0, 1)))
     return out, gx, ggamma, gbeta, mean, var
 
 
@@ -405,8 +427,9 @@ def perturbed_state(rng, c):
 def batch_norm_on(x, gamma, beta, state, training):
     """Batch norm and its ReLU applied to ``x``: in train mode the
     ``batch_norm`` op itself, in eval mode the conv → batch norm → ReLU
-    stage of an identity conv, whose one graph_conv node takes the batch
-    norm as its scale-and-shift epilogue and hands it ``x`` exactly."""
+    stage of an identity conv, whose one graph_conv call takes the batch
+    norm as its scale-and-shift epilogue and hands it ``x`` exactly.  The
+    eval stage has no backward, so it runs outside a tape."""
     if training:
         return batch_norm(x, gamma, beta, state)
     k, c = x.shape[-2:]
@@ -431,19 +454,22 @@ class TestBatchNorm:
             x.data, gamma.data, beta.data, state.running_mean.copy(),
             state.running_var.copy(), BN_EPS, BN_MOMENTUM, training,
             probe)
-        with Tape() as tape:
+        if training:
+            with Tape() as tape:
+                out = batch_norm(x, gamma, beta, state)
+                tape.backward(out, grad=probe)
+            assert [node.op for node in tape.nodes] == ["batch_norm"]
+        else:
             out = batch_norm_on(x, gamma, beta, state, training)
-            tape.backward(out, grad=probe)
-        ops = [node.op for node in tape.nodes]
-        assert ops[-1] == ("batch_norm" if training else "matmul")
-        assert ops.count("batch_norm") + ops.count("matmul") == 1
         actual = (out.data, x.grad, gamma.grad, beta.grad, state.running_mean,
                   state.running_var)
         for got, want in zip(actual, expected):
-            np.testing.assert_allclose(got, want, rtol=1e-12)
+            if want is None:  # eval mode: no gradient
+                assert got is None
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_vjp_takes_a_gradient_of_any_layout(self, training):
+    def test_vjp_takes_a_gradient_of_any_layout(self):
         rng = np.random.default_rng(9)
         x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
         gamma = Tensor(rng.standard_normal(5), requires_grad=True)
@@ -451,49 +477,12 @@ class TestBatchNorm:
         state = perturbed_state(rng, 5)
         probe = rng.standard_normal((3, 4, 5))
         with Tape() as tape:
-            batch_norm_on(x, gamma, beta, state, training)
+            batch_norm(x, gamma, beta, state)
         node = tape.nodes[-1]
         c_order = node.vjp(probe.copy())
         f_order = node.vjp(np.asfortranarray(probe))
         for a, b in zip(c_order, f_order):
             np.testing.assert_array_equal(a, b)
-
-    def test_eval_mode_against_oracle(self):
-        rng = np.random.default_rng(5)
-        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-        gamma = Tensor(rng.standard_normal(4), requires_grad=True)
-        beta = Tensor(rng.standard_normal(4), requires_grad=True)
-        state = perturbed_state(rng, 4)
-        probe = Tensor(rng.standard_normal((2, 3, 4)))
-
-        def f(x, gamma, beta):
-            return mul(batch_norm_on(x, gamma, beta, state, training=False),
-                       probe).sum()
-
-        assert grad_check(f, [x, gamma, beta]) < 1e-6
-
-    def test_eval_backward_uses_statistics_of_its_forward(self):
-        rng = np.random.default_rng(6)
-        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-        gamma = Tensor(rng.standard_normal(4), requires_grad=True)
-        beta = Tensor(rng.standard_normal(4), requires_grad=True)
-        state = perturbed_state(rng, 4)
-        mean, var = state.running_mean.copy(), state.running_var.copy()
-        probe = rng.standard_normal((2, 3, 4))
-        with Tape() as tape:
-            out = batch_norm_on(x, gamma, beta, state, training=False)
-            # a train-mode forward moves the running statistics in place
-            batch_norm(Tensor(5.0 + rng.standard_normal((2, 3, 4))),
-                       Tensor(gamma.data), Tensor(beta.data), state)
-            assert not np.allclose(state.running_mean, mean)
-            assert not np.allclose(state.running_var, var)
-            tape.backward(out, grad=probe)
-        _, gx, ggamma, gbeta, _, _ = reference_batch_norm(
-            x.data, gamma.data, beta.data, mean, var, BN_EPS,
-            BN_MOMENTUM, False, probe)
-        np.testing.assert_allclose(x.grad, gx, rtol=1e-12)
-        np.testing.assert_allclose(gamma.grad, ggamma, rtol=1e-12)
-        np.testing.assert_allclose(beta.grad, gbeta, rtol=1e-12)
 
     def test_train_mode_hand_value(self):
         x = Tensor(np.array([1.0, 3.0]).reshape(2, 1, 1), requires_grad=True)
@@ -522,19 +511,12 @@ class TestBatchNorm:
         np.testing.assert_array_equal(beta.grad, [0.0])
 
     def test_eval_mode_zeroes_negative_pre_activations(self):
-        x = Tensor(np.array([-2.0, 3.0]).reshape(2, 1, 1), requires_grad=True)
-        gamma = Tensor(np.ones(1), requires_grad=True)
-        beta = Tensor(np.zeros(1), requires_grad=True)
-        state = BatchNormState(1)
+        x = Tensor(np.array([-2.0, 3.0]).reshape(2, 1, 1))
         inv = 1.0 / np.sqrt(1.0 + BN_EPS)
-        with Tape() as tape:
-            out = batch_norm_on(x, gamma, beta, state, training=False)
-            tape.backward(out, grad=np.array([5.0, 7.0]).reshape(2, 1, 1))
+        out = batch_norm_on(x, Tensor(np.ones(1)), Tensor(np.zeros(1)),
+                            BatchNormState(1), training=False)
         np.testing.assert_allclose(out.data.ravel(), [0.0, 3.0 * inv],
                                    rtol=1e-15)
-        np.testing.assert_allclose(x.grad.ravel(), [0.0, 7.0 * inv], rtol=1e-15)
-        np.testing.assert_allclose(gamma.grad, [21.0 * inv], rtol=1e-15)
-        np.testing.assert_allclose(beta.grad, [7.0], rtol=1e-15)
 
     def test_gradient_against_oracle(self):
         rng = np.random.default_rng(2)
@@ -677,7 +659,7 @@ class TestBackwardBuffers:
     """Each vjp may overwrite the output gradient it is handed."""
 
     @pytest.mark.parametrize("root_op", ["relu", "scale", "add", "mul",
-                                         "batch_norm", "eval_stage"])
+                                         "batch_norm"])
     def test_seed_and_root_grad_are_left_alone(self, root_op):
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
@@ -689,9 +671,6 @@ class TestBackwardBuffers:
             "batch_norm": lambda x: batch_norm(
                 x, Tensor(np.full(4, 2.0)), Tensor(np.zeros(4)),
                 BatchNormState(4)),
-            "eval_stage": lambda x: batch_norm_on(
-                x, Tensor(np.full(4, 2.0)), Tensor(np.zeros(4)),
-                BatchNormState(4), training=False),
         }
         seed = rng.standard_normal((2, 3, 4))
         kept = seed.copy()

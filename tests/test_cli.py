@@ -10,6 +10,7 @@ from semgcn.checkpoint import load_checkpoint
 from semgcn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from semgcn.posedata import centered_arrays, load_dataset, mpjpe
 from semgcn.training import predict
+from semgcn.verification import run_grad_checks
 
 TOY = ["--channels", "4", "--blocks", "1", "--epochs", "1", "--batch-size", "8"]
 
@@ -254,6 +255,21 @@ def assert_one_line_data_error(argv, caplog, capsys, *words):
         assert word in message
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff{}", b"[" * 100_000 + b"]" * 100_000,
+], ids=["not-utf8", "nested-100k-deep"])
+def test_unreadable_config_file_is_data_error(data_dir, tmp_path, caplog,
+                                              capsys, content):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    out = tmp_path / "run"
+    assert_one_line_data_error(
+        ["train", "--data", str(data_dir), "--out", str(out),
+         "--config", str(config), *TOY],
+        caplog, capsys, "cannot read config file")
+    assert not out.exists()
+
+
 def test_eval_of_header_with_removed_settings_is_data_error(run_dir, data_dir,
                                                            tmp_path, caplog,
                                                            capsys):
@@ -452,3 +468,10 @@ def test_train_on_directory_without_splits_is_data_error(tmp_path, capsys):
 def test_grad_check_passes(capsys):
     assert main(["grad-check", "--seeds", "1"]) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_grad_checks_pass_at_the_default_seeds():
+    # the sweep `semgcn grad-check` runs by default: 5 seeds of 5 cases
+    rows = run_grad_checks()
+    assert len(rows) == 25
+    assert [row for row in rows if not row.passed] == []
