@@ -14,7 +14,9 @@ others get copies.
 
 Values, and every buffer an op allocates, have the compute dtype
 :data:`DTYPE`.  Outputs are checked for NaN/Inf; a violation raises
-:class:`NonFiniteError` instead of propagating silently.
+:class:`NonFiniteError` instead of propagating silently.  The
+finite-difference oracle, :func:`grad_check`, computes in double
+(:data:`ORACLE_DTYPE`) whatever the compute dtype is.
 
 Importing the module tells glibc's allocator to keep freed memory in the
 process (:func:`_keep_freed_memory`), so that one step's tape is reused
@@ -24,11 +26,13 @@ by the next instead of being faulted in again.
 from __future__ import annotations
 
 import ctypes
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 DTYPE = np.float64  # the compute dtype; only Tensor.__init__ reads it
+ORACLE_DTYPE = np.double  # grad_check's dtype, whatever DTYPE is
 
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
@@ -308,7 +312,7 @@ def matmul(a, b, *addends) -> Tensor:
     return _maybe_record("matmul", (a, b, *terms), out_data, vjp)
 
 
-def graph_conv(x, w, b, *aggregations, scale=None) -> Tensor:
+def graph_conv(x, w, b, *aggregations, scale=None, skip=None) -> Tensor:
     """Graph convolution ``[A_1 x | ... | A_R x] @ w + b`` as one tape node.
 
     ``x`` is (..., K, C_in), each aggregation ``A_r`` is (K, K) and acts on
@@ -326,12 +330,19 @@ def graph_conv(x, w, b, *aggregations, scale=None) -> Tensor:
     scale multiplies the product in its own buffer, never ``w``, so a
     change to one weight keeps its effect on the output bits.  The stage
     is inference only: it has no backward, so under an open tape, with an
-    input that requires gradients, it raises :class:`AutodiffError`.
+    input that requires gradients, it raises :class:`AutodiffError`.  An
+    eval stage may also close a residual block: a ``skip`` of the output's
+    shape is added after the ReLU, in the same buffer, and the sum is
+    checked for finiteness again.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     aggs = tuple(_as_tensor(a) for a in aggregations)
-    if scale is not None and _current_tape() is not None and any(
-            t.requires_grad for t in (x, w, b, *aggs)):
+    skip = None if skip is None else _as_tensor(skip)
+    if scale is None:
+        if skip is not None:
+            raise AutodiffError("only an eval-mode conv stage adds a skip")
+    elif _current_tape() is not None and any(
+            t is not None and t.requires_grad for t in (x, w, b, skip, *aggs)):
         raise AutodiffError("an eval-mode conv stage has no backward")
     if x.ndim < 2:
         raise ShapeError(f"graph_conv needs a (..., K, C) input, got {x.shape}")
@@ -350,6 +361,10 @@ def graph_conv(x, w, b, *aggregations, scale=None) -> Tensor:
         if agg.shape != (k, k):
             raise ShapeError(f"graph_conv aggregation {agg.shape} does not fit "
                              f"{k} nodes")
+    out_shape = x.shape[:-1] + (c_out,)
+    if skip is not None and skip.shape != out_shape:
+        raise ShapeError(f"graph_conv skip {skip.shape} does not fit the "
+                         f"output's shape {out_shape}")
     x3 = x.data.reshape(-1, k, c_in)
     w_flat = w.data.reshape(r * c_in, c_out)
     a_data = [agg.data for agg in aggs]
@@ -368,7 +383,10 @@ def graph_conv(x, w, b, *aggregations, scale=None) -> Tensor:
     _ensure_finite(out_flat, "matmul")
     if scale is not None:
         np.maximum(out_flat, 0.0, out=out_flat)
-    out_data = out_flat.reshape(x.shape[:-1] + (c_out,))
+    out_data = out_flat.reshape(out_shape)
+    if skip is not None:
+        out_data += skip.data
+        _ensure_finite(out_data, "skip add")
 
     def vjp(g: np.ndarray):
         # gradients are written into arrays of their final shape, so each
@@ -555,7 +573,7 @@ class BatchNormState:
         self.running_var = np.ones(channels)
 
 
-def batch_norm(x, gamma, beta, state: BatchNormState) -> Tensor:
+def batch_norm(x, gamma, beta, state: BatchNormState, skip=None) -> Tensor:
     """Train-mode batch norm: normalize a (B, K, C) tensor per channel by
     its batch statistics over the batch and node axes, update the running
     ones, then apply ReLU in the same output buffer.
@@ -566,10 +584,20 @@ def batch_norm(x, gamma, beta, state: BatchNormState) -> Tensor:
     is a fixed per-channel affine map, which runs inside the preceding
     conv's :func:`graph_conv` call (its ``scale`` epilogue) and has no
     backward.
+
+    A ``skip`` of ``x``'s shape closes a residual block: it is added after
+    the ReLU into the same buffer, as ``matmul`` adds its addends, so the
+    block's sum is no node of its own.  The node then keeps the ReLU's
+    mask (one byte per value) in place of reading it from the output, and
+    its vjp hands the skip an unmasked copy of ``g``.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    skip = None if skip is None else _as_tensor(skip)
     if x.ndim != 3:
         raise ShapeError(f"batch_norm expects (B, K, C), got {x.shape}")
+    if skip is not None and skip.shape != x.shape:
+        raise ShapeError(f"batch_norm skip {skip.shape} does not fit "
+                         f"{x.shape}")
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
@@ -598,12 +626,20 @@ def batch_norm(x, gamma, beta, state: BatchNormState) -> Tensor:
     _ensure_finite(out, "batch_norm")
     np.maximum(out, 0.0, out=out)
     out_data = out.reshape(x.shape)
+    # once a skip is added in, the output no longer shows the ReLU's
+    # zeros, so the node keeps them as a mask
+    mask = None
+    if skip is not None:
+        mask = out > 0
+        out_data += skip.data
+        _ensure_finite(out_data, "skip add")
 
     def vjp(g):
         if not g.flags.c_contiguous:
             g = np.ascontiguousarray(g)
+        gskip = g.copy() if skip is not None and skip.requires_grad else None
         g2 = g.reshape(-1, c)  # a view, so gx is formed in g's buffer
-        g2 *= out > 0
+        g2 *= out > 0 if mask is None else mask
         centered = x2 - mu
         gbeta = g2.sum(axis=0)
         ggamma = np.einsum("ij,ij->j", g2, centered) * inv
@@ -616,14 +652,28 @@ def batch_norm(x, gamma, beta, state: BatchNormState) -> Tensor:
             centered *= a * inv * ggamma / n
             g2 -= centered
             gx = g
-        return (gx, ggamma if gamma.requires_grad else None,
-                gbeta if beta.requires_grad else None)
+        grads = (gx, ggamma if gamma.requires_grad else None,
+                 gbeta if beta.requires_grad else None)
+        return grads if skip is None else (*grads, gskip)
 
-    return _maybe_record("batch_norm", (x, gamma, beta), out_data, vjp)
+    inputs = (x, gamma, beta) if skip is None else (x, gamma, beta, skip)
+    return _maybe_record("batch_norm", inputs, out_data, vjp)
 
 
 # ---------------------------------------------------------------------------
 # finite-difference oracle
+
+
+@contextmanager
+def oracle_precision() -> Iterator[None]:
+    """Make :data:`ORACLE_DTYPE` the compute dtype inside the block, so a
+    case built there for :func:`grad_check` holds no other dtype."""
+    global DTYPE
+    saved, DTYPE = DTYPE, ORACLE_DTYPE
+    try:
+        yield
+    finally:
+        DTYPE = saved
 
 
 def grad_check(f: Callable[..., Tensor], inputs: Iterable[Tensor],
@@ -632,39 +682,47 @@ def grad_check(f: Callable[..., Tensor], inputs: Iterable[Tensor],
 
     ``f`` must be a deterministic scalar-valued function of the given
     tensors.  The numeric side never touches the tape, so it stays
-    independent of the backward implementation it is checking.
+    independent of the backward implementation it is checking.  The check
+    runs under :func:`oracle_precision`, and every input must already
+    hold :data:`ORACLE_DTYPE`: build the case under it too.
     """
     inputs = list(inputs)
-    for t in inputs:
-        if not np.isfinite(t.data).all():
-            raise NonFiniteError("grad_check input is not finite")
-        t.requires_grad = True
-        t.grad = None
+    with oracle_precision():
+        for t in inputs:
+            if t.data.dtype != ORACLE_DTYPE:
+                raise AutodiffError(f"grad_check input is {t.data.dtype}, not "
+                                    f"{np.dtype(ORACLE_DTYPE)}: build the case "
+                                    "under oracle_precision()")
+            if not np.isfinite(t.data).all():
+                raise NonFiniteError("grad_check input is not finite")
+            t.requires_grad = True
+            t.grad = None
 
-    with Tape() as tape:
-        out = f(*inputs)
-        if out.size != 1:
-            raise ShapeError(f"grad_check needs a scalar output, got {out.shape}")
-        tape.backward(out)
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-                for t in inputs]
-    for t in inputs:
-        t.grad = None
+        with Tape() as tape:
+            out = f(*inputs)
+            if out.size != 1:
+                raise ShapeError(
+                    f"grad_check needs a scalar output, got {out.shape}")
+            tape.backward(out)
+        analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                    for t in inputs]
+        for t in inputs:
+            t.grad = None
 
-    max_rel = 0.0
-    for t, ana in zip(inputs, analytic):
-        flat = t.data.flat  # writes through regardless of layout
-        ana_flat = ana.reshape(-1)
-        for i in range(t.data.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = f(*inputs).item()
-            flat[i] = orig - eps
-            f_minus = f(*inputs).item()
-            flat[i] = orig
-            num = (f_plus - f_minus) / (2.0 * eps)
-            denom = max(1e-8, abs(ana_flat[i]) + abs(num))
-            rel = abs(ana_flat[i] - num) / denom
-            if rel > max_rel:
-                max_rel = rel
-    return max_rel
+        max_rel = 0.0
+        for t, ana in zip(inputs, analytic):
+            flat = t.data.flat  # writes through regardless of layout
+            ana_flat = ana.reshape(-1)
+            for i in range(t.data.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                f_plus = f(*inputs).item()
+                flat[i] = orig - eps
+                f_minus = f(*inputs).item()
+                flat[i] = orig
+                num = (f_plus - f_minus) / (2.0 * eps)
+                denom = max(1e-8, abs(ana_flat[i]) + abs(num))
+                rel = abs(ana_flat[i] - num) / denom
+                if rel > max_rel:
+                    max_rel = rel
+        return max_rel

@@ -4,8 +4,9 @@ Four layer kinds: the vanilla shared-weight graph convolution (the
 baseline), the edge-weighted semantic convolution with one learned mask
 shared by all channels, the non-local attention layer with pairwise node
 grouping, and batch normalization over batch and node axes.  Each conv
-feeding a batch norm and its ReLU forms one stage, :func:`conv_bn_relu`.
-Eval mode is inference only: an eval-mode stage has no backward.
+feeding a batch norm and its ReLU forms one stage, :func:`conv_bn_relu`,
+and a residual block's second stage also adds the block's skip.  Eval
+mode is inference only: an eval-mode stage has no backward.
 
 A layer's widths are its weights' shapes: an input of another width
 fails in the op that reads the weight (:func:`graph_conv` or
@@ -211,9 +212,9 @@ class BatchNormNodes(Layer):
         return batch_norm(x, self.gamma, self.beta, self.state)
 
 
-def conv_bn_relu(conv: GraphConv, bn: BatchNormNodes,
-                 x: Tensor, train: bool) -> Tensor:
-    """One conv → batch norm → ReLU stage.
+def conv_bn_relu(conv: GraphConv, bn: BatchNormNodes, x: Tensor, train: bool,
+                 skip: Tensor | None = None) -> Tensor:
+    """One conv → batch norm → ReLU stage, plus ``skip`` when one is given.
 
     In train mode it is ``bn(conv(x))``, a conv node and a
     :func:`batch_norm` node, since the batch statistics need the conv's
@@ -225,9 +226,17 @@ def conv_bn_relu(conv: GraphConv, bn: BatchNormNodes,
     Scale and shift are plain arrays, each running-statistics term rounded
     to the compute dtype first, so the stage is inference only: under a
     tape it raises ``AutodiffError``.
+
+    A residual block's second stage passes the block input as ``skip``;
+    the node that applies the ReLU adds it after the ReLU, so the block's
+    sum records no node.  A train stage with a skip calls
+    :func:`batch_norm` itself, since ``bn``'s forward takes ``(x, train)``
+    alone.
     """
     if train:
-        return bn(conv(x, train), train)
+        if skip is None:
+            return bn(conv(x, train), train)
+        return batch_norm(conv(x, train), bn.gamma, bn.beta, bn.state, skip)
     inv = (1.0 / np.sqrt(bn.state.running_var + BN_EPS)).astype(bn.gamma.data.dtype)
     scale = bn.gamma.data * inv
     shift = ((conv.b.data + (-bn.state.running_mean).astype(inv.dtype)) * scale
@@ -235,13 +244,15 @@ def conv_bn_relu(conv: GraphConv, bn: BatchNormNodes,
     # checked before the GEMM; a non-finite scale leaves the shift non-finite
     if not np.isfinite(shift).all():
         raise NonFiniteError("eval-mode batch norm: non-finite scale or shift")
-    return graph_conv(x, conv.w, shift, *conv.aggregations(), scale=scale)
+    return graph_conv(x, conv.w, shift, *conv.aggregations(), scale=scale,
+                      skip=skip)
 
 
 class ResidualGConvBlock:
     """Two conv+BN+ReLU stages (:func:`conv_bn_relu`) under a skip
     connection, then an optional non-local layer (which carries its own
-    residual).
+    residual).  The second stage adds the skip in the node that applies
+    its ReLU, so the block records no ``add``.
 
     The block is not a ``Layer``: it owns no tensors, so it has no tensor
     walk that could quietly yield nothing.  ``Network.named_layers`` walks
@@ -257,8 +268,7 @@ class ResidualGConvBlock:
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         h = conv_bn_relu(self.conv1, self.bn1, x, train)
-        h = conv_bn_relu(self.conv2, self.bn2, h, train)
-        y = add(x, h)
+        y = conv_bn_relu(self.conv2, self.bn2, h, train, skip=x)
         if self.nonlocal_layer is not None:
             y = self.nonlocal_layer(y, train)
         return y

@@ -137,19 +137,21 @@ def generate_synthetic(n: int, seed: int, noise_sigma: float = 0.0, *,
 
     axes = [(JOINT_NAMES.index(name), axis)
             for name, ranges in _ANGLE_RANGES.items() for axis, _, _ in ranges]
-    lows, highs = np.array([(low, high) for ranges in _ANGLE_RANGES.values()
-                            for _, low, high in ranges]).T
-    place_lows = (-LATERAL_RANGE, -LATERAL_RANGE, DEPTH_RANGE[0])
-    place_highs = (LATERAL_RANGE, LATERAL_RANGE, DEPTH_RANGE[1])
-    angles = np.empty((n, len(axes)))
-    placement = np.empty((n, 3))
+    # the angle ranges, then the x, y and depth placement ranges
+    lows, highs = np.array(
+        [(low, high) for ranges in _ANGLE_RANGES.values() for _, low, high in ranges]
+        + [(-LATERAL_RANGE, LATERAL_RANGE)] * 2 + [DEPTH_RANGE]).T
+    # one unit draw per sample, mapped to the ranges after the loop as
+    # Generator.uniform maps it: low + (high - low) * u
+    draws = np.empty((n, len(lows)))
     noise = np.empty((n, k, 2))
     for i in range(n):
         rng = np.random.default_rng([seed, i])
-        angles[i] = rng.uniform(lows, highs)
-        placement[i] = rng.uniform(place_lows, place_highs)
+        rng.random(out=draws[i])
         if noise_sigma > 0:
             noise[i] = rng.normal(0.0, noise_sigma, size=(k, 2))
+    draws = lows + (highs - lows) * draws
+    angles, placement = draws[:, :len(axes)], draws[:, len(axes):]
 
     # Arrays are joint-major, so each joint's (N, ...) stack is contiguous.
     local = np.broadcast_to(np.eye(3), (k, n, 3, 3)).copy()

@@ -1,8 +1,9 @@
 """Finite-difference verification of every layer family's backward pass.
 
 Runs at reduced width (16 nodes, 8 channels) so a full sweep over all
-parameters stays fast.  Used by the CLI ``grad-check`` command and the
-acceptance suite.
+parameters stays fast.  Every case is built and checked in double
+(``oracle_precision``), whatever the compute dtype.  Used by the CLI
+``grad-check`` command and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -12,8 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, grad_check, mul
-from .layers import BatchNormNodes, NonLocalBlock, SemGConv, VanillaGConv
+from .autodiff import Tensor, grad_check, mul, oracle_precision
+from .layers import (
+    BatchNormNodes,
+    NonLocalBlock,
+    SemGConv,
+    VanillaGConv,
+    conv_bn_relu,
+)
 from .skeleton import DEFAULT_NODE_GROUPS, adjacency, build_skeleton, normalize_adjacency
 from .training import pose_loss
 
@@ -41,7 +48,7 @@ def _layer_case(layer, x_shape: tuple[int, ...], rng: np.random.Generator,
     # init so the check exercises a generic point.
     for p in params:
         if not p.data.any():
-            p.data = rng.standard_normal(p.data.shape) * 0.1
+            p.data[...] = rng.standard_normal(p.data.shape) * 0.1
     # Project with fixed random weights: a plain sum is blind to directions
     # the layer's output cannot move in (batch norm output sums to beta).
     # Each layer checked here keeps the input's width.
@@ -51,6 +58,26 @@ def _layer_case(layer, x_shape: tuple[int, ...], rng: np.random.Generator,
         return mul(layer.forward(x, train=train), probe).sum()
 
     return f, [x] + params
+
+
+def _skip_stage_case(propagation: np.ndarray, x_shape: tuple[int, ...],
+                     rng: np.random.Generator):
+    """A residual block's second stage: conv → batch norm → ReLU, then
+    the skip added in the batch norm's node."""
+    conv = VanillaGConv(_CHANNELS, _CHANNELS, propagation, rng)
+    bn = BatchNormNodes(_CHANNELS)
+    bn.gamma.data[...] = rng.standard_normal(_CHANNELS)
+    bn.beta.data[...] = rng.standard_normal(_CHANNELS) * 0.1
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+    skip = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+    probe = Tensor(rng.standard_normal(x_shape))
+
+    def f(*_):
+        return mul(conv_bn_relu(conv, bn, x, True, skip=skip), probe).sum()
+
+    # not the conv bias: the batch mean cancels it, so its exact gradient
+    # is 0 and a relative error would measure rounding alone
+    return f, [x, skip, conv.w, bn.gamma, bn.beta]
 
 
 def _pose_loss_case(g, rng: np.random.Generator):
@@ -79,6 +106,7 @@ def run_grad_checks(seeds=range(5)) -> list[GradCheckRow]:
             NonLocalBlock(_CHANNELS, DEFAULT_NODE_GROUPS, k, rng), x_shape, rng),
         "batch_norm": lambda rng: _layer_case(
             BatchNormNodes(_CHANNELS), x_shape, rng, train=True),
+        "conv_bn_relu_skip": lambda rng: _skip_stage_case(norm, x_shape, rng),
         "pose_loss": lambda rng: _pose_loss_case(g, rng),
     }
     rows = []
@@ -88,7 +116,9 @@ def run_grad_checks(seeds=range(5)) -> list[GradCheckRow]:
             # rows exist
             rng = np.random.default_rng(
                 [seed, 0xC0FFEE, zlib.crc32(name.encode())])
-            rows.append(GradCheckRow(name, seed, grad_check(*make_case(rng))))
+            with oracle_precision():
+                error = grad_check(*make_case(rng))
+            rows.append(GradCheckRow(name, seed, error))
     return rows
 
 

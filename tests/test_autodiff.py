@@ -305,6 +305,32 @@ class TestGraphConv:
         np.testing.assert_array_equal(out.data, want)
 
 
+    def test_scale_epilogue_adds_a_skip_after_the_relu(self):
+        rng = np.random.default_rng(35)
+        x, w, b, a_self, a_neigh = (Tensor(v) for v in graph_conv_inputs(rng))
+        scale = rng.standard_normal(6)
+        skip = Tensor(rng.standard_normal((3, 5, 6)))
+        stage = graph_conv(x, w, b, a_self, a_neigh, scale=scale).data
+        out = graph_conv(x, w, b, a_self, a_neigh, scale=scale, skip=skip)
+        np.testing.assert_array_equal(out.data, stage + skip.data)
+        # inference only, like the rest of the epilogue
+        with Tape() as tape, pytest.raises(AutodiffError, match="no backward"):
+            graph_conv(x, w, b, a_self, a_neigh, scale=scale,
+                       skip=Tensor(skip.data, requires_grad=True))
+        assert tape.nodes == []
+        with pytest.raises(AutodiffError, match="eval-mode"):
+            graph_conv(x, w, b, a_self, a_neigh, skip=skip)
+        with pytest.raises(ShapeError, match="skip"):
+            graph_conv(x, w, b, a_self, a_neigh, scale=scale,
+                       skip=Tensor(np.ones((3, 5, 1))))
+        # the sum is checked too: the ReLU's output was finite
+        big = Tensor(np.full((3, 5, 6), np.finfo(np.float64).max))
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match="skip add"):
+            graph_conv(x, w, b, a_self, a_neigh, scale=np.abs(scale) + 1e300,
+                       skip=big)
+
+
 class TestAdd:
     def test_several_terms_add_left_to_right(self):
         rng = np.random.default_rng(2)
@@ -468,6 +494,40 @@ class TestBatchNorm:
                 assert got is None
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_skip_is_added_after_the_relu(self, seed):
+        # the block's skip closes the node: the ReLU mask is the batch
+        # norm's own, and the skip takes the output gradient unmasked
+        rng = np.random.default_rng([seed, 7])
+        x = Tensor(rng.standard_normal((4, 5, 6)), requires_grad=True)
+        gamma = Tensor(rng.standard_normal(6), requires_grad=True)
+        beta = Tensor(rng.standard_normal(6), requires_grad=True)
+        skip = Tensor(rng.standard_normal((4, 5, 6)), requires_grad=True)
+        state = perturbed_state(rng, 6)
+        probe = rng.standard_normal((4, 5, 6))
+        out_ref, gx, ggamma, gbeta, mean, var = reference_batch_norm(
+            x.data, gamma.data, beta.data, state.running_mean.copy(),
+            state.running_var.copy(), BN_EPS, BN_MOMENTUM, True, probe)
+        with Tape() as tape:
+            out = batch_norm(x, gamma, beta, state, skip)
+            tape.backward(out, grad=probe)
+        (node,) = tape.nodes
+        assert node.op == "batch_norm" and node.inputs[3] is skip
+        actual = (out.data, x.grad, gamma.grad, beta.grad, state.running_mean,
+                  state.running_var, skip.grad)
+        expected = (out_ref + skip.data, gx, ggamma, gbeta, mean, var, probe)
+        for got, want in zip(actual, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+        # the same node with no skip, plus the skip, is the same bits
+        alone = batch_norm(x, gamma, beta, BatchNormState(6))
+        np.testing.assert_array_equal(out.data, alone.data + skip.data)
+
+    def test_skip_must_match_the_input(self):
+        x = Tensor(np.ones((2, 3, 4)))
+        with pytest.raises(ShapeError, match="skip"):
+            batch_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                       BatchNormState(4), Tensor(np.ones((2, 3, 1))))
 
     def test_vjp_takes_a_gradient_of_any_layout(self):
         rng = np.random.default_rng(9)
@@ -653,6 +713,27 @@ class TestGradCheckOracle:
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         err = grad_check(lambda x: broken_square(x).sum(), [x])
         assert err > 1e-2
+
+    def test_computes_in_double_whatever_the_compute_dtype(self, monkeypatch):
+        from semgcn import autodiff as ad
+
+        monkeypatch.setattr(ad, "DTYPE", np.float32)
+        single = Tensor(np.array([1.0, 2.0]))
+        with pytest.raises(AutodiffError, match="oracle_precision"):
+            grad_check(lambda x: mul(x, x).sum(), [single])
+        seen = []
+
+        def f(x):
+            out = mul(x, Tensor(np.array([0.5, 3.0])))
+            seen.append(out.data.dtype)
+            return out.sum()
+
+        with ad.oracle_precision():
+            x = Tensor(np.array([1.0, 2.0]))
+        assert ad.DTYPE is np.float32  # restored on leaving the block
+        assert grad_check(f, [x]) < 1e-9
+        assert set(seen) == {np.dtype(ad.ORACLE_DTYPE)}
+        assert np.dtype(ad.ORACLE_DTYPE) == np.float64
 
 
 class TestBackwardBuffers:

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from semgcn import autodiff, verification
+from semgcn.autodiff import grad_check
 from semgcn.checkpoint import load_checkpoint
 from semgcn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from semgcn.posedata import centered_arrays, load_dataset, mpjpe
@@ -471,7 +473,29 @@ def test_grad_check_passes(capsys):
 
 
 def test_grad_checks_pass_at_the_default_seeds():
-    # the sweep `semgcn grad-check` runs by default: 5 seeds of 5 cases
+    # the sweep `semgcn grad-check` runs by default: 5 seeds of 6 cases
     rows = run_grad_checks()
-    assert len(rows) == 25
+    assert len(rows) == 30
     assert [row for row in rows if not row.passed] == []
+
+
+def test_grad_checks_compute_in_double_at_a_float32_compute_dtype(monkeypatch):
+    # the oracle judges every backward pass whatever the compute dtype, so
+    # each case is built and checked in double
+    monkeypatch.setattr(autodiff, "DTYPE", np.float32)
+    checked = []  # the dtype of every checked tensor and of every output
+
+    def recording(f, inputs):
+        def traced(*args):
+            out = f(*args)
+            checked.append(out.data.dtype)
+            return out
+        checked.extend(t.data.dtype for t in inputs)
+        return grad_check(traced, inputs)
+
+    monkeypatch.setattr(verification, "grad_check", recording)
+    rows = run_grad_checks()
+    assert len(rows) == 30
+    assert [row for row in rows if not row.passed] == []
+    assert set(checked) == {np.dtype(np.float64)}
+    assert autodiff.DTYPE is np.float32

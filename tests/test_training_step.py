@@ -82,15 +82,15 @@ def test_every_op_kind_has_a_caller():
 
 # One step's tape at channels 4, one block, batch 4: every graph conv is
 # one graph_conv node that keeps only its output, the non-local layer's
-# bias and residual are addends of its products, and each batch norm
-# applies its ReLU, so splitting a fold back into its own node changes
-# these counts and bytes.
+# bias and residual are addends of its products, each batch norm applies
+# its ReLU, and a block's second batch norm adds its skip, so splitting a
+# fold back into its own node changes these counts and bytes.
 TAPE_AT_SMALL_SIZE = {
-    "semgcn": ({"matmul": 22, "mul": 12, "add": 8, "relu": 2, "sum": 1,
+    "semgcn": ({"matmul": 22, "mul": 12, "add": 7, "relu": 2, "sum": 1,
                 "softmax": 4, "batch_norm": 3, "max_over_set": 2,
-                "transpose": 2}, 79_664),
-    "resgcn": ({"matmul": 4, "batch_norm": 3, "add": 2, "mul": 2,
-                "sum": 1}, 18_960),
+                "transpose": 2}, 77_616),
+    "resgcn": ({"matmul": 4, "batch_norm": 3, "add": 1, "mul": 2,
+                "sum": 1}, 16_912),
 }
 
 
@@ -104,15 +104,16 @@ def test_tape_nodes_and_bytes_are_pinned(variant):
 
 # The ops an eval-mode forward runs at the same size, taped or not: each
 # conv → batch norm → ReLU stage is one graph_conv ("matmul") call whose
-# scale and shift are plain arrays, so no batch_norm, mul or add runs for a
-# batch norm; the matmul counts are the training tape's.
+# scale and shift are plain arrays, and a block's second stage adds its
+# skip in that call, so no batch_norm, mul or add runs for a batch norm or
+# a block; the matmul counts are the training tape's.
 EVAL_OPS_AT_SMALL_SIZE = {
-    "semgcn": {"matmul": 22, "mul": 10, "add": 7, "relu": 2, "softmax": 4,
+    "semgcn": {"matmul": 22, "mul": 10, "add": 6, "relu": 2, "softmax": 4,
                "max_over_set": 2, "transpose": 2},
-    "semgcn-nonl-only": {"matmul": 22, "mul": 2, "add": 3, "relu": 2,
+    "semgcn-nonl-only": {"matmul": 22, "mul": 2, "add": 2, "relu": 2,
                          "max_over_set": 2, "transpose": 2},
-    "semgcn-conv-only": {"matmul": 4, "mul": 8, "add": 5, "softmax": 4},
-    "resgcn": {"matmul": 4, "add": 1},
+    "semgcn-conv-only": {"matmul": 4, "mul": 8, "add": 4, "softmax": 4},
+    "resgcn": {"matmul": 4},
 }
 
 
@@ -168,14 +169,63 @@ def test_compute_dtype_reaches_every_engine_buffer(variant, monkeypatch,
     assert again.dtype == f32 and again.tobytes() == pred.tobytes()
 
 
-# Three steps after two warm-up steps, in a fresh interpreter: freeing
-# large arrays raises glibc's own trim threshold, so a process that has
-# run other tests may keep its heap whatever the engine asks for.
+def reference_resgcn_predict(net, x):
+    """resgcn's eval forward written out in numpy at the parameters' dtype.
+    Each stage rounds ``1 / sqrt(running_var + BN_EPS)`` and
+    ``-running_mean`` (double buffers) to that dtype before either meets a
+    parameter, then scales the conv's product and adds the shift."""
+    def conv(layer, h):
+        z = np.matmul(layer.propagation.data, h)
+        return z.reshape(-1, z.shape[-1]) @ layer.w.data
+
+    def stage(layer, bn, h):
+        dtype = bn.gamma.data.dtype
+        inv = (1.0 / np.sqrt(bn.state.running_var + autodiff.BN_EPS)).astype(dtype)
+        scale = bn.gamma.data * inv
+        shift = ((layer.b.data + (-bn.state.running_mean).astype(dtype)) * scale
+                 + bn.beta.data)
+        out = np.maximum(conv(layer, h) * scale + shift, 0.0)
+        return out.reshape(h.shape[:-1] + out.shape[-1:])
+
+    h = stage(net.input_conv, net.input_bn, x.astype(net.input_bn.gamma.data.dtype))
+    for block in net.blocks:
+        inner = stage(block.conv2, block.bn2, stage(block.conv1, block.bn1, h))
+        h = inner + h
+    out = conv(net.output_conv, h) + net.output_conv.b.data
+    return out.reshape(h.shape[:-1] + out.shape[-1:])
+
+
+def test_float32_eval_rounds_running_statistics_to_the_parameters(monkeypatch):
+    # the running statistics are double checkpoint buffers; at a float32
+    # compute dtype each eval stage rounds them to float32 before they
+    # meet a parameter, so predictions do not depend on where a double
+    # crept in
+    monkeypatch.setattr(autodiff, "DTYPE", np.float32)
+    g = build_skeleton()
+    net = build_network(NetworkConfig(variant="resgcn", channels=8, blocks=2),
+                        g, seed=0)
+    rng = np.random.default_rng(5)
+    for _, p in net.named_parameters():
+        p.data[...] = rng.standard_normal(p.shape) * 0.5
+    for name, buf in net.named_buffers():
+        buf[...] = (rng.uniform(0.3, 3.0, buf.shape) if name.endswith("var")
+                    else rng.standard_normal(buf.shape))
+    x = rng.standard_normal((6, g.num_joints, 2))
+    pred = predict(net, x)
+    want = reference_resgcn_predict(net, x)
+    assert pred.dtype == want.dtype == np.float32
+    assert pred.tobytes() == want.tobytes()
+
+
+# Three steps of a 4-block resgcn (a ~9 MiB tape) after two warm-up
+# steps, in a fresh interpreter: freeing large arrays raises glibc's own
+# trim threshold, so a process that has run other tests may keep its heap
+# whatever the engine asks for.
 FAULT_PROBE = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 from test_training_step import make_step
-step = make_step("resgcn", 64, 3, 64)
+step = make_step("resgcn", 64, 4, 64)
 tape = step()
 step()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
