@@ -25,8 +25,12 @@ class TrainingError(RuntimeError):
 
 
 class NonFiniteGradientError(TrainingError):
-    def __init__(self, param_name: str):
-        super().__init__(f"non-finite gradient for parameter {param_name!r}")
+    """An Adam step met a gradient, or made an update, that its float32
+    state cannot hold; it says which and for which parameter."""
+
+    def __init__(self, param_name: str, what: str, why: str):
+        super().__init__(
+            f"non-finite {what} for parameter {param_name!r}: {why}")
         self.param_name = param_name
 
 
@@ -88,8 +92,26 @@ def pose_loss(pred: Tensor, gt, g: SkeletonGraph, use_bone: bool = False) -> Ten
     return mul(loss, 1.0 / batch)
 
 
+# Adam's moments and update temporaries are float32 whatever the compute
+# dtype: at paper size the moments take 3.5 MB, not 7.0 in double.  Float32
+# moments train as well as double ones (val MPJPE within the seed spread
+# over five seeds), and the parameters, which keep the compute dtype, are
+# the wide copy.
+STATE_DTYPE = np.float32
+
+
 class Adam:
-    """Standard Adam with bias correction; deterministic given inputs."""
+    """Standard Adam with bias correction; deterministic given inputs.
+
+    ``m``, ``v`` and the update are float32 (``STATE_DTYPE``): each
+    gradient is rounded to it once, and the update is subtracted from the
+    parameter in the parameter's dtype.  A gradient that is NaN or Inf, or
+    whose square overflows float32, raises ``NonFiniteGradientError``
+    before ``m``, ``v`` or the parameter change; so does a non-finite
+    update, as under a huge learning rate, before the parameter moves.
+    ``grad_sq_norms`` holds each parameter's squared gradient norm at the
+    last step (0 for a parameter with no gradient).
+    """
 
     def __init__(self, named_params, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -99,43 +121,64 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self._m = {name: np.zeros_like(p.data) for name, p in self.named_params}
-        self._v = {name: np.zeros_like(p.data) for name, p in self.named_params}
-        # two update temporaries of the largest parameter's size and dtype,
-        # shared: per-parameter buffers would stay resident for nothing
-        largest = max((p.data for _, p in self.named_params), key=np.size)
-        self._scratch = np.empty((2, largest.size), largest.dtype)
+        self.grad_sq_norms = {name: 0.0 for name, _ in self.named_params}
+        self._m = {name: np.zeros(p.shape, STATE_DTYPE)
+                   for name, p in self.named_params}
+        self._v = {name: np.zeros(p.shape, STATE_DTYPE)
+                   for name, p in self.named_params}
+        # two update temporaries of the largest parameter's size, shared:
+        # per-parameter buffers would stay resident for nothing
+        largest = max(p.size for _, p in self.named_params)
+        self._scratch = np.empty((2, largest), STATE_DTYPE)
 
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for name, p in self.named_params:
-            g = p.grad
-            if g is None:
-                continue
-            if not np.isfinite(g).all():
-                raise NonFiniteGradientError(name)
-            m = self._m[name]
-            v = self._v[name]
-            s1, s2 = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
-            # the operation order of m += (1 - b1) * g, v += (1 - b2) * (g * g)
-            # and p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the update
-            # is bitwise that of the plain expressions
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=s1)
-            v *= self.beta2
-            np.multiply(g, g, out=s1)
-            s1 *= 1.0 - self.beta2
-            v += s1
-            np.divide(m, bc1, out=s1)
-            s1 *= self.lr
-            np.divide(v, bc2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += self.eps
-            s1 /= s2
-            p.data -= s1
+        # an overflow still warns; the NaN that inf arithmetic then makes
+        # (0 * inf, inf / inf) is caught by the checks below, which raise
+        with np.errstate(invalid="ignore"):
+            for name, p in self.named_params:
+                g = p.grad
+                if g is None:
+                    self.grad_sq_norms[name] = 0.0
+                    continue
+                s1, s2 = (buf[:g.size].reshape(g.shape)
+                          for buf in self._scratch)
+                np.copyto(s1, g)
+                np.multiply(s1, s1, out=s2)
+                # summed in double, the squares cannot overflow: the sum
+                # is finite exactly when every square is
+                sq = float(s2.sum(dtype=np.double))
+                if not math.isfinite(sq):
+                    raise NonFiniteGradientError(
+                        name, "gradient",
+                        "NaN or Inf, or its square overflows float32")
+                self.grad_sq_norms[name] = sq
+                m = self._m[name]
+                v = self._v[name]
+                # the operation order of m += (1 - b1) * g, v += (1 - b2) *
+                # (g * g) and p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) on
+                # float32 g, m and v, so the update is bitwise that of the
+                # plain expressions
+                m *= self.beta1
+                s1 *= 1.0 - self.beta1
+                m += s1
+                v *= self.beta2
+                s2 *= 1.0 - self.beta2
+                v += s2
+                np.divide(m, bc1, out=s1)
+                s1 *= self.lr
+                np.divide(v, bc2, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += self.eps
+                s1 /= s2
+                if not np.isfinite(s1).all():
+                    raise NonFiniteGradientError(
+                        name, "update",
+                        f"the float32 update is NaN or Inf at lr {self.lr:g}")
+                p.data -= s1
 
 
 class PlateauScheduler:
@@ -236,6 +279,9 @@ def train(net: Network, train_ds: PoseDataset, val_ds: PoseDataset,
     ``on_epoch``, when given, receives each epoch's log record as soon as
     it exists.  A record's ``wall_s`` spans the whole epoch, validation
     included; ``train_samples_per_s`` counts the training passes alone.
+    ``grad_norm`` maps each layer group (``input``, ``blocks.<i>``,
+    ``output``) to the mean over the epoch's steps of the L2 norm of its
+    parameters' gradients.
     A non-finite loss, gradient or validation output aborts the run and
     returns the last good snapshot with ``aborted`` set.  The datasets'
     skeleton is the caller's to check.
@@ -246,6 +292,12 @@ def train(net: Network, train_ds: PoseDataset, val_ds: PoseDataset,
     x_val, y_val = centered_arrays(val_ds, root=g.root)
     opt = Adam(net.named_parameters(), lr=cfg.lr, beta1=cfg.adam_beta1,
                beta2=cfg.adam_beta2, eps=cfg.adam_eps)
+    groups: dict[str, list[str]] = {}
+    for name, _ in net.named_parameters():
+        head, _, rest = name.partition(".")
+        if head == "blocks":
+            head += "." + rest.partition(".")[0]
+        groups.setdefault(head, []).append(name)
     sched = PlateauScheduler(cfg.lr)
     rng = np.random.default_rng([cfg.seed, 0x5EED])
     n = x_train.shape[0]
@@ -261,12 +313,16 @@ def train(net: Network, train_ds: PoseDataset, val_ds: PoseDataset,
         t_start = time.perf_counter()
         perm = rng.permutation(n)
         batch_losses = []
+        norm_sums = dict.fromkeys(groups, 0.0)
         try:
             for start in range(0, n, cfg.batch_size):
                 idx = perm[start:start + cfg.batch_size]
                 batch_losses.append(train_step(net, opt, x_train[idx],
                                                y_train[idx], g,
                                                cfg.use_bone_loss))
+                for group, names in groups.items():
+                    norm_sums[group] += math.sqrt(
+                        sum(opt.grad_sq_norms[name] for name in names))
             t_trained = time.perf_counter()
             val_loss, val_mpjpe = evaluate(net, x_val, y_val, g,
                                            cfg.use_bone_loss)
@@ -286,6 +342,8 @@ def train(net: Network, train_ds: PoseDataset, val_ds: PoseDataset,
             "val_mpjpe": val_mpjpe,
             "wall_s": time.perf_counter() - t_start,
             "train_samples_per_s": n / (t_trained - t_start),
+            "grad_norm": {group: total / len(batch_losses)
+                          for group, total in norm_sums.items()},
         }
         history.append(record)
         if on_epoch is not None:

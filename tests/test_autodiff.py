@@ -4,6 +4,7 @@ finite-difference oracle, and tape behavior."""
 import numpy as np
 import pytest
 
+from semgcn import autodiff
 from semgcn.autodiff import (
     BN_EPS,
     BN_MOMENTUM,
@@ -543,6 +544,29 @@ class TestBatchNorm:
         f_order = node.vjp(np.asfortranarray(probe))
         for a, b in zip(c_order, f_order):
             np.testing.assert_array_equal(a, b)
+
+    def test_float32_channels_of_zero_and_tiny_variance_stay_finite(
+            self, monkeypatch):
+        # BN_EPS (1e-8) is far below float32's resolution of a variance
+        # near 1: a constant channel (its mean is exact, so its variance
+        # is exactly 0) and one of variance 1e-6 must still give finite
+        # outputs and gradients
+        monkeypatch.setattr(autodiff, "DTYPE", np.float32)
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((8, 16, 3))
+        data[..., 0] = 2.0
+        data[..., 1] = 5.0 + 1e-3 * data[..., 1]
+        x = Tensor(data, requires_grad=True)
+        gamma = Tensor(np.array([1.5, 1.0, 0.5]), requires_grad=True)
+        beta = Tensor(np.array([0.1, 0.0, 0.2]), requires_grad=True)
+        with Tape() as tape:
+            out = batch_norm(x, gamma, beta, BatchNormState(3))
+            tape.backward(out, grad=rng.standard_normal((8, 16, 3)))
+        for a in (out.data, x.grad, gamma.grad, beta.grad):
+            assert a.dtype == np.float32
+            assert np.isfinite(a).all()
+        # the tiny-variance channel is normalized, not flattened by BN_EPS
+        assert out.data[..., 1].max() > 1.0
 
     def test_train_mode_hand_value(self):
         x = Tensor(np.array([1.0, 3.0]).reshape(2, 1, 1), requires_grad=True)

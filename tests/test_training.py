@@ -193,16 +193,18 @@ class TestAdam:
         lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
         opt = Adam([("p", p)], lr=lr, beta1=beta1, beta2=beta2, eps=eps)
         from semgcn.autodiff import mul
-        x, m, v = x0.copy(), np.zeros(5), np.zeros(5)
+        # float32 moments, as Adam keeps them, in its operation order
+        x = x0.copy()
+        m, v = np.zeros(5, np.float32), np.zeros(5, np.float32)
         for t in range(1, 301):
             with Tape() as tape:
                 loss = mul(p, p).sum()
                 tape.backward(loss)
             opt.step()
             p.grad = None
-            g = 2.0 * x
+            g = (2.0 * x).astype(np.float32)
             m = beta1 * m + (1.0 - beta1) * g
-            v = beta2 * v + (1.0 - beta2) * g * g
+            v = beta2 * v + (1.0 - beta2) * (g * g)
             m_hat = m / (1.0 - beta1 ** t)
             v_hat = v / (1.0 - beta2 ** t)
             x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
@@ -217,8 +219,8 @@ class TestAdam:
                   for s in shapes]
         lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
         opt = Adam([(f"p{i}", p) for i, p in enumerate(params)], lr=lr)
-        ref = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape))
-               for p in params]
+        ref = [(p.data.copy(), np.zeros(p.shape, np.float32),
+                np.zeros(p.shape, np.float32)) for p in params]
         for t in range(1, 6):
             grads = [rng.standard_normal(s) for s in shapes]
             for p, g in zip(params, grads):
@@ -226,6 +228,7 @@ class TestAdam:
             opt.step()
             for i, g in enumerate(grads):
                 x, m, v = ref[i]
+                g = g.astype(np.float32)
                 m = m * beta1 + (1.0 - beta1) * g
                 v = v * beta2 + (1.0 - beta2) * (g * g)
                 x = x - lr * (m / (1.0 - beta1 ** t)) / (
@@ -233,6 +236,31 @@ class TestAdam:
                 ref[i] = (x, m, v)
         for p, (x, _, _) in zip(params, ref):
             np.testing.assert_array_equal(p.data, x)
+
+    def test_gradient_whose_square_overflows_float32_raises_first(self):
+        # 1e20 is finite in float32, its square is not: the step stops
+        # before the moments or the parameter change
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        p.grad = np.array([0.5, 1e20])
+        opt = Adam([("layer.w", p)], lr=1e-3)
+        with pytest.warns(RuntimeWarning, match="overflow encountered"), \
+                pytest.raises(NonFiniteGradientError, match=(
+                    "gradient for parameter 'layer.w'.*square")):
+            opt.step()
+        assert p.data.tolist() == [1.0, 2.0]
+        assert not opt._m["layer.w"].any() and not opt._v["layer.w"].any()
+
+    def test_non_finite_float32_update_raises_before_the_parameter_moves(self):
+        # at lr 1e200 every update overflows float32; a zero gradient's
+        # 0 * inf is NaN, which must raise, not warn
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        p.grad = np.array([0.5, 0.0])
+        opt = Adam([("layer.w", p)], lr=1e200)
+        with pytest.warns(RuntimeWarning, match="overflow encountered"), \
+                pytest.raises(NonFiniteGradientError, match=(
+                    r"update for parameter 'layer.w'.*lr 1e\+200")):
+            opt.step()
+        assert p.data.tolist() == [1.0, 2.0]
 
 
 class TestPlateauScheduler:
@@ -358,9 +386,38 @@ class TestTrainLoop:
         for record in result.history:
             assert set(record) == {"epoch", "train_loss", "val_loss", "lr",
                                    "val_mpjpe", "wall_s",
-                                   "train_samples_per_s"}
+                                   "train_samples_per_s", "grad_norm"}
             assert record["wall_s"] > 0.0
             assert record["train_samples_per_s"] > 0.0
+
+    def test_grad_norms_per_layer_group(self, skel, small_data):
+        # one epoch of one full batch: the record's mean over steps is that
+        # step's norm, which the same step taken by hand gives in double
+        train_ds, val_ds, _ = small_data
+        config = NetworkConfig(variant="semgcn", channels=8, blocks=2)
+        cfg = small_config(batch_size=len(train_ds), max_epochs=1)
+        net = build_network(config, skel, seed=3)
+        layers = [name for name, _ in net.named_layers()]
+        [record] = train(net, train_ds, val_ds, cfg).history
+        groups = {"input", "blocks.0", "blocks.1", "output"}
+        assert set(record["grad_norm"]) == groups
+        assert all(any(name.startswith(f"{group}.") for group in groups)
+                   for name in layers)
+
+        twin = build_network(config, skel, seed=3)
+        x, y = centered_arrays(train_ds)
+        perm = np.random.default_rng([cfg.seed, 0x5EED]).permutation(len(x))
+        with Tape() as tape:
+            tape.backward(pose_loss(twin.forward(x[perm], train=True),
+                                    y[perm], skel))
+        squares = dict.fromkeys(groups, 0.0)
+        for name, p in twin.named_parameters():
+            assert p.grad.dtype == np.float64
+            group = next(g for g in groups if name.startswith(f"{g}."))
+            squares[group] += float(np.sum(p.grad ** 2))
+        for group, sq in squares.items():
+            assert record["grad_norm"][group] == pytest.approx(np.sqrt(sq),
+                                                               rel=1e-5)
 
     def test_parameter_trajectory_hash_determinism(self, skel, small_data):
         import hashlib

@@ -169,6 +169,27 @@ def test_compute_dtype_reaches_every_engine_buffer(variant, monkeypatch,
     assert again.dtype == f32 and again.tobytes() == pred.tobytes()
 
 
+def test_adam_state_is_float32_at_the_default_compute_dtype():
+    # the moments and update temporaries are float32 whatever the compute
+    # dtype; the parameters and gradients keep it
+    g = build_skeleton()
+    net = build_network(NetworkConfig(variant="semgcn", channels=4, blocks=1),
+                        g, seed=0)
+    opt = Adam(net.named_parameters(), lr=1e-3)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, g.num_joints, 2))
+    y = rng.standard_normal((4, g.num_joints, 3)) * 100.0
+    with Tape() as tape:
+        tape.backward(pose_loss(net.forward(x, train=True), y, g))
+    f64 = np.dtype(np.float64)
+    assert autodiff.DTYPE == f64
+    assert {p.grad.dtype for p in net.parameters()} == {f64}
+    opt.step()
+    buffers = [*opt._m.values(), *opt._v.values(), opt._scratch]
+    assert {a.dtype for a in buffers} == {np.dtype(np.float32)}
+    assert {p.data.dtype for p in net.parameters()} == {f64}
+
+
 def reference_resgcn_predict(net, x):
     """resgcn's eval forward written out in numpy at the parameters' dtype.
     Each stage rounds ``1 / sqrt(running_var + BN_EPS)`` and
