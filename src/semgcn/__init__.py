@@ -17,7 +17,6 @@ from .autodiff import (
     grad_check,
     matmul,
     parameter,
-    relu,
     softmax_lastdim,
 )
 from .analysis import WeightReport, average_joint_weight, export_weights

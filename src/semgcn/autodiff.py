@@ -322,7 +322,7 @@ def graph_conv(x, w, b, *aggregations, scale=None, skip=None) -> Tensor:
     product is one GEMM; the weight gradient takes ``w``'s shape.  The node
     is a ``matmul`` that keeps only its output: the vjp recomputes the
     small ``A_r x`` products for the weight gradient instead of storing
-    them (Chen et al., arXiv 1604.06174).
+    them (Chen et al., arXiv 1604.06174), one aggregation at a time.
 
     With a (C_out,) array ``scale`` the call is an eval-mode conv → batch
     norm → ReLU stage, ``relu([A_1 x | ... | A_R x] @ w * scale + b)``,
@@ -369,13 +369,11 @@ def graph_conv(x, w, b, *aggregations, scale=None, skip=None) -> Tensor:
     w_flat = w.data.reshape(r * c_in, c_out)
     a_data = [agg.data for agg in aggs]
 
-    def side_by_side() -> np.ndarray:
-        z = np.empty((x3.shape[0], k, r * c_in), x3.dtype)
-        for i, a in enumerate(a_data):
-            np.matmul(a, x3, out=z[..., i * c_in:(i + 1) * c_in])
-        return z.reshape(-1, r * c_in)
-
-    out_flat = side_by_side() @ w_flat
+    z = np.empty((x3.shape[0], k, r * c_in), x3.dtype)
+    for i, a in enumerate(a_data):
+        np.matmul(a, x3, out=z[..., i * c_in:(i + 1) * c_in])
+    out_flat = z.reshape(-1, r * c_in) @ w_flat
+    del z
     if scale is not None:
         out_flat *= scale
     out_flat += b.data
@@ -390,26 +388,38 @@ def graph_conv(x, w, b, *aggregations, scale=None, skip=None) -> Tensor:
 
     def vjp(g: np.ndarray):
         # gradients are written into arrays of their final shape, so each
-        # owns its memory
+        # owns its memory.  One aggregation at a time goes through one
+        # (N, C_in) scratch: ``A_r x`` for the rows of ``gw[r]``, then the
+        # r-th column block of ``g @ w_flat.T``.  These are row and column
+        # blocks of the whole-operand GEMMs, so the sums and their bits are
+        # the same, and no (N, R*C_in) operand is formed.
         g2 = g.reshape(-1, c_out)
         gx = gw = None
         gaggs = [None] * r
         gb = g2.sum(axis=0) if b.requires_grad else None
+        need_gz = x.requires_grad or any(agg.requires_grad for agg in aggs)
+        scratch = np.empty(x3.shape, x3.dtype)
+        scratch_flat = scratch.reshape(-1, c_in)
         if w.requires_grad:
             gw = np.empty(w.shape, w.data.dtype)
-            np.matmul(side_by_side().T, g2, out=gw.reshape(w_flat.shape))
-        if x.requires_grad or any(agg.requires_grad for agg in aggs):
-            gz = (g2 @ w_flat.T).reshape(-1, k, r * c_in)
-            parts = [gz[..., i * c_in:(i + 1) * c_in] for i in range(r)]
-            for i, (agg, part) in enumerate(zip(aggs, parts)):
-                if agg.requires_grad:
-                    gaggs[i] = np.matmul(part, x3.swapaxes(-1, -2)).sum(axis=0)
+            gw_r = gw.reshape(r, c_in, c_out)
+        if x.requires_grad:
+            gx = np.empty(x.shape, x.data.dtype)
+            gx3 = gx.reshape(x3.shape)
+        for i, (agg, a) in enumerate(zip(aggs, a_data)):
+            if w.requires_grad:
+                np.matmul(a, x3, out=scratch)
+                np.matmul(scratch_flat.T, g2, out=gw_r[i])
+            if not need_gz:
+                continue
+            np.matmul(g2, w_flat[i * c_in:(i + 1) * c_in].T, out=scratch_flat)
+            if agg.requires_grad:
+                gaggs[i] = np.matmul(scratch, x3.swapaxes(-1, -2)).sum(axis=0)
             if x.requires_grad:
-                gx = np.empty(x.shape, x.data.dtype)
-                gx3 = gx.reshape(x3.shape)
-                np.matmul(a_data[0].T, parts[0], out=gx3)
-                for a, part in zip(a_data[1:], parts[1:]):
-                    gx3 += np.matmul(a.T, part)
+                if i == 0:
+                    np.matmul(a.T, scratch, out=gx3)
+                else:
+                    gx3 += np.matmul(a.T, scratch)
         return (gx, gw, gb, *gaggs)
 
     return _maybe_record("matmul", (x, w, b, *aggs), out_data, vjp)
@@ -461,18 +471,6 @@ def mul(a, b) -> Tensor:
     return _maybe_record("mul", (a, b), out_data, vjp)
 
 
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-    out_data = np.maximum(x.data, 0.0)
-    _ensure_finite(out_data, "relu")
-
-    def vjp(g):
-        g *= x.data > 0  # subgradient at 0 is 0
-        return (g,)
-
-    return _maybe_record("relu", (x,), out_data, vjp)
-
-
 def softmax_lastdim(x) -> Tensor:
     """Softmax over the last axis, stabilized by max subtraction.
 
@@ -496,19 +494,6 @@ def softmax_lastdim(x) -> Tensor:
     return _maybe_record("softmax", (x,), out_data, vjp)
 
 
-def transpose(x, axes) -> Tensor:
-    x = _as_tensor(x)
-    axes = tuple(int(a) % x.ndim for a in axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"invalid permutation {axes} for shape {x.shape}")
-    out_data = np.transpose(x.data, axes)  # view; data never mutates
-
-    def vjp(g):
-        return (np.transpose(g, np.argsort(axes)),)
-
-    return _maybe_record("transpose", (x,), out_data, vjp)
-
-
 def tensor_sum(x) -> Tensor:
     x = _as_tensor(x)
     out_data = np.asarray(x.data.sum())
@@ -520,43 +505,141 @@ def tensor_sum(x) -> Tensor:
     return _maybe_record("sum", (x,), out_data, vjp)
 
 
-def max_over_set(x, groups: Sequence[Sequence[int]]) -> Tensor:
-    """Max-pool disjoint node pairs along axis -2 of a (..., K, C) tensor.
+def non_local(x, pairs: Sequence[Sequence[int]], theta_w, theta_b, phi_w,
+              phi_b, g_w, g_b, wf_q, wf_k, wf_b, wx) -> Tensor:
+    """The non-local layer of a (B, K, C) input, recorded as one ``matmul``
+    node that keeps only ``f`` beside its output.
 
-    Every group must be a pair of distinct nodes, and no node may belong
-    to two pairs; the skeleton's pooling is such a pairing.  Gradient
-    flows only to the arg-max element of each pair; ties go to the lower
-    node index.
+    ``pairs`` splits the K nodes into G disjoint pairs.  Keys and values
+    come from the pair max ``p`` (B, G, C): each pooled node is the
+    elementwise max of its pair, and a tie goes to the lower node index.
+    With E-wide embeddings, and each sum taken left to right::
+
+        val    = p @ g_w + g_b                                   (B, G, E)
+        logits = x @ (theta_w @ wf_q) + [p @ (phi_w @ wf_k)]^T
+                 + theta_b @ wf_q + phi_b @ wf_k + wf_b          (B, K, G)
+        f      = relu(logits)
+        out    = (f @ val) @ (wx * (1/G)) + x                    (B, K, C)
+
+    The affinity ``[wf_q; wf_k] . [q_i || k_j] + wf_b`` is linear in the
+    query ``q_i = x_i theta_w + theta_b`` and the key ``k_j = p_j phi_w +
+    phi_b``, so ``wf_q`` and ``wf_k`` fold into the embeddings and neither
+    q nor k is formed: (C, 1) vectors in place of (C, E) GEMMs.
+
+    The node keeps ``x``, its output and the (B, K, G) affinity ``f``; the
+    vjp recomputes ``p``, ``val`` and ``f @ val`` (Chen et al., arXiv
+    1604.06174).  Every product and sum, forward and backward, is formed
+    as a chain of single matmul, add, mul and ReLU nodes would form it,
+    in that chain's order, so values and gradients are the chain's bit
+    for bit: ``x`` gets the residual ``g``, then the query term, then the
+    pooling route; ``p`` the key term, then the value term; ``wf_q`` and
+    ``wf_k`` their bias term, then their weight term.  The ReLU's
+    subgradient at 0 is 0.
     """
     x = _as_tensor(x)
-    if x.ndim < 2:
-        raise ShapeError(f"max_over_set needs a (..., K, C) tensor, got {x.shape}")
-    k = x.shape[-2]
-    pairs = [sorted(int(i) for i in grp) for grp in groups]
-    members = [i for pair in pairs for i in pair]
-    if not pairs or any(len(pair) != 2 for pair in pairs) \
-            or len(set(members)) != len(members):
-        raise ShapeError(f"groups {groups!r} are not disjoint pairs")
-    if min(members) < 0 or max(members) >= k:
-        raise ShapeError(f"groups {groups!r} out of range for {k} nodes")
-    idx = np.asarray(pairs, dtype=np.intp)  # (G, 2)
-    # direct comparison beats a strided argmax; >= sends ties to the lower index
-    first = x.data[..., idx[:, 0], :]
-    second = x.data[..., idx[:, 1], :]
-    first_wins = first >= second
-    # both gathers are fresh copies
-    out_data = np.maximum(first, second, out=second)
+    weights = tuple(_as_tensor(t) for t in (theta_w, theta_b, phi_w, phi_b,
+                                            g_w, g_b, wf_q, wf_k, wf_b, wx))
+    if x.ndim != 3:
+        raise ShapeError(f"non_local needs a (B, K, C) input, got {x.shape}")
+    b, k, c = x.shape
+    pairs = [sorted(int(i) for i in pair) for pair in pairs]
+    if any(len(pair) != 2 for pair in pairs) \
+            or sorted(i for pair in pairs for i in pair) != list(range(k)):
+        raise ShapeError(f"pairs {pairs!r} do not split {k} nodes into "
+                         "disjoint pairs")
+    e = weights[0].shape[-1] if weights[0].ndim == 2 else None
+    for t, shape in zip(weights, ((c, e), (e,), (c, e), (e,), (c, e), (e,),
+                                  (e, 1), (e, 1), (1,), (e, c))):
+        if t.shape != shape:
+            raise ShapeError(f"non_local weight {t.shape} does not fit {c} "
+                             f"channels and {e}-wide embeddings")
+    idx = np.asarray(pairs, dtype=np.intp)  # (G, 2), lower node first
+    n_groups = len(idx)
+    x_data = x.data
+    tw, tb, pw, pb, gw, gb, wq, wk, wb, wxd = (t.data for t in weights)
+    inv_groups = np.asarray(1.0 / n_groups, wxd.dtype)
 
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        routed_first = g * first_wins
-        # members are distinct (checked above): each node is written once
-        gx[..., idx[:, 0], :] = routed_first
-        g -= routed_first
-        gx[..., idx[:, 1], :] = g
-        return (gx,)
+    def pair_max():
+        # direct comparison beats a strided argmax; >= sends ties to the
+        # lower index; both gathers are fresh copies
+        first = x_data[:, idx[:, 0]]
+        second = x_data[:, idx[:, 1]]
+        first_wins = first >= second
+        pooled = np.maximum(first, second, out=second)
+        return pooled.reshape(-1, c), first_wins
 
-    return _maybe_record("max_over_set", (x,), out_data, vjp)
+    def values(pooled_flat):
+        val = (pooled_flat @ gw).reshape(b, n_groups, e)
+        val += gb
+        return val
+
+    pooled_flat, _ = pair_max()
+    val = values(pooled_flat)
+    _ensure_finite(val, "non_local")
+    logits = ((x_data.reshape(-1, c) @ np.matmul(tw, wq)).reshape(b, k, 1)
+              + (pooled_flat @ np.matmul(pw, wk)).reshape(b, 1, n_groups))
+    logits += np.matmul(tb, wq)
+    logits += np.matmul(pb, wk)
+    logits += wb
+    # checked before the ReLU, which would turn -Inf into 0
+    _ensure_finite(logits, "non_local")
+    f = np.maximum(logits, 0.0, out=logits)
+    out_data = (np.matmul(f, val).reshape(-1, e)
+                @ (wxd * inv_groups)).reshape(x_data.shape)
+    out_data += x_data
+    _ensure_finite(out_data, "non_local")
+
+    def vjp(g: np.ndarray):
+        pooled_flat, first_wins = pair_max()
+        val = values(pooled_flat)
+        g_flat = g.reshape(-1, c)
+        # out = message @ (wx * (1/G)) + x, with message = f @ val
+        gmessage = np.empty((b, k, e), f.dtype)
+        np.matmul(g_flat, (wxd * inv_groups).T, out=gmessage.reshape(-1, e))
+        gwx = np.matmul(f, val).reshape(-1, e).T @ g_flat
+        gwx *= inv_groups
+        gf = np.matmul(gmessage, np.swapaxes(val, -1, -2))
+        gval = np.matmul(np.swapaxes(f, -1, -2), gmessage)
+        del gmessage, val
+        gf *= f > 0  # the ReLU's subgradient at 0 is 0
+        # logits = q_score + k_score^T + bq + bk + wf_b; the three (1,)
+        # terms share one gradient
+        gq = _sum_to_shape(gf, (b, k, 1)).reshape(-1, 1)
+        gk = _sum_to_shape(gf, (b, 1, n_groups)).reshape(-1, 1)
+        gbias = _sum_to_shape(gf, (1,))
+        tq, tk = np.matmul(tw, wq), np.matmul(pw, wk)
+        gtq = x_data.reshape(-1, c).T @ gq
+        gtk = pooled_flat.T @ gk
+        gwf_q = np.outer(tb, gbias)
+        gwf_q += np.matmul(np.swapaxes(tw, -1, -2), gtq)
+        gwf_k = np.outer(pb, gbias)
+        gwf_k += np.matmul(np.swapaxes(pw, -1, -2), gtk)
+        grads = (np.matmul(gtq, np.swapaxes(wq, -1, -2)), wq @ gbias,
+                 np.matmul(gtk, np.swapaxes(wk, -1, -2)), wk @ gbias,
+                 pooled_flat.T @ gval.reshape(-1, e), _sum_to_shape(gval, (e,)),
+                 gwf_q, gwf_k, gbias, gwx)
+        gx = None
+        if x.requires_grad:
+            gx = g  # the residual, which the two terms below add into
+            query = np.empty(x_data.shape, g.dtype)
+            np.matmul(gq, tq.T, out=query.reshape(-1, c))
+            gx += query
+            del query
+            gpooled = np.empty((b, n_groups, c), g.dtype)
+            np.matmul(gk, tk.T, out=gpooled.reshape(-1, c))
+            gvalue = np.empty_like(gpooled)
+            np.matmul(gval.reshape(-1, e), gw.T, out=gvalue.reshape(-1, c))
+            gpooled += gvalue
+            del gvalue
+            # each pair's gradient goes to its max; every node is in one pair
+            routed_first = gpooled * first_wins
+            gx[:, idx[:, 0]] += routed_first
+            gpooled -= routed_first
+            gx[:, idx[:, 1]] += gpooled
+        return (gx, *(grad if t.requires_grad else None
+                      for t, grad in zip(weights, grads)))
+
+    return _maybe_record("matmul", (x, *weights), out_data, vjp)
 
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in the running ones

@@ -10,7 +10,7 @@ mode is inference only: an eval-mode stage has no backward.
 
 A layer's widths are its weights' shapes: an input of another width
 fails in the op that reads the weight (:func:`graph_conv` or
-:func:`matmul` raises ``ShapeError``).  A layer names its own tensors
+:func:`non_local` raises ``ShapeError``).  A layer names its own tensors
 without a prefix, and ``Network.named_layers`` names the layers.
 
 Weight layout note: transformation matrices are stored (in, out) so the
@@ -37,13 +37,10 @@ from .autodiff import (
     add,
     batch_norm,
     graph_conv,
-    matmul,
-    max_over_set,
     mul,
+    non_local,
     parameter,
-    relu,
     softmax_lastdim,
-    transpose,
 )
 from .skeleton import mask_logit_bias
 
@@ -136,11 +133,11 @@ class NonLocalBlock(Layer):
     query, key and value embeddings are ``channels // 2`` wide.  The
     affinity is an affine map of the concatenated query/key embeddings
     followed by ReLU, and the aggregated message is averaged over the
-    grouped set before the residual add.  The value bias and the residual
-    input are addends of their products, and the 1/G average scales the
+    grouped set before the residual add.  The 1/G average scales the
     (E, C) weight ``wx`` rather than the (B, K, C) product: for the
     skeleton's G = 8 the scale is a power of two, so both orders round
-    alike.
+    alike.  The layer is one :func:`non_local` node, which keeps only its
+    output and the affinity.
     """
 
     _param_names = ("theta_w", "theta_b", "phi_w", "phi_b",
@@ -169,21 +166,9 @@ class NonLocalBlock(Layer):
         self.wx = parameter(np.zeros((e, channels)))  # zero: identity at init
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        n_groups = len(self.groups)
-        pooled = max_over_set(x, self.groups)               # (B, G, C)
-        val = matmul(pooled, self.g_w, self.g_b)            # (B, G, E)
-        # The affinity [wf_q; wf_k] . [q_i || k_j] + wf_b is linear in the
-        # query q_i = x_i theta_w + theta_b and the key k_j = p_j phi_w +
-        # phi_b, so wf_q and wf_k fold into the embeddings and neither q
-        # nor k is formed: (C, 1) vectors in place of (C, E) GEMMs.
-        q_score = matmul(x, matmul(self.theta_w, self.wf_q))     # (B, K, 1)
-        k_score = matmul(pooled, matmul(self.phi_w, self.wf_k))  # (B, G, 1)
-        logits = add(q_score, transpose(k_score, (0, 2, 1)),
-                     matmul(self.theta_b, self.wf_q),
-                     matmul(self.phi_b, self.wf_k), self.wf_b)
-        f = relu(logits)                                    # (B, K, G)
-        message = matmul(f, val)                            # (B, K, E)
-        return matmul(message, mul(self.wx, 1.0 / n_groups), x)
+        return non_local(x, self.groups, self.theta_w, self.theta_b,
+                         self.phi_w, self.phi_b, self.g_w, self.g_b,
+                         self.wf_q, self.wf_k, self.wf_b, self.wx)
 
 
 class BatchNormNodes(Layer):

@@ -19,14 +19,12 @@ from semgcn.autodiff import (
     grad_check,
     graph_conv,
     matmul,
-    max_over_set,
     mul,
-    relu,
+    non_local,
     softmax_lastdim,
     tensor_sum,
-    transpose,
 )
-from semgcn.layers import BatchNormNodes, VanillaGConv, conv_bn_relu
+from semgcn.layers import BatchNormNodes, NonLocalBlock, VanillaGConv, conv_bn_relu
 
 
 def backward_of(f, *arrays):
@@ -283,6 +281,35 @@ class TestGraphConv:
             assert gx.flags.owndata and gw.flags.owndata
             assert gw.shape == tensors[1].shape
 
+    @pytest.mark.parametrize("c_in, c_out", [(4, 6), (32, 24), (128, 128)])
+    def test_vjp_matches_the_side_by_side_gemms_bitwise(self, c_in, c_out):
+        # the vjp forms gw and g @ w_flat.T one aggregation at a time:
+        # row and column blocks of the GEMMs over the (N, R*C_in)
+        # side-by-side operand, so the bits are those GEMMs'
+        rng = np.random.default_rng(36)
+        x, w, b, a_self, a_neigh = graph_conv_inputs(rng, 8, 16, c_in, c_out)
+        g = rng.standard_normal((8, 16, c_out))
+        tensors = [Tensor(v, requires_grad=True)
+                   for v in (x, w, b, a_self, a_neigh)]
+        with Tape() as tape:
+            graph_conv(*tensors)
+        gx, gw, _, gself, gneigh = tape.nodes[0].vjp(g.copy())
+        g2 = g.reshape(-1, c_out)
+        z = np.concatenate([a_self @ x, a_neigh @ x], axis=-1)
+        gz = (g2 @ w.reshape(2 * c_in, c_out).T).reshape(8, 16, 2 * c_in)
+        parts = gz[..., :c_in], gz[..., c_in:]
+        want_gx = np.matmul(a_self.T, parts[0])
+        want_gx += np.matmul(a_neigh.T, parts[1])
+        want = {
+            "gw": (z.reshape(-1, 2 * c_in).T @ g2).reshape(w.shape),
+            "gx": want_gx,
+            "gself": np.matmul(parts[0], x.swapaxes(-1, -2)).sum(axis=0),
+            "gneigh": np.matmul(parts[1], x.swapaxes(-1, -2)).sum(axis=0),
+        }
+        for name, got in (("gw", gw), ("gx", gx), ("gself", gself),
+                          ("gneigh", gneigh)):
+            assert got.tobytes() == want[name].tobytes(), name
+
     def test_scale_epilogue_is_inference_only(self):
         # an eval-mode stage has no backward: under a tape, any input that
         # needs a gradient makes it raise before it records anything
@@ -374,22 +401,58 @@ class TestMul:
         np.testing.assert_array_equal(x.grad, g * c)
 
 
+def probe_layer(part):
+    """A non-local layer over one pair of nodes and two channels (E = 1)
+    whose channel 0 shows one part of :func:`non_local`: for ``"relu"``
+    each affinity is its node's channel 0 and the output there is ``x +
+    relu(x)``; for ``"pair_max"`` every affinity is 1 and the output there
+    is ``x`` plus the pair's max.  Every other weight is 0."""
+    layer = NonLocalBlock(2, ((0, 1),), 2, np.random.default_rng(0))
+    for _, p in layer.named_parameters():
+        p.data[...] = 0.0
+    layer.wx.data[...] = [[1.0, 0.0]]
+    if part == "relu":
+        layer.theta_w.data[...] = [[1.0], [0.0]]
+        layer.wf_q.data[...] = 1.0
+        layer.g_b.data[...] = 1.0  # every value is 1
+    else:
+        layer.wf_b.data[...] = 1.0
+        layer.g_w.data[...] = [[1.0], [0.0]]  # the value is the pooled node
+    return layer
+
+
+def probe(part, node0, node1):
+    """Channel 0 of a probe layer's output minus its input at node 0, and
+    the gradient of the output's sum at both nodes beyond the residual's
+    1, for one batch row per entry of ``node0`` and ``node1``."""
+    x = np.zeros((len(node0), 2, 2))
+    x[:, 0, 0], x[:, 1, 0] = node0, node1
+    x = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = probe_layer(part)(x, True)
+        tape.backward(out.sum())
+    return out.data[:, 0, 0] - x.data[:, 0, 0], x.grad[:, :, 0] - 1.0
+
+
 class TestRelu:
+    """The ReLU on the non-local affinity (:func:`non_local`)."""
+
     def test_sign_definition(self):
-        out = relu(Tensor([-1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+        f, _ = probe("relu", [-1.0, 0.0, 2.0], [0.0] * 3)
+        np.testing.assert_array_equal(f, [0.0, 0.0, 2.0])
 
     def test_identity_on_positives(self):
         x = np.array([0.5, 1.0, 7.25])
-        np.testing.assert_array_equal(relu(Tensor(x)).data, x)
+        f, _ = probe("relu", x, [0.0] * 3)
+        np.testing.assert_array_equal(f, x)
 
     def test_gradient(self):
-        (gx,) = backward_of(lambda x: relu(x).sum(), np.array([-1.0, 2.0]))
-        np.testing.assert_array_equal(gx, [0.0, 1.0])
+        _, gx = probe("relu", [-1.0, 2.0], [0.0] * 2)
+        np.testing.assert_array_equal(gx[:, 0], [0.0, 1.0])
 
     def test_subgradient_at_zero_is_zero(self):
-        (gx,) = backward_of(lambda x: relu(x).sum(), np.array([0.0]))
-        np.testing.assert_array_equal(gx, [0.0])
+        _, gx = probe("relu", [0.0], [0.0])
+        np.testing.assert_array_equal(gx, [[0.0, 0.0]])
 
 
 class TestSoftmax:
@@ -629,21 +692,26 @@ class TestBatchNorm:
         np.testing.assert_allclose(state.running_var, [1.0])   # 0.9*1 + 0.1*1
 
 
+def non_local_of(x, pairs):
+    """:func:`non_local` of ``x`` over ``pairs``, with a layer's weights."""
+    k = x.shape[1]
+    layer = NonLocalBlock(x.shape[2], tuple((i, i + 1) for i in range(0, k, 2)),
+                          k, np.random.default_rng(0))
+    return non_local(Tensor(x), pairs, *(p for _, p in layer.named_parameters()))
+
+
 class TestStructural:
+    # The pair max that :func:`non_local` pools keys and values with.  In
+    # the probe the max's gradient is 2, the value term of both nodes, and
+    # it reaches only the node the max took.
     def test_max_over_set_strict_max(self):
-        x = Tensor(np.array([[3.0], [10.0], [5.0]]), requires_grad=True)
-        with Tape() as tape:
-            out = max_over_set(x, [(0, 2)])
-            assert out.data.ravel().tolist() == [5.0]
-            tape.backward(out.sum())
-        np.testing.assert_array_equal(x.grad, [[0.0], [0.0], [1.0]])
+        pooled, gx = probe("pair_max", [3.0, 10.0], [5.0, 4.0])
+        np.testing.assert_array_equal(pooled, [5.0, 10.0])
+        np.testing.assert_array_equal(gx, [[0.0, 2.0], [2.0, 0.0]])
 
     def test_max_over_set_tie_goes_to_lowest_index(self):
-        x = Tensor(np.array([[7.0], [7.0]]), requires_grad=True)
-        with Tape() as tape:
-            out = max_over_set(x, [(0, 1)])
-            tape.backward(out.sum())
-        np.testing.assert_array_equal(x.grad, [[1.0], [0.0]])
+        _, gx = probe("pair_max", [7.0], [7.0])
+        np.testing.assert_array_equal(gx, [[2.0, 0.0]])
 
     @pytest.mark.parametrize("groups", [
         [(0, 1), (1, 2)],        # overlapping pairs
@@ -654,34 +722,25 @@ class TestStructural:
         [],                      # no groups at all
     ])
     def test_max_over_set_rejects_non_disjoint_pairs(self, groups):
-        x = Tensor(np.arange(12.0).reshape(6, 2))
-        with pytest.raises(ShapeError):
-            max_over_set(x, groups)
+        x = np.arange(24.0).reshape(2, 6, 2)
+        with pytest.raises(ShapeError, match="disjoint pairs"):
+            non_local_of(x, groups)
 
     def test_max_over_set_with_ties_matches_the_selecting_form(self):
         # small integers force ties, signed zeros among them
         rng = np.random.default_rng(17)
-        data = rng.integers(-2, 3, size=(64, 16, 128)).astype(np.float64)
-        groups = [(2 * i, 2 * i + 1) for i in range(8)]
-        g = rng.standard_normal((64, 8, 128))
-        x = Tensor(data, requires_grad=True)
-        with Tape() as tape:
-            out = max_over_set(x, groups)
-            tape.backward(out, grad=g)
-        first, second = data[:, 0::2], data[:, 1::2]
+        first, second = rng.integers(-2, 3, size=(2, 4096)).astype(np.float64)
+        pooled, gx = probe("pair_max", first, second)
         first_wins = first >= second
         assert (first == second).mean() > 0.1
-        want_gx = np.zeros_like(data)
-        want_gx[:, 0::2] = np.where(first_wins, g, 0.0)
-        want_gx[:, 1::2] = np.where(first_wins, 0.0, g)
         # == treats -0.0 and 0.0 alike
-        np.testing.assert_array_equal(out.data,
-                                      np.where(first_wins, first, second))
-        np.testing.assert_array_equal(x.grad, want_gx)
+        np.testing.assert_array_equal(pooled, np.where(first_wins, first, second))
+        np.testing.assert_array_equal(gx[:, 0], np.where(first_wins, 2.0, 0.0))
+        np.testing.assert_array_equal(gx[:, 1], np.where(first_wins, 0.0, 2.0))
 
     def test_max_over_set_rejects_out_of_range(self):
-        with pytest.raises(ShapeError):
-            max_over_set(Tensor(np.zeros((4, 2))), [(0, 4)])
+        with pytest.raises(ShapeError, match="disjoint pairs"):
+            non_local_of(np.zeros((1, 4, 2)), [(0, 1), (2, 4)])
 
     def test_sum_gradient_is_ones(self):
         (gx,) = backward_of(lambda x: x.sum(), np.arange(6.0).reshape(2, 3))
@@ -692,18 +751,18 @@ class TestStructural:
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((2, 4, 6)), requires_grad=True)
         y = Tensor(rng.standard_normal((2, 4, 6)), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        probe = rng.standard_normal((2, 6, 3))
+        w = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        probe = rng.standard_normal((2, 4, 3))
 
         def f(x, y, w):
-            h = add(mul(relu(x), y), mul(add(x, mul(y, -1.0)), 0.5))
+            h = add(mul(mul(x, x), y), mul(add(x, mul(y, -1.0)), 0.5))
             # a selection matrix that drops channel 0 leaves it no gradient,
             # and one that repeats channel 1 sums its gradient
             select = np.eye(6)[:, [5, 1, 2, 3, 4, 1]]
             h = matmul(h, select)
-            h = matmul(transpose(h, (0, 2, 1)), w)          # (2, 6, 3)
+            h = matmul(h, w)                                # (2, 4, 3)
             h = mul(h, Tensor(probe))
-            p = max_over_set(softmax_lastdim(h), [(0, 1), (2, 3)])
+            p = softmax_lastdim(h)
             return add(tensor_sum(p), tensor_sum(add(h, -0.5))).sum()
 
         assert grad_check(f, [x, y, w]) < 1e-4
@@ -763,13 +822,11 @@ class TestGradCheckOracle:
 class TestBackwardBuffers:
     """Each vjp may overwrite the output gradient it is handed."""
 
-    @pytest.mark.parametrize("root_op", ["relu", "scale", "add", "mul",
-                                         "batch_norm"])
+    @pytest.mark.parametrize("root_op", ["scale", "add", "mul", "batch_norm"])
     def test_seed_and_root_grad_are_left_alone(self, root_op):
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         ops = {
-            "relu": lambda x: relu(x),
             "scale": lambda x: mul(x, -3.0),
             "add": lambda x: add(x, x),
             "mul": lambda x: mul(x, x),
@@ -790,15 +847,15 @@ class TestBackwardBuffers:
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         seed = np.array([0.5, 3.0])
         with Tape() as tape:
-            out = relu(x)
+            out = mul(x, -3.0)
             tape.backward(out, grad=seed)
             tape.backward(out, grad=seed)
         np.testing.assert_array_equal(seed, [0.5, 3.0])
         np.testing.assert_array_equal(out.grad, [1.0, 6.0])
 
     @pytest.mark.parametrize("case", [
-        "add_self", "relu_and_add_of_leaf", "relu_and_add_of_node",
-        "scale_of_relu", "add_of_scale_and_relu"])
+        "add_self", "scale_and_add_of_leaf", "scale_and_add_of_node",
+        "scale_of_scale", "add_of_two_scales"])
     def test_shared_buffers_against_oracle(self, case):
         rng = np.random.default_rng(8)
         x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
@@ -806,12 +863,13 @@ class TestBackwardBuffers:
         probe = Tensor(rng.standard_normal((3, 5)))
         cases = {
             "add_self": lambda x, w: add(x, x),
-            "relu_and_add_of_leaf": lambda x, w: add(relu(x), x),
-            "relu_and_add_of_node": lambda x, w: (
-                lambda h: add(relu(h), h, h))(mul(x, w)),
-            "scale_of_relu": lambda x, w: mul(relu(x), -2.5),
-            "add_of_scale_and_relu": lambda x, w: (
-                lambda h: add(mul(h, 3.0), relu(h)))(add(x, mul(w, -1.0))),
+            # mul by a constant hands back g scaled in place
+            "scale_and_add_of_leaf": lambda x, w: add(mul(x, 0.5), x),
+            "scale_and_add_of_node": lambda x, w: (
+                lambda h: add(mul(h, 0.5), h, h))(mul(x, w)),
+            "scale_of_scale": lambda x, w: mul(mul(x, 0.5), -2.5),
+            "add_of_two_scales": lambda x, w: (
+                lambda h: add(mul(h, 3.0), mul(h, 0.5)))(add(x, mul(w, -1.0))),
         }
 
         def f(x, w):
@@ -899,7 +957,7 @@ class TestTensorAndTape:
         def run():
             t = Tensor(w, requires_grad=True)
             with Tape() as tape:
-                out = relu(matmul(Tensor(x), t))
+                out = softmax_lastdim(matmul(Tensor(x), t))
                 loss = out.sum()
                 tape.backward(loss)
             return out.data.copy(), t.grad.copy()
