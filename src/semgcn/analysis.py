@@ -1,7 +1,8 @@
 """Post-training inspection of learned edge weights.
 
-Exports each edge-weighted convolution's row-stochastic weight matrix
-and summarizes how much weight each joint contributes to its neighbors,
+Exports each edge-weighted convolution's row-stochastic weight matrix,
+with how far it has moved from uniform neighbour averaging, and
+summarizes how much weight each joint contributes to its neighbors,
 averaged over the block-level layers (two per residual block).  Labels
 are the layers' checkpoint names (``input.conv``, ``blocks.0.conv1``, ...).
 """
@@ -70,12 +71,27 @@ def average_joint_weight(report: WeightReport,
     return values
 
 
+def uniform_deviation(report: WeightReport) -> tuple[np.ndarray, np.ndarray]:
+    """Each layer's largest and mean deviation from uniform neighbour
+    averaging, ``|S[i, j] - 1/deg(i)|`` over the skeleton's off-diagonal
+    edges (deg counts the self-loop): exactly 0 at zero logits."""
+    a = report.adjacency
+    uniform = a / a.sum(axis=1, keepdims=True)
+    edges = (a == 1.0) & ~np.eye(a.shape[0], dtype=bool)
+    deviation = np.abs(np.stack(report.matrices)[:, edges] - uniform[edges])
+    return deviation.max(axis=1), deviation.mean(axis=1)
+
+
 def report_to_json(report: WeightReport, include_self: bool = False) -> str:
+    largest, mean = uniform_deviation(report)
     payload = {
         "joint_names": report.joint_names,
         "layers": [
-            {"label": label, "weights": matrix.tolist()}
-            for label, matrix in zip(report.layer_labels, report.matrices)
+            {"label": label, "weights": matrix.tolist(),
+             "max_deviation_from_uniform": float(dev_max),
+             "mean_deviation_from_uniform": float(dev_mean)}
+            for label, matrix, dev_max, dev_mean in zip(
+                report.layer_labels, report.matrices, largest, mean)
         ],
         "block_layer_labels": [report.layer_labels[i]
                                for i in report.block_layer_indices],

@@ -312,7 +312,11 @@ def matmul(a, b, *addends) -> Tensor:
     return _maybe_record("matmul", (a, b, *terms), out_data, vjp)
 
 
-def graph_conv(x, w, b, *aggregations, scale=None, skip=None) -> Tensor:
+_GX_CHUNK_ROWS = 8  # batch rows per A_r^T gz_r product in graph_conv's vjp
+
+
+def graph_conv(x, w, b, *aggregations, scale=None, skip=None,
+               norm=None) -> Tensor:
     """Graph convolution ``[A_1 x | ... | A_R x] @ w + b`` as one tape node.
 
     ``x`` is (..., K, C_in), each aggregation ``A_r`` is (K, K) and acts on
@@ -323,6 +327,18 @@ def graph_conv(x, w, b, *aggregations, scale=None, skip=None) -> Tensor:
     is a ``matmul`` that keeps only its output: the vjp recomputes the
     small ``A_r x`` products for the weight gradient instead of storing
     them (Chen et al., arXiv 1604.06174), one aggregation at a time.
+
+    With ``norm = (gamma, beta, state)`` a train-mode batch norm → ReLU
+    prologue runs first, as :func:`batch_norm` runs it: the conv takes
+    ``relu(bn(x))`` in place of ``x``, and ``state``'s running statistics
+    are updated once, here.  The node's inputs are then ``x, w, b``, the
+    aggregations, ``gamma`` and ``beta``, and beside its output it keeps
+    only the per-channel batch mean and ``1 / sqrt(var + BN_EPS)``: the
+    vjp recomputes ``relu(bn(x))`` from ``x``, an elementwise pass, runs
+    the conv's backward and then the batch norm's.  So a batch norm that
+    feeds a conv keeps no output on the tape: of the two activations,
+    before and after the norm, only the one before is kept, as in
+    In-Place Activated BatchNorm (Rota Bulo et al., arXiv 1712.02616).
 
     With a (C_out,) array ``scale`` the call is an eval-mode conv → batch
     norm → ReLU stage, ``relu([A_1 x | ... | A_R x] @ w * scale + b)``,
@@ -341,6 +357,9 @@ def graph_conv(x, w, b, *aggregations, scale=None, skip=None) -> Tensor:
     if scale is None:
         if skip is not None:
             raise AutodiffError("only an eval-mode conv stage adds a skip")
+    elif norm is not None:
+        raise AutodiffError("a conv stage takes a train-mode norm or an "
+                            "eval-mode scale, not both")
     elif _current_tape() is not None and any(
             t is not None and t.requires_grad for t in (x, w, b, skip, *aggs)):
         raise AutodiffError("an eval-mode conv stage has no backward")
@@ -366,12 +385,22 @@ def graph_conv(x, w, b, *aggregations, scale=None, skip=None) -> Tensor:
         raise ShapeError(f"graph_conv skip {skip.shape} does not fit the "
                          f"output's shape {out_shape}")
     x3 = x.data.reshape(-1, k, c_in)
+    x2 = x3.reshape(-1, c_in)
     w_flat = w.data.reshape(r * c_in, c_out)
     a_data = [agg.data for agg in aggs]
+    conv_in = x3
+    bn_inputs = stats = ()  # (gamma, beta) and (mu, inv) of a prologue
+    if norm is not None:
+        gamma, beta, state = norm
+        bn_inputs = (_as_tensor(gamma), _as_tensor(beta))
+        h, *stats = _batch_norm_forward(x2, *bn_inputs, state)
+        conv_in = h.reshape(x3.shape)
+        del h
 
     z = np.empty((x3.shape[0], k, r * c_in), x3.dtype)
     for i, a in enumerate(a_data):
-        np.matmul(a, x3, out=z[..., i * c_in:(i + 1) * c_in])
+        np.matmul(a, conv_in, out=z[..., i * c_in:(i + 1) * c_in])
+    del conv_in  # a normalized input is recomputed by the vjp, not kept
     out_flat = z.reshape(-1, r * c_in) @ w_flat
     del z
     if scale is not None:
@@ -397,32 +426,57 @@ def graph_conv(x, w, b, *aggregations, scale=None, skip=None) -> Tensor:
         gx = gw = None
         gaggs = [None] * r
         gb = g2.sum(axis=0) if b.requires_grad else None
-        need_gz = x.requires_grad or any(agg.requires_grad for agg in aggs)
+        # the gradient of the conv's input: x's own, or the prologue's
+        need_gx = x.requires_grad or any(t.requires_grad for t in bn_inputs)
+        need_gz = need_gx or any(agg.requires_grad for agg in aggs)
+        src = x3
+        if bn_inputs:
+            (gamma, beta), (mu, inv) = bn_inputs, stats
+            src = _normalize_relu(x2 - mu, gamma.data * inv,
+                                  beta.data).reshape(x3.shape)
+            relu_mask = (src > 0).reshape(x2.shape)
         scratch = np.empty(x3.shape, x3.dtype)
         scratch_flat = scratch.reshape(-1, c_in)
         if w.requires_grad:
             gw = np.empty(w.shape, w.data.dtype)
             gw_r = gw.reshape(r, c_in, c_out)
-        if x.requires_grad:
-            gx = np.empty(x.shape, x.data.dtype)
-            gx3 = gx.reshape(x3.shape)
         for i, (agg, a) in enumerate(zip(aggs, a_data)):
             if w.requires_grad:
-                np.matmul(a, x3, out=scratch)
+                np.matmul(a, src, out=scratch)
                 np.matmul(scratch_flat.T, g2, out=gw_r[i])
             if not need_gz:
                 continue
             np.matmul(g2, w_flat[i * c_in:(i + 1) * c_in].T, out=scratch_flat)
             if agg.requires_grad:
-                gaggs[i] = np.matmul(scratch, x3.swapaxes(-1, -2)).sum(axis=0)
-            if x.requires_grad:
-                if i == 0:
-                    np.matmul(a.T, scratch, out=gx3)
-                else:
-                    gx3 += np.matmul(a.T, scratch)
-        return (gx, gw, gb, *gaggs)
+                gaggs[i] = np.matmul(scratch, src.swapaxes(-1, -2)).sum(axis=0)
+            if i == r - 1:
+                del src  # read for the last time: a recomputed one is freed
+            if not need_gx:
+                continue
+            if i == 0:
+                gx = np.empty(x.shape, x.data.dtype)
+                gx3 = gx.reshape(x3.shape)
+                np.matmul(a.T, scratch, out=gx3)
+            else:
+                # A_r^T gz_r a few batch rows at a time, so the product
+                # takes no full-size temporary
+                for s in range(0, len(scratch), _GX_CHUNK_ROWS):
+                    rows = slice(s, s + _GX_CHUNK_ROWS)
+                    gx3[rows] += np.matmul(a.T, scratch[rows])
+        if not bn_inputs:
+            return (gx, gw, gb, *gaggs)
+        del scratch, scratch_flat
+        ggamma = gbeta = None
+        if need_gx:
+            ggamma, gbeta = _batch_norm_backward(
+                gx.reshape(-1, c_in), relu_mask, x2 - mu, inv, gamma.data,
+                x.requires_grad)
+        return (gx if x.requires_grad else None, gw, gb, *gaggs,
+                ggamma if gamma.requires_grad else None,
+                gbeta if beta.requires_grad else None)
 
-    return _maybe_record("matmul", (x, w, b, *aggs), out_data, vjp)
+    return _maybe_record("matmul", (x, w, b, *aggs, *bn_inputs), out_data,
+                         vjp)
 
 
 def add(a, b, *more) -> Tensor:
@@ -656,6 +710,66 @@ class BatchNormState:
         self.running_var = np.ones(channels)
 
 
+def _batch_norm_forward(x2: np.ndarray, gamma: Tensor, beta: Tensor,
+                        state: BatchNormState):
+    """Train-mode batch norm and ReLU of (N, C) rows by their batch
+    statistics: the output in a fresh buffer, the batch mean and
+    ``1 / sqrt(var + BN_EPS)``.  Updates ``state``'s running statistics."""
+    n, c = x2.shape
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(
+            f"batch_norm parameter shapes {gamma.shape}/{beta.shape} do not match "
+            f"{c} channels")
+    if state.running_mean.shape != (c,):
+        raise ShapeError("batch_norm state does not match channel count")
+    if n < 2:
+        raise ShapeError("batch_norm in train mode needs batch*nodes >= 2")
+    mu = x2.mean(axis=0)
+    xc = x2 - mu
+    var = np.einsum("ij,ij->j", xc, xc) / n
+    state.running_mean *= 1.0 - BN_MOMENTUM
+    state.running_mean += BN_MOMENTUM * mu
+    state.running_var *= 1.0 - BN_MOMENTUM
+    state.running_var += BN_MOMENTUM * var
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    return _normalize_relu(xc, gamma.data * inv, beta.data), mu, inv
+
+
+def _normalize_relu(centered: np.ndarray, a: np.ndarray,
+                    beta: np.ndarray) -> np.ndarray:
+    """``relu(centered * a + beta)`` in ``centered``'s buffer, where ``a``
+    is ``gamma / sqrt(var + BN_EPS)``; a vjp that recomputes a batch
+    norm's output calls it with the forward's operands, so the bits are
+    the forward's."""
+    centered *= a
+    centered += beta
+    # checked before the ReLU, which would turn -Inf into 0
+    _ensure_finite(centered, "batch_norm")
+    return np.maximum(centered, 0.0, out=centered)
+
+
+def _batch_norm_backward(g2: np.ndarray, relu_mask: np.ndarray,
+                         centered: np.ndarray, inv: np.ndarray,
+                         gamma: np.ndarray, need_gx: bool):
+    """The gradients of ``gamma`` and ``beta`` for the (N, C) output
+    gradient ``g2`` of a train-mode batch norm and ReLU.  ``g2`` is
+    masked in place and, with ``need_gx``, becomes the input's gradient;
+    ``centered`` (the input minus the batch mean) is overwritten."""
+    n = g2.shape[0]
+    g2 *= relu_mask  # the ReLU's subgradient at 0 is 0
+    gbeta = g2.sum(axis=0)
+    ggamma = np.einsum("ij,ij->j", g2, centered) * inv
+    if need_gx:
+        # Ioffe & Szegedy (arXiv 1502.03167); every sum over g is taken
+        # above, before g is overwritten
+        a = gamma * inv
+        g2 -= gbeta / n
+        g2 *= a
+        centered *= a * inv * ggamma / n
+        g2 -= centered
+    return ggamma, gbeta
+
+
 def batch_norm(x, gamma, beta, state: BatchNormState, skip=None) -> Tensor:
     """Train-mode batch norm: normalize a (B, K, C) tensor per channel by
     its batch statistics over the batch and node axes, update the running
@@ -663,10 +777,12 @@ def batch_norm(x, gamma, beta, state: BatchNormState, skip=None) -> Tensor:
 
     Every batch norm in the network feeds a ReLU, so the two are one tape
     node.  The vjp masks ``g`` with ``out > 0`` read from the output the
-    tape keeps: the subgradient at 0 is 0, as in :func:`relu`.  Eval mode
-    is a fixed per-channel affine map, which runs inside the preceding
-    conv's :func:`graph_conv` call (its ``scale`` epilogue) and has no
-    backward.
+    tape keeps: the subgradient at 0 is 0, as in :func:`relu`.  A batch
+    norm that feeds a conv may run instead as the prologue of that conv's
+    :func:`graph_conv` node (its ``norm``), which keeps no output for it.
+    Eval mode is a fixed per-channel affine map, which runs inside the
+    preceding conv's :func:`graph_conv` call (its ``scale`` epilogue) and
+    has no backward.
 
     A ``skip`` of ``x``'s shape closes a residual block: it is added after
     the ReLU into the same buffer, as ``matmul`` adds its addends, so the
@@ -681,33 +797,9 @@ def batch_norm(x, gamma, beta, state: BatchNormState, skip=None) -> Tensor:
     if skip is not None and skip.shape != x.shape:
         raise ShapeError(f"batch_norm skip {skip.shape} does not fit "
                          f"{x.shape}")
-    c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(
-            f"batch_norm parameter shapes {gamma.shape}/{beta.shape} do not match "
-            f"{c} channels")
-    if state.running_mean.shape != (c,):
-        raise ShapeError("batch_norm state does not match channel count")
-
-    x2 = x.data.reshape(-1, c)
-    n = x2.shape[0]
-    if n < 2:
-        raise ShapeError("batch_norm in train mode needs batch*nodes >= 2")
-    mu = x2.mean(axis=0)
-    xc = x2 - mu
-    var = np.einsum("ij,ij->j", xc, xc) / n
-    state.running_mean *= 1.0 - BN_MOMENTUM
-    state.running_mean += BN_MOMENTUM * mu
-    state.running_var *= 1.0 - BN_MOMENTUM
-    state.running_var += BN_MOMENTUM * var
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    a = gamma.data * inv
-    out = xc  # the vjp recomputes the centred input instead of keeping it
-    out *= a
-    out += beta.data
-    # checked before the ReLU, which would turn -Inf into 0
-    _ensure_finite(out, "batch_norm")
-    np.maximum(out, 0.0, out=out)
+    x2 = x.data.reshape(-1, x.shape[-1])
+    # the vjp recomputes the centred input instead of keeping it
+    out, mu, inv = _batch_norm_forward(x2, gamma, beta, state)
     out_data = out.reshape(x.shape)
     # once a skip is added in, the output no longer shows the ReLU's
     # zeros, so the node keeps them as a mask
@@ -721,21 +813,12 @@ def batch_norm(x, gamma, beta, state: BatchNormState, skip=None) -> Tensor:
         if not g.flags.c_contiguous:
             g = np.ascontiguousarray(g)
         gskip = g.copy() if skip is not None and skip.requires_grad else None
-        g2 = g.reshape(-1, c)  # a view, so gx is formed in g's buffer
-        g2 *= out > 0 if mask is None else mask
-        centered = x2 - mu
-        gbeta = g2.sum(axis=0)
-        ggamma = np.einsum("ij,ij->j", g2, centered) * inv
-        gx = None
-        if x.requires_grad:
-            # Ioffe & Szegedy (arXiv 1502.03167); every sum over g is
-            # taken above, before g is overwritten
-            g2 -= gbeta / n
-            g2 *= a
-            centered *= a * inv * ggamma / n
-            g2 -= centered
-            gx = g
-        grads = (gx, ggamma if gamma.requires_grad else None,
+        # g2 is a view, so gx is formed in g's buffer
+        ggamma, gbeta = _batch_norm_backward(
+            g.reshape(x2.shape), out > 0 if mask is None else mask, x2 - mu,
+            inv, gamma.data, x.requires_grad)
+        grads = (g if x.requires_grad else None,
+                 ggamma if gamma.requires_grad else None,
                  gbeta if beta.requires_grad else None)
         return grads if skip is None else (*grads, gskip)
 

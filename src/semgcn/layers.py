@@ -5,7 +5,8 @@ baseline), the edge-weighted semantic convolution with one learned mask
 shared by all channels, the non-local attention layer with pairwise node
 grouping, and batch normalization over batch and node axes.  Each conv
 feeding a batch norm and its ReLU forms one stage, :func:`conv_bn_relu`,
-and a residual block's second stage also adds the block's skip.  Eval
+and a residual block's second stage also adds the block's skip; in train
+mode a block's first batch norm runs in its second conv's node.  Eval
 mode is inference only: an eval-mode stage has no backward.
 
 A layer's widths are its weights' shapes: an input of another width
@@ -199,11 +200,13 @@ class BatchNormNodes(Layer):
 
 def conv_bn_relu(conv: GraphConv, bn: BatchNormNodes, x: Tensor, train: bool,
                  skip: Tensor | None = None) -> Tensor:
-    """One conv → batch norm → ReLU stage, plus ``skip`` when one is given.
+    """One conv → batch norm → ReLU stage, plus ``skip`` in eval mode.
 
     In train mode it is ``bn(conv(x))``, a conv node and a
     :func:`batch_norm` node, since the batch statistics need the conv's
-    output.  In eval mode batch norm is a fixed per-channel affine map, so
+    output.  A residual block's train stages run in
+    :meth:`ResidualGConvBlock.forward`, so a train stage takes no skip.
+    In eval mode batch norm is a fixed per-channel affine map, so
     the stage is the conv's one :func:`graph_conv` call with a
     scale-and-shift epilogue (Jacob et al., arXiv 1712.05877): the
     product is scaled by ``gamma / sqrt(running_var + BN_EPS)`` and the
@@ -212,16 +215,15 @@ def conv_bn_relu(conv: GraphConv, bn: BatchNormNodes, x: Tensor, train: bool,
     to the compute dtype first, so the stage is inference only: under a
     tape it raises ``AutodiffError``.
 
-    A residual block's second stage passes the block input as ``skip``;
-    the node that applies the ReLU adds it after the ReLU, so the block's
-    sum records no node.  A train stage with a skip calls
-    :func:`batch_norm` itself, since ``bn``'s forward takes ``(x, train)``
-    alone.
+    A residual block's second eval stage passes the block input as
+    ``skip``; the call adds it after the ReLU, so the block's sum records
+    no node.
     """
     if train:
-        if skip is None:
-            return bn(conv(x, train), train)
-        return batch_norm(conv(x, train), bn.gamma, bn.beta, bn.state, skip)
+        if skip is not None:
+            raise AutodiffError("a residual block's train stages run in "
+                                "ResidualGConvBlock.forward")
+        return bn(conv(x, train), train)
     inv = (1.0 / np.sqrt(bn.state.running_var + BN_EPS)).astype(bn.gamma.data.dtype)
     scale = bn.gamma.data * inv
     shift = ((conv.b.data + (-bn.state.running_mean).astype(inv.dtype)) * scale
@@ -234,10 +236,17 @@ def conv_bn_relu(conv: GraphConv, bn: BatchNormNodes, x: Tensor, train: bool,
 
 
 class ResidualGConvBlock:
-    """Two conv+BN+ReLU stages (:func:`conv_bn_relu`) under a skip
-    connection, then an optional non-local layer (which carries its own
-    residual).  The second stage adds the skip in the node that applies
-    its ReLU, so the block records no ``add``.
+    """Two conv+BN+ReLU stages under a skip connection, then an optional
+    non-local layer (which carries its own residual).
+
+    In eval mode each stage is one :func:`conv_bn_relu` call, and the
+    second adds the skip after its ReLU.  In train mode the block records
+    three nodes for its stages: ``conv1``, then ``bn1`` → ReLU →
+    ``conv2`` as one :func:`graph_conv` node with a batch-norm prologue,
+    which keeps ``conv1``'s output and not ``bn1``'s, then ``bn2`` as a
+    :func:`batch_norm` node that adds the skip, so the block records no
+    ``add``.  Neither of the last two goes through a layer's ``forward``,
+    which takes ``(x, train)`` alone.
 
     The block is not a ``Layer``: it owns no tensors, so it has no tensor
     walk that could quietly yield nothing.  ``Network.named_layers`` walks
@@ -252,8 +261,15 @@ class ResidualGConvBlock:
         self.nonlocal_layer = nonlocal_layer
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        h = conv_bn_relu(self.conv1, self.bn1, x, train)
-        y = conv_bn_relu(self.conv2, self.bn2, h, train, skip=x)
+        if train:
+            bn1, bn2 = self.bn1, self.bn2
+            z = graph_conv(self.conv1(x, train), self.conv2.w, self.conv2.b,
+                           *self.conv2.aggregations(),
+                           norm=(bn1.gamma, bn1.beta, bn1.state))
+            y = batch_norm(z, bn2.gamma, bn2.beta, bn2.state, skip=x)
+        else:
+            h = conv_bn_relu(self.conv1, self.bn1, x, train)
+            y = conv_bn_relu(self.conv2, self.bn2, h, train, skip=x)
         if self.nonlocal_layer is not None:
             y = self.nonlocal_layer(y, train)
         return y

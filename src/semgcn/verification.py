@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, grad_check, mul, oracle_precision
-from .layers import (
-    BatchNormNodes,
-    NonLocalBlock,
-    SemGConv,
-    VanillaGConv,
-    conv_bn_relu,
+from .autodiff import (
+    Tensor,
+    batch_norm,
+    grad_check,
+    graph_conv,
+    mul,
+    oracle_precision,
 )
+from .layers import BatchNormNodes, NonLocalBlock, SemGConv, VanillaGConv
 from .skeleton import DEFAULT_NODE_GROUPS, adjacency, build_skeleton, normalize_adjacency
 from .training import pose_loss
 
@@ -60,24 +61,50 @@ def _layer_case(layer, x_shape: tuple[int, ...], rng: np.random.Generator,
     return f, [x] + params
 
 
+def _random_bn(rng: np.random.Generator) -> BatchNormNodes:
+    bn = BatchNormNodes(_CHANNELS)
+    bn.gamma.data[...] = rng.standard_normal(_CHANNELS)
+    bn.beta.data[...] = rng.standard_normal(_CHANNELS) * 0.1
+    return bn
+
+
 def _skip_stage_case(propagation: np.ndarray, x_shape: tuple[int, ...],
                      rng: np.random.Generator):
     """A residual block's second stage: conv → batch norm → ReLU, then
     the skip added in the batch norm's node."""
     conv = VanillaGConv(_CHANNELS, _CHANNELS, propagation, rng)
-    bn = BatchNormNodes(_CHANNELS)
-    bn.gamma.data[...] = rng.standard_normal(_CHANNELS)
-    bn.beta.data[...] = rng.standard_normal(_CHANNELS) * 0.1
+    bn = _random_bn(rng)
     x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
     skip = Tensor(rng.standard_normal(x_shape), requires_grad=True)
     probe = Tensor(rng.standard_normal(x_shape))
 
     def f(*_):
-        return mul(conv_bn_relu(conv, bn, x, True, skip=skip), probe).sum()
+        return mul(batch_norm(conv(x, True), bn.gamma, bn.beta, bn.state,
+                              skip), probe).sum()
 
     # not the conv bias: the batch mean cancels it, so its exact gradient
     # is 0 and a relative error would measure rounding alone
     return f, [x, skip, conv.w, bn.gamma, bn.beta]
+
+
+def _prologue_stage_case(adj: np.ndarray, x_shape: tuple[int, ...],
+                         rng: np.random.Generator):
+    """A residual block's first batch norm → ReLU → second conv: one
+    graph_conv node with a train-mode batch-norm prologue, over the two
+    aggregations of an edge-weighted conv."""
+    conv = SemGConv(_CHANNELS, _CHANNELS, adj, rng)
+    conv.mask.data[...] = rng.standard_normal(conv.mask.shape) * 0.1
+    conv.b.data[...] = rng.standard_normal(_CHANNELS) * 0.1
+    bn = _random_bn(rng)
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+    probe = Tensor(rng.standard_normal(x_shape))
+
+    def f(*_):
+        return mul(graph_conv(x, conv.w, conv.b, *conv.aggregations(),
+                              norm=(bn.gamma, bn.beta, bn.state)),
+                   probe).sum()
+
+    return f, [x, conv.w, conv.mask, conv.b, bn.gamma, bn.beta]
 
 
 def _pose_loss_case(g, rng: np.random.Generator):
@@ -107,6 +134,7 @@ def run_grad_checks(seeds=range(5)) -> list[GradCheckRow]:
         "batch_norm": lambda rng: _layer_case(
             BatchNormNodes(_CHANNELS), x_shape, rng, train=True),
         "conv_bn_relu_skip": lambda rng: _skip_stage_case(norm, x_shape, rng),
+        "bn_relu_conv": lambda rng: _prologue_stage_case(adj, x_shape, rng),
         "pose_loss": lambda rng: _pose_loss_case(g, rng),
     }
     rows = []

@@ -13,6 +13,7 @@ from semgcn.analysis import (
     export_weights,
     joint_weight_csv,
     report_to_json,
+    uniform_deviation,
 )
 from semgcn.layers import SemGConv
 from semgcn.network import NetworkConfig, build_network
@@ -66,8 +67,12 @@ class TestExport:
         assert payload["joint_names"] == list(skel.joints)
         assert [layer["label"] for layer in payload["layers"]] == \
             report.layer_labels
-        for layer, matrix in zip(payload["layers"], report.matrices):
+        largest, mean = uniform_deviation(report)
+        for layer, matrix, dev_max, dev_mean in zip(
+                payload["layers"], report.matrices, largest, mean):
             np.testing.assert_array_equal(np.array(layer["weights"]), matrix)
+            assert layer["max_deviation_from_uniform"] == dev_max
+            assert layer["mean_deviation_from_uniform"] == dev_mean
         np.testing.assert_array_equal(payload["average_joint_weight"],
                                       average_joint_weight(report))
         lines = joint_weight_csv(report).splitlines()
@@ -106,3 +111,27 @@ def test_average_joint_weight_at_zero_logits(skel):
     np.testing.assert_allclose(with_self[0],
                                float((3 * pelvis + Fraction(1, 4)) / 4),
                                rtol=1e-14)
+
+
+def test_uniform_deviation_of_a_fresh_network_is_zero(skel):
+    report = export_weights(build_network(
+        NetworkConfig(variant="semgcn", channels=4, blocks=2), skel))
+    largest, mean = uniform_deviation(report)
+    assert largest.tolist() == mean.tolist() == [0.0] * 6
+
+
+def test_uniform_deviation_hand_value(skel):
+    # The pelvis (joint 0) has degree 4 with its self-loop.  A logit of
+    # log 3 on its edge to joint 1 gives that edge 3/6 and the pelvis's
+    # other entries 1/6 each, against 1/4 uniform: deviations 1/4 and
+    # twice 1/12 on its off-diagonal edges, 0 on the other rows.  The
+    # skeleton's 15 bones are 30 off-diagonal entries.
+    net = build_network(NetworkConfig(variant="semgcn-conv-only", channels=4,
+                                      blocks=1), skel)
+    conv = net.blocks[0].conv1
+    assert adjacency(skel)[0].sum() == 4 and adjacency(skel)[0, 1] == 1
+    conv.mask.data[0, 1] = np.log(3.0)
+    largest, mean = uniform_deviation(export_weights(net))
+    np.testing.assert_allclose(largest, [0, 0.25, 0, 0], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(mean, [0, (0.25 + 2 / 12) / 30, 0, 0],
+                               rtol=1e-14, atol=0)

@@ -1,6 +1,8 @@
 """Engine-level tests: primitive semantics, backward passes, the
 finite-difference oracle, and tape behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -285,10 +287,14 @@ class TestGraphConv:
     def test_vjp_matches_the_side_by_side_gemms_bitwise(self, c_in, c_out):
         # the vjp forms gw and g @ w_flat.T one aggregation at a time:
         # row and column blocks of the GEMMs over the (N, R*C_in)
-        # side-by-side operand, so the bits are those GEMMs'
+        # side-by-side operand, so the bits are those GEMMs'.  Batch 20
+        # takes the second aggregation's input gradient in two full
+        # batch-row chunks and a partial one
         rng = np.random.default_rng(36)
-        x, w, b, a_self, a_neigh = graph_conv_inputs(rng, 8, 16, c_in, c_out)
-        g = rng.standard_normal((8, 16, c_out))
+        batch = 20
+        x, w, b, a_self, a_neigh = graph_conv_inputs(rng, batch, 16, c_in,
+                                                     c_out)
+        g = rng.standard_normal((batch, 16, c_out))
         tensors = [Tensor(v, requires_grad=True)
                    for v in (x, w, b, a_self, a_neigh)]
         with Tape() as tape:
@@ -296,7 +302,7 @@ class TestGraphConv:
         gx, gw, _, gself, gneigh = tape.nodes[0].vjp(g.copy())
         g2 = g.reshape(-1, c_out)
         z = np.concatenate([a_self @ x, a_neigh @ x], axis=-1)
-        gz = (g2 @ w.reshape(2 * c_in, c_out).T).reshape(8, 16, 2 * c_in)
+        gz = (g2 @ w.reshape(2 * c_in, c_out).T).reshape(batch, 16, 2 * c_in)
         parts = gz[..., :c_in], gz[..., c_in:]
         want_gx = np.matmul(a_self.T, parts[0])
         want_gx += np.matmul(a_neigh.T, parts[1])
@@ -309,6 +315,30 @@ class TestGraphConv:
         for name, got in (("gw", gw), ("gx", gx), ("gself", gself),
                           ("gneigh", gneigh)):
             assert got.tobytes() == want[name].tobytes(), name
+
+    def test_vjp_holds_one_scratch_beside_the_input_gradient(self):
+        # beyond the gradients it returns, the vjp holds one (N, C_in)
+        # scratch; the second aggregation's A_r^T gz_r goes into the input
+        # gradient a few batch rows at a time, so a full-size temporary
+        # for it (one activation) would break this bound
+        rng = np.random.default_rng(37)
+        x, w, b, a_self, a_neigh = graph_conv_inputs(rng, 32, 16, 64, 64)
+        tensors = [Tensor(v, requires_grad=i < 3)
+                   for i, v in enumerate((x, w, b, a_self, a_neigh))]
+        with Tape() as tape:
+            graph_conv(*tensors)
+        g = rng.standard_normal((32, 16, 64))
+        tracemalloc.start()
+        try:
+            grads = tape.nodes[0].vjp(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        act = x.nbytes
+        assert act == 256 << 10
+        returned = sum(grad.nbytes for grad in grads if grad is not None)
+        assert returned == act + w.nbytes + b.nbytes
+        assert peak <= returned + act + act // 2
 
     def test_scale_epilogue_is_inference_only(self):
         # an eval-mode stage has no backward: under a tape, any input that
@@ -690,6 +720,100 @@ class TestBatchNorm:
         batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state)
         np.testing.assert_allclose(state.running_mean, [0.2])  # 0.9*0 + 0.1*2
         np.testing.assert_allclose(state.running_var, [1.0])   # 0.9*1 + 0.1*1
+
+
+def prologue_case(rng, r, aggs_grad, batch=6, k=5, c=4, c_out=3):
+    """x, w, b, r aggregations, gamma and beta of a batch norm → ReLU →
+    conv stage, every one a tensor that requires a gradient but the
+    aggregations unless ``aggs_grad``, and a state off its initial
+    statistics."""
+    x, w, b, a_self, a_neigh = graph_conv_inputs(rng, batch, k, c, c_out)
+    aggs = [Tensor(a, requires_grad=aggs_grad)
+            for a in ((a_self + a_neigh,) if r == 1 else (a_self, a_neigh))]
+    tensors = [Tensor(v, requires_grad=True) for v in (
+        3.0 + 2.0 * x, w[0] if r == 1 else w, b, rng.standard_normal(c),
+        rng.standard_normal(c))]
+    return tensors, aggs, perturbed_state(rng, c)
+
+
+class TestBatchNormPrologue:
+    # graph_conv's norm: a batch norm → ReLU → conv stage as one node that
+    # keeps conv's output alone and recomputes the normalized input
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("r, aggs_grad", [(1, False), (1, True),
+                                              (2, True)])
+    def test_matches_batch_norm_then_graph_conv_bitwise(self, dtype, r,
+                                                        aggs_grad,
+                                                        monkeypatch):
+        monkeypatch.setattr(autodiff, "DTYPE", dtype)
+        results = []
+        for fused in (False, True):
+            rng = np.random.default_rng([40, r])
+            (x, w, b, gamma, beta), aggs, state = prologue_case(
+                rng, r, aggs_grad)
+            seed = rng.standard_normal((6, 5, 3))
+            with Tape() as tape:
+                if fused:
+                    out = graph_conv(x, w, b, *aggs,
+                                     norm=(gamma, beta, state))
+                    (node,) = tape.nodes
+                    assert node.op == "matmul"
+                    assert node.inputs == (x, w, b, *aggs, gamma, beta)
+                else:
+                    out = graph_conv(batch_norm(x, gamma, beta, state), w, b,
+                                     *aggs)
+                tape.backward(out, seed)
+            results.append([out.data, x.grad, gamma.grad, beta.grad, w.grad,
+                            b.grad, *(a.grad for a in aggs),
+                            state.running_mean, state.running_var])
+        chain, fused = results
+        for want, got in zip(chain, fused):
+            if want is None:  # a constant aggregation
+                assert got is None
+                continue
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert chain[0].dtype == dtype
+
+    def test_needs_two_rows_and_takes_no_scale(self):
+        rng = np.random.default_rng(42)
+        (x, w, b, gamma, beta), aggs, state = prologue_case(rng, 1, False)
+        with pytest.raises(ShapeError, match="batch\\*nodes"):
+            graph_conv(Tensor(x.data[:1, :1]), w, b, Tensor(np.ones((1, 1))),
+                       norm=(gamma, beta, state))
+        with pytest.raises(ShapeError, match="parameter shapes"):
+            graph_conv(x, w, b, *aggs, norm=(beta, Tensor(np.ones(3)), state))
+        with pytest.raises(AutodiffError, match="not both"):
+            graph_conv(x, w, b, *aggs, norm=(gamma, beta, state),
+                       scale=np.ones(3))
+
+    # A taped stage at batch 32, 32 channels keeps its output (128 KiB);
+    # the per-channel mean and 1/sigma, the node, its output tensor and
+    # the vjp's closure take well under this slack.  Keeping the
+    # normalized input on top would exceed it by 120 KiB.
+    TAPE_SLACK_BYTES = 8 << 10
+
+    def test_taped_stage_keeps_only_its_output(self):
+        rng = np.random.default_rng(43)
+        x, w, b, a_self, a_neigh = (
+            Tensor(v, requires_grad=True)
+            for v in graph_conv_inputs(rng, 32, 16, 32, 32))
+        gamma, beta = (Tensor(rng.standard_normal(32), requires_grad=True)
+                       for _ in range(2))
+        state = BatchNormState(32)
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            with tape:
+                out = graph_conv(x, w, b, a_self, a_neigh,
+                                 norm=(gamma, beta, state))
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == 128 << 10
+        assert kept <= out.data.nbytes + self.TAPE_SLACK_BYTES
+        assert len(tape.nodes) == 1
 
 
 def non_local_of(x, pairs):

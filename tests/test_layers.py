@@ -293,6 +293,14 @@ class TestConvBnReluStage:
                 NonFiniteError, match="non-finite scale or shift"):
             conv_bn_relu(conv, bn, x, train=False)
 
+    def test_train_stage_takes_no_skip(self, adj):
+        # a residual block's train stages are its own forward's: bn1 runs
+        # in conv2's node, so no train stage closes a block
+        conv, bn = random_stage("vanilla", adj, rng_for(33))
+        x = Tensor(np.ones((2, K, C)))
+        with pytest.raises(AutodiffError, match="ResidualGConvBlock"):
+            conv_bn_relu(conv, bn, x, train=True, skip=x)
+
     def test_batch_norm_layer_alone_runs_train_mode_only(self):
         with pytest.raises(AutodiffError, match="conv_bn_relu"):
             BatchNormNodes(C)(Tensor(np.zeros((2, K, C))), train=False)

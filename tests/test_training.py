@@ -1,12 +1,14 @@
 """Loss values, optimizer behavior, schedule logic, and training-loop
 contracts (determinism, null updates, divergence handling)."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from semgcn.autodiff import Tape, Tensor, grad_check
+from semgcn import training
+from semgcn.autodiff import NonFiniteError, Tape, Tensor, grad_check
 from semgcn.network import NetworkConfig, build_network
 from semgcn.posedata import centered_arrays, generate_synthetic, mpjpe, split_dataset
 from semgcn.skeleton import SkeletonGraph, build_skeleton
@@ -378,6 +380,44 @@ class TestTrainLoop:
         # parameters restored to the last good (initial) snapshot
         for name, p in net.named_parameters():
             assert np.array_equal(before[name], p.data), name
+
+    def test_validation_overflow_aborts_with_the_best_snapshot(
+            self, skel, small_data, monkeypatch):
+        # every training step stays finite, but one validation row's 2D
+        # joints are ~1e300: its predictions are as large, their squared
+        # error overflows, and the validation pass of the first epoch aborts
+        # the run
+        train_ds, val_ds, _ = small_data
+        row = val_ds.samples[0]
+        val_ds = dataclasses.replace(val_ds, samples=[
+            dataclasses.replace(row, joints2d=row.joints2d * 1e300),
+            *val_ds.samples[1:]])
+        net = small_net(skel)
+        params = {n: p.data.copy() for n, p in net.named_parameters()}
+        buffers = {n: b.copy() for n, b in net.named_buffers()}
+        raised = []
+
+        def evaluating(*args):
+            try:
+                return evaluate(*args)
+            except NonFiniteError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(training, "evaluate", evaluating)
+        with pytest.warns(RuntimeWarning, match="overflow encountered"):
+            result = train(net, train_ds, val_ds, small_config())
+        assert len(raised) == 1
+        assert result.aborted
+        assert result.abort_reason == str(raised[0])
+        assert "non-finite values" in result.abort_reason
+        assert (result.history, result.best_epoch) == ([], -1)
+        # the epoch's steps moved the parameters and running statistics;
+        # the abort restored the best snapshot, the initial one
+        for name, p in net.named_parameters():
+            assert np.array_equal(params[name], p.data), name
+        for name, b in net.named_buffers():
+            assert np.array_equal(buffers[name], b), name
 
     def test_history_log_schema(self, skel, small_data):
         train_ds, val_ds, _ = small_data

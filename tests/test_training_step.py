@@ -7,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -83,14 +84,15 @@ def test_every_op_kind_has_a_caller():
 # One step's tape at channels 4, one block, batch 4: every graph conv is
 # one graph_conv node that keeps only its output, each non-local layer is
 # one non_local node that keeps only its output (and the affinity, which
-# is no node output), each batch norm applies its ReLU, and a block's
-# second batch norm adds its skip, so splitting a fold back into its own
-# node changes these counts and bytes.
+# is no node output), each batch norm applies its ReLU, a block's first
+# batch norm runs in its second conv's node, and a block's second batch
+# norm adds its skip, so splitting a fold back into its own node changes
+# these counts and bytes.
 TAPE_AT_SMALL_SIZE = {
     "semgcn": ({"matmul": 6, "mul": 10, "add": 5, "sum": 1, "softmax": 4,
-                "batch_norm": 3}, 53_776),
-    "resgcn": ({"matmul": 4, "batch_norm": 3, "add": 1, "mul": 2,
-                "sum": 1}, 16_912),
+                "batch_norm": 2}, 51_728),
+    "resgcn": ({"matmul": 4, "batch_norm": 2, "add": 1, "mul": 2,
+                "sum": 1}, 14_864),
 }
 
 
@@ -100,6 +102,70 @@ def test_tape_nodes_and_bytes_are_pinned(variant):
     tape = make_step(variant, 4, 1, 4)()
     assert Counter(node.op for node in tape.nodes) == ops
     assert sum(node.output.data.nbytes for node in tape.nodes) == nbytes
+
+
+# One paper-size step's tape (128 channels, 4 blocks, batch 64): node
+# count and bytes.  A (64, 16, 128) activation is 1 MiB, and each block's
+# two stages keep three (conv1's output, the conv2 node's output with bn1
+# as its prologue, and bn2's output with the skip added).
+TAPE_AT_PAPER_SIZE = {
+    "semgcn": (64, 20_078_608),
+    "semgcn-nonl-only": (24, 19_996_688),
+    "semgcn-conv-only": (59, 14_835_728),
+    "resgcn": (19, 14_753_808),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_paper_size_tape_is_pinned(variant):
+    tape = make_step(variant, 128, 4, 64)()
+    nodes, nbytes = TAPE_AT_PAPER_SIZE[variant]
+    assert len(tape.nodes) == nodes
+    assert sum(node.output.data.nbytes for node in tape.nodes) == nbytes
+
+
+class MeasuredTape(KeptTape):
+    """A kept tape whose backward records, under ``tracemalloc``, the
+    traced memory when it starts and the peak while it runs."""
+
+    def backward(self, root, grad=None):
+        self.kept, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        super().backward(root, grad)
+        _, self.peak = tracemalloc.get_traced_memory()
+
+
+# The most a paper-size backward may hold at once beyond what the forward
+# left (the tape and what its nodes keep), written down from the design
+# rather than measured: every parameter gradient; two gradients in flight,
+# a node's own output gradient and a block input's skip gradient, waiting
+# for conv1's share; and the buffers of one vjp.  The vjp of a conv with
+# a batch-norm prologue holds the recomputed input, one scratch and the
+# input gradient; with one aggregation and no mask gradient it drops the
+# recomputed input before the input gradient exists, so two.  Each is an
+# activation in size.  Half an activation of slack covers the rest, an
+# eighth each at this size: the prologue's ReLU mask, the (B, K, K)
+# products behind a mask gradient, and a batch-row chunk of A_r^T gz_r.
+VJP_BUFFERS = {"semgcn": 3, "semgcn-conv-only": 3, "semgcn-nonl-only": 2,
+               "resgcn": 2}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_paper_size_backward_peak_is_bounded(variant):
+    batch, channels = 64, 128
+    step = make_step(variant, channels, 4, batch)
+    tracemalloc.start()
+    try:
+        with mock.patch(f"{__name__}.KeptTape", MeasuredTape):
+            tape = step()
+    finally:
+        tracemalloc.stop()
+    params = build_network(NetworkConfig(variant=variant), build_skeleton(),
+                           seed=0).parameters()
+    grads = sum(p.data.nbytes for p in params)
+    act = batch * 16 * channels * np.dtype(autodiff.DTYPE).itemsize
+    bound = grads + (2 + VJP_BUFFERS[variant]) * act + act // 2
+    assert tape.peak - tape.kept <= bound
 
 
 # The ops an eval-mode forward runs at the same size, taped or not: each
@@ -237,7 +303,7 @@ def test_float32_eval_rounds_running_statistics_to_the_parameters(monkeypatch):
     assert pred.tobytes() == want.tobytes()
 
 
-# Three steps of a 4-block resgcn (a ~9 MiB tape) after two warm-up
+# Three steps of a 6-block resgcn (a ~10 MiB tape) after two warm-up
 # steps, in a fresh interpreter: freeing large arrays raises glibc's own
 # trim threshold, so a process that has run other tests may keep its heap
 # whatever the engine asks for.
@@ -245,7 +311,7 @@ FAULT_PROBE = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 from test_training_step import make_step
-step = make_step("resgcn", 64, 4, 64)
+step = make_step("resgcn", 64, 6, 64)
 tape = step()
 step()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
