@@ -15,9 +15,7 @@ from .autodiff import (
     Tensor,
     batch_norm,
     grad_check,
-    matmul,
     parameter,
-    softmax_lastdim,
 )
 from .analysis import WeightReport, average_joint_weight, export_weights
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint

@@ -42,7 +42,7 @@ def export_weights(net: Network) -> WeightReport:
     labels = [label for label, _ in layers]
     return WeightReport(joint_names=list(net.skeleton.joints),
                         layer_labels=labels,
-                        matrices=[conv.edge_weights().data for _, conv in layers],
+                        matrices=[conv.edge_weights() for _, conv in layers],
                         block_layer_indices=[i for i, label in enumerate(labels)
                                              if label.startswith("blocks.")],
                         adjacency=adjacency(net.skeleton))

@@ -1,9 +1,14 @@
 """Minimal reverse-mode autodiff over dense floating-point arrays.
 
-Every operation records a node on the active :class:`Tape` (when one is
-open and an input requires gradients) holding a closure that maps the
-output gradient to input gradients.  Backward walks the tape once in
-reverse execution order, which is always a valid topological order.
+The ops are the ones the network runs, each a fused node: the graph
+convolution (:func:`graph_conv`, with a SemGConv layer's edge softmax
+inside it) and the non-local layer (:func:`non_local`) record ``matmul``
+nodes, the batch norm and its ReLU a ``batch_norm`` node, and the pose
+loss (:func:`squared_error`) a ``sum`` node.  Every operation records a
+node on the active :class:`Tape` (when one is open and an input requires
+gradients) holding a closure that maps the output gradient to input
+gradients.  Backward walks the tape once in reverse execution order,
+which is always a valid topological order.
 
 A vjp owns the output gradient ``g`` it is handed and may overwrite it,
 for instance to return ``g`` itself scaled in place.  The root is the
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -111,9 +116,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def sum(self) -> "Tensor":
-        return tensor_sum(self)
 
 
 def parameter(data) -> Tensor:
@@ -211,19 +213,6 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Invert numpy broadcasting: reduce ``g`` back to ``shape``."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def _maybe_record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
                   vjp: Callable[[np.ndarray], tuple]) -> Tensor:
     """The op's output; a tape node too when a tape is open and an input
@@ -243,99 +232,77 @@ def _maybe_record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
 # primitives
 
 
-def matmul(a, b, *addends) -> Tensor:
-    """Matrix product plus optional addends, recorded as one tape node.
-
-    ``a @ b`` follows numpy stacking rules on leading axes; ``a`` may also
-    be a vector when ``b`` is a matrix.  The addends are broadcast onto the
-    product and added left to right into its fresh buffer, like GEMM's
-    ``C`` term: ``matmul(a, b, t)`` equals ``add(matmul(a, b), t)`` bit for
-    bit with one output array on the tape instead of two.  No addend may
-    enlarge the product's shape.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    terms = tuple(_as_tensor(t) for t in addends)
-    vector = a.ndim == 1 and b.ndim == 2
-    if (a.ndim < 2 and not vector) or b.ndim < 2:
-        raise ShapeError(f"matmul needs 2+ dims or a vector times a matrix, "
-                         f"got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    a_data, b_data = a.data, b.data
-    stacked_by_2d = a_data.ndim > 2 and b_data.ndim == 2
-    try:
-        if stacked_by_2d:
-            # one large GEMM instead of a loop over stacked slices
-            flat = a_data.reshape(-1, a_data.shape[-1])
-            out_data = (flat @ b_data).reshape(a_data.shape[:-1] + b_data.shape[-1:])
-        else:
-            out_data = np.matmul(a_data, b_data)
-    except ValueError as exc:
-        raise ShapeError(f"matmul broadcast failed: {a.shape} vs {b.shape}") from exc
-    for t in terms:
-        try:
-            # the product is fresh and private to this op: safe to add into
-            np.add(out_data, t.data, out=out_data)
-        except ValueError as exc:
-            raise ShapeError(f"matmul addend of shape {t.shape} does not fit "
-                             f"the product's shape {out_data.shape}") from exc
-    _ensure_finite(out_data, "matmul")
-
-    def vjp(g: np.ndarray):
-        # a full-shape addend hands ``g`` itself back; nothing here
-        # writes to ``g``, and Tape.backward gives it away last
-        rest = tuple(_sum_to_shape(g, t.shape) if t.requires_grad else None
-                     for t in terms)
-        if vector:
-            return (b_data @ g if a.requires_grad else None,
-                    np.outer(a_data, g) if b.requires_grad else None, *rest)
-        ga = gb = None
-        if a.requires_grad:
-            if stacked_by_2d:
-                # written in place so ``ga`` owns its memory
-                gflat = g.reshape(-1, g.shape[-1])
-                ga = np.empty(a_data.shape, a_data.dtype)
-                np.matmul(gflat, b_data.T,
-                          out=ga.reshape(gflat.shape[0], -1))
-            else:
-                ga = _sum_to_shape(np.matmul(g, np.swapaxes(b_data, -1, -2)),
-                                   a_data.shape)
-        if b.requires_grad:
-            if stacked_by_2d:
-                flat = a_data.reshape(-1, a_data.shape[-1])
-                gb = flat.T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _sum_to_shape(np.matmul(np.swapaxes(a_data, -1, -2), g),
-                                   b_data.shape)
-        return ga, gb, *rest
-
-    return _maybe_record("matmul", (a, b, *terms), out_data, vjp)
-
-
 _GX_CHUNK_ROWS = 8  # batch rows per A_r^T gz_r product in graph_conv's vjp
 
 
-def graph_conv(x, w, b, *aggregations, scale=None, skip=None,
+def edge_softmax(logits: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """The row softmax of ``logits + support``, stabilized by max
+    subtraction: an edge-weighted conv's (K, K) edge weights.
+
+    ``support`` is 0 on the graph's edges and a large negative sentinel
+    off them, so entries off the support are exact zeros.  -Inf is
+    permitted there too; a row made up entirely of -Inf has no support
+    and is an error.
+    """
+    z = logits + support
+    m = np.max(z, axis=-1, keepdims=True)
+    if np.isneginf(m).any():
+        raise AutodiffError("softmax slice with empty support (all -inf)")
+    e = np.exp(z - m)
+    out = e / e.sum(axis=-1, keepdims=True)
+    _ensure_finite(out, "softmax")
+    return out
+
+
+def _aggregations(a: np.ndarray, s: np.ndarray | None) -> list[np.ndarray]:
+    """:func:`graph_conv`'s aggregations: the propagation ``a``, or the
+    self and neighbour parts of the edge weights ``s``, their diagonal and
+    the rest, formed as products with 0/1 masks."""
+    if s is None:
+        return [a]
+    eye = np.eye(len(s), dtype=s.dtype)
+    return [s * eye, s * (1.0 - eye)]
+
+
+def _softmax_backward(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The logits' gradient of a row softmax ``s`` with output gradient
+    ``g``."""
+    inner = (g * s).sum(axis=-1, keepdims=True)
+    return s * (g - inner)
+
+
+def graph_conv(x, w, b, a, mask=None, *, scale=None, skip=None,
                norm=None) -> Tensor:
     """Graph convolution ``[A_1 x | ... | A_R x] @ w + b`` as one tape node.
 
-    ``x`` is (..., K, C_in), each aggregation ``A_r`` is (K, K) and acts on
-    the node axis, ``w`` is (R, C_in, C_out), or (C_in, C_out) when R = 1,
-    and ``b`` is (C_out,).  The R aggregated inputs are laid side by side
-    into one (N, R*C_in) operand, so ``w[r]`` transforms ``A_r x`` and the
-    product is one GEMM; the weight gradient takes ``w``'s shape.  The node
-    is a ``matmul`` that keeps only its output: the vjp recomputes the
-    small ``A_r x`` products for the weight gradient instead of storing
-    them (Chen et al., arXiv 1604.06174), one aggregation at a time.
+    ``x`` is (..., K, C_in) and ``b`` is (C_out,); each aggregation
+    ``A_r`` is (K, K) and acts on the node axis.  Without ``mask``, ``a``
+    is the one aggregation (R = 1), a fixed propagation matrix, and ``w``
+    is (C_in, C_out).  With (K, K) edge logits ``mask``, ``a`` is their
+    additive support (see :func:`edge_softmax`): the edge weights
+    ``S = edge_softmax(mask, a)`` split into their diagonal, which weighs
+    each node's own input, and the rest, its neighbours' (R = 2), and
+    ``w`` is (2, C_in, C_out).  ``a`` is a constant either way; the node's
+    inputs are ``x, w, b`` and the logits.  The R aggregated inputs are
+    laid side by side into one (N, R*C_in) operand, so ``w[r]`` transforms
+    ``A_r x`` and the product is one GEMM; the weight gradient takes
+    ``w``'s shape.  The node is a ``matmul`` that keeps only its output
+    (and the (K, K) edge weights): the vjp recomputes the small ``A_r x``
+    products for the weight gradient instead of storing them (Chen et
+    al., arXiv 1604.06174), one aggregation at a time.  The logits'
+    gradient is formed as the chain of an add, a softmax and the two
+    masking products formed it, in that chain's order: the neighbour
+    part's gradient first, then the self part's added, then the softmax's
+    backward.
 
     With ``norm = (gamma, beta, state)`` a train-mode batch norm → ReLU
     prologue runs first, as :func:`batch_norm` runs it: the conv takes
     ``relu(bn(x))`` in place of ``x``, and ``state``'s running statistics
-    are updated once, here.  The node's inputs are then ``x, w, b``, the
-    aggregations, ``gamma`` and ``beta``, and beside its output it keeps
-    only the per-channel batch mean and ``1 / sqrt(var + BN_EPS)``: the
-    vjp recomputes ``relu(bn(x))`` from ``x``, an elementwise pass, runs
-    the conv's backward and then the batch norm's.  So a batch norm that
+    are updated once, here.  The node's inputs are then followed by
+    ``gamma`` and ``beta``, and beside its output it keeps only the
+    per-channel batch mean and ``1 / sqrt(var + BN_EPS)``: the vjp
+    recomputes ``relu(bn(x))`` from ``x``, an elementwise pass, runs the
+    conv's backward and then the batch norm's.  So a batch norm that
     feeds a conv keeps no output on the tape: of the two activations,
     before and after the norm, only the one before is kept, as in
     In-Place Activated BatchNorm (Rota Bulo et al., arXiv 1712.02616).
@@ -352,7 +319,8 @@ def graph_conv(x, w, b, *aggregations, scale=None, skip=None,
     checked for finiteness again.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    aggs = tuple(_as_tensor(a) for a in aggregations)
+    a = _as_tensor(a).data
+    logits = () if mask is None else (_as_tensor(mask),)
     skip = None if skip is None else _as_tensor(skip)
     if scale is None:
         if skip is not None:
@@ -361,14 +329,13 @@ def graph_conv(x, w, b, *aggregations, scale=None, skip=None,
         raise AutodiffError("a conv stage takes a train-mode norm or an "
                             "eval-mode scale, not both")
     elif _current_tape() is not None and any(
-            t is not None and t.requires_grad for t in (x, w, b, skip, *aggs)):
+            t is not None and t.requires_grad for t in (x, w, b, skip, *logits)):
         raise AutodiffError("an eval-mode conv stage has no backward")
     if x.ndim < 2:
         raise ShapeError(f"graph_conv needs a (..., K, C) input, got {x.shape}")
     k, c_in = x.shape[-2:]
-    r = len(aggs)
-    if r < 1 or not (w.shape[:-1] == (r, c_in)
-                     or (r == 1 and w.shape[:-1] == (c_in,))):
+    r = 1 + len(logits)
+    if not (w.shape[:-1] == (r, c_in) or (r == 1 and w.shape[:-1] == (c_in,))):
         raise ShapeError(f"graph_conv weight {w.shape} does not fit {r} "
                          f"aggregations of {c_in} channels")
     c_out = w.shape[-1]
@@ -376,10 +343,10 @@ def graph_conv(x, w, b, *aggregations, scale=None, skip=None,
         if shape != (c_out,):
             raise ShapeError(f"graph_conv bias or scale {shape} does not fit "
                              f"{c_out} channels")
-    for agg in aggs:
-        if agg.shape != (k, k):
-            raise ShapeError(f"graph_conv aggregation {agg.shape} does not fit "
-                             f"{k} nodes")
+    for shape in (a.shape, *(t.shape for t in logits)):
+        if shape != (k, k):
+            raise ShapeError(f"graph_conv aggregation or logits {shape} do "
+                             f"not fit {k} nodes")
     out_shape = x.shape[:-1] + (c_out,)
     if skip is not None and skip.shape != out_shape:
         raise ShapeError(f"graph_conv skip {skip.shape} does not fit the "
@@ -387,7 +354,7 @@ def graph_conv(x, w, b, *aggregations, scale=None, skip=None,
     x3 = x.data.reshape(-1, k, c_in)
     x2 = x3.reshape(-1, c_in)
     w_flat = w.data.reshape(r * c_in, c_out)
-    a_data = [agg.data for agg in aggs]
+    s = edge_softmax(logits[0].data, a) if logits else None
     conv_in = x3
     bn_inputs = stats = ()  # (gamma, beta) and (mu, inv) of a prologue
     if norm is not None:
@@ -398,8 +365,8 @@ def graph_conv(x, w, b, *aggregations, scale=None, skip=None,
         del h
 
     z = np.empty((x3.shape[0], k, r * c_in), x3.dtype)
-    for i, a in enumerate(a_data):
-        np.matmul(a, conv_in, out=z[..., i * c_in:(i + 1) * c_in])
+    for i, agg in enumerate(_aggregations(a, s)):
+        np.matmul(agg, conv_in, out=z[..., i * c_in:(i + 1) * c_in])
     del conv_in  # a normalized input is recomputed by the vjp, not kept
     out_flat = z.reshape(-1, r * c_in) @ w_flat
     del z
@@ -421,33 +388,34 @@ def graph_conv(x, w, b, *aggregations, scale=None, skip=None,
         # (N, C_in) scratch: ``A_r x`` for the rows of ``gw[r]``, then the
         # r-th column block of ``g @ w_flat.T``.  These are row and column
         # blocks of the whole-operand GEMMs, so the sums and their bits are
-        # the same, and no (N, R*C_in) operand is formed.
+        # the same, and no (N, R*C_in) operand is formed.  The node keeps
+        # the edge weights alone and forms their parts again.
         g2 = g.reshape(-1, c_out)
-        gx = gw = None
+        gx = gw = gmask = None
         gaggs = [None] * r
         gb = g2.sum(axis=0) if b.requires_grad else None
         # the gradient of the conv's input: x's own, or the prologue's
         need_gx = x.requires_grad or any(t.requires_grad for t in bn_inputs)
-        need_gz = need_gx or any(agg.requires_grad for agg in aggs)
+        need_gmask = any(t.requires_grad for t in logits)
         src = x3
         if bn_inputs:
             (gamma, beta), (mu, inv) = bn_inputs, stats
-            src = _normalize_relu(x2 - mu, gamma.data * inv,
-                                  beta.data).reshape(x3.shape)
+            src = _normalize_relu(x2 - mu, gamma.data * inv, beta.data,
+                                  scan=False).reshape(x3.shape)
             relu_mask = (src > 0).reshape(x2.shape)
         scratch = np.empty(x3.shape, x3.dtype)
         scratch_flat = scratch.reshape(-1, c_in)
         if w.requires_grad:
             gw = np.empty(w.shape, w.data.dtype)
             gw_r = gw.reshape(r, c_in, c_out)
-        for i, (agg, a) in enumerate(zip(aggs, a_data)):
+        for i, agg in enumerate(_aggregations(a, s)):
             if w.requires_grad:
-                np.matmul(a, src, out=scratch)
+                np.matmul(agg, src, out=scratch)
                 np.matmul(scratch_flat.T, g2, out=gw_r[i])
-            if not need_gz:
+            if not (need_gx or need_gmask):
                 continue
             np.matmul(g2, w_flat[i * c_in:(i + 1) * c_in].T, out=scratch_flat)
-            if agg.requires_grad:
+            if need_gmask:
                 gaggs[i] = np.matmul(scratch, src.swapaxes(-1, -2)).sum(axis=0)
             if i == r - 1:
                 del src  # read for the last time: a recomputed one is freed
@@ -456,115 +424,44 @@ def graph_conv(x, w, b, *aggregations, scale=None, skip=None,
             if i == 0:
                 gx = np.empty(x.shape, x.data.dtype)
                 gx3 = gx.reshape(x3.shape)
-                np.matmul(a.T, scratch, out=gx3)
+                np.matmul(agg.T, scratch, out=gx3)
             else:
                 # A_r^T gz_r a few batch rows at a time, so the product
                 # takes no full-size temporary
-                for s in range(0, len(scratch), _GX_CHUNK_ROWS):
-                    rows = slice(s, s + _GX_CHUNK_ROWS)
-                    gx3[rows] += np.matmul(a.T, scratch[rows])
+                for start in range(0, len(scratch), _GX_CHUNK_ROWS):
+                    rows = slice(start, start + _GX_CHUNK_ROWS)
+                    gx3[rows] += np.matmul(agg.T, scratch[rows])
+        if need_gmask:
+            # the masking products' vjps, the neighbour part's first
+            eye = np.eye(k, dtype=s.dtype)
+            gs = gaggs[1] * (1.0 - eye)
+            gs += gaggs[0] * eye
+            gmask = _softmax_backward(s, gs)
+        grads = (gx, gw, gb) + ((gmask,) if logits else ())
         if not bn_inputs:
-            return (gx, gw, gb, *gaggs)
+            return grads
         del scratch, scratch_flat
         ggamma = gbeta = None
         if need_gx:
             ggamma, gbeta = _batch_norm_backward(
                 gx.reshape(-1, c_in), relu_mask, x2 - mu, inv, gamma.data,
                 x.requires_grad)
-        return (gx if x.requires_grad else None, gw, gb, *gaggs,
+        return (gx if x.requires_grad else None, *grads[1:],
                 ggamma if gamma.requires_grad else None,
                 gbeta if beta.requires_grad else None)
 
-    return _maybe_record("matmul", (x, w, b, *aggs, *bn_inputs), out_data,
+    return _maybe_record("matmul", (x, w, b, *logits, *bn_inputs), out_data,
                          vjp)
 
 
-def add(a, b, *more) -> Tensor:
-    """Broadcasting sum of two or more terms, added left to right as one
-    tape node."""
-    terms = tuple(_as_tensor(t) for t in (a, b, *more))
-    try:
-        out_data = terms[0].data + terms[1].data
-        for t in terms[2:]:
-            out_data = out_data + t.data
-    except ValueError as exc:
-        shapes = " vs ".join(str(t.shape) for t in terms)
-        raise ShapeError(f"add shapes incompatible: {shapes}") from exc
-    _ensure_finite(out_data, "add")
-
-    def vjp(g):
-        return tuple(_sum_to_shape(g, t.shape) if t.requires_grad else None
-                     for t in terms)
-
-    return _maybe_record("add", terms, out_data, vjp)
-
-
-def mul(a, b) -> Tensor:
-    """Broadcasting elementwise product; ``mul(x, c)`` scales by a constant."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    a_data, b_data = a.data, b.data
-    try:
-        out_data = a_data * b_data
-    except ValueError as exc:
-        raise ShapeError(f"mul shapes incompatible: {a.shape} vs {b.shape}") from exc
-    _ensure_finite(out_data, "mul")
-
-    def vjp(g):
-        # b's gradient is formed first, so a same-shape a can take g
-        # scaled in place
-        gb = _sum_to_shape(g * a_data, b_data.shape) if b.requires_grad else None
-        ga = None
-        if a.requires_grad:
-            if a_data.shape == g.shape:
-                g *= b_data
-                ga = g
-            else:
-                ga = _sum_to_shape(g * b_data, a_data.shape)
-        return ga, gb
-
-    return _maybe_record("mul", (a, b), out_data, vjp)
-
-
-def softmax_lastdim(x) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction.
-
-    -Inf logits are permitted and yield exact zeros; a slice made up
-    entirely of -Inf has no support and is an error.
-    """
-    x = _as_tensor(x)
-    if x.shape[-1] < 1:
-        raise ShapeError("softmax over empty last dimension")
-    m = np.max(x.data, axis=-1, keepdims=True)
-    if np.isneginf(m).any():
-        raise AutodiffError("softmax slice with empty support (all -inf)")
-    e = np.exp(x.data - m)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-    _ensure_finite(out_data, "softmax")
-
-    def vjp(g):
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        return (out_data * (g - inner),)
-
-    return _maybe_record("softmax", (x,), out_data, vjp)
-
-
-def tensor_sum(x) -> Tensor:
-    x = _as_tensor(x)
-    out_data = np.asarray(x.data.sum())
-    _ensure_finite(out_data, "sum")
-
-    def vjp(g):
-        return (np.full(x.shape, g, x.data.dtype),)
-
-    return _maybe_record("sum", (x,), out_data, vjp)
-
-
-def non_local(x, pairs: Sequence[Sequence[int]], theta_w, theta_b, phi_w,
-              phi_b, g_w, g_b, wf_q, wf_k, wf_b, wx) -> Tensor:
+def non_local(x, pairs: np.ndarray, theta_w, theta_b, phi_w, phi_b, g_w,
+              g_b, wf_q, wf_k, wf_b, wx) -> Tensor:
     """The non-local layer of a (B, K, C) input, recorded as one ``matmul``
     node that keeps only ``f`` beside its output.
 
-    ``pairs`` splits the K nodes into G disjoint pairs.  Keys and values
+    ``pairs`` is a (G, 2) index array that splits the K nodes into G
+    disjoint pairs, the lower node first (``NonLocalBlock`` checks it
+    once, when it is built).  Keys and values
     come from the pair max ``p`` (B, G, C): each pooled node is the
     elementwise max of its pair, and a tie goes to the lower node index.
     With E-wide embeddings, and each sum taken left to right::
@@ -593,22 +490,17 @@ def non_local(x, pairs: Sequence[Sequence[int]], theta_w, theta_b, phi_w,
     x = _as_tensor(x)
     weights = tuple(_as_tensor(t) for t in (theta_w, theta_b, phi_w, phi_b,
                                             g_w, g_b, wf_q, wf_k, wf_b, wx))
-    if x.ndim != 3:
-        raise ShapeError(f"non_local needs a (B, K, C) input, got {x.shape}")
+    n_groups = len(pairs)
+    if x.ndim != 3 or x.shape[1] != 2 * n_groups:
+        raise ShapeError(f"non_local needs a (B, {2 * n_groups}, C) input, "
+                         f"got {x.shape}")
     b, k, c = x.shape
-    pairs = [sorted(int(i) for i in pair) for pair in pairs]
-    if any(len(pair) != 2 for pair in pairs) \
-            or sorted(i for pair in pairs for i in pair) != list(range(k)):
-        raise ShapeError(f"pairs {pairs!r} do not split {k} nodes into "
-                         "disjoint pairs")
     e = weights[0].shape[-1] if weights[0].ndim == 2 else None
     for t, shape in zip(weights, ((c, e), (e,), (c, e), (e,), (c, e), (e,),
                                   (e, 1), (e, 1), (1,), (e, c))):
         if t.shape != shape:
             raise ShapeError(f"non_local weight {t.shape} does not fit {c} "
                              f"channels and {e}-wide embeddings")
-    idx = np.asarray(pairs, dtype=np.intp)  # (G, 2), lower node first
-    n_groups = len(idx)
     x_data = x.data
     tw, tb, pw, pb, gw, gb, wq, wk, wb, wxd = (t.data for t in weights)
     inv_groups = np.asarray(1.0 / n_groups, wxd.dtype)
@@ -616,8 +508,8 @@ def non_local(x, pairs: Sequence[Sequence[int]], theta_w, theta_b, phi_w,
     def pair_max():
         # direct comparison beats a strided argmax; >= sends ties to the
         # lower index; both gathers are fresh copies
-        first = x_data[:, idx[:, 0]]
-        second = x_data[:, idx[:, 1]]
+        first = x_data[:, pairs[:, 0]]
+        second = x_data[:, pairs[:, 1]]
         first_wins = first >= second
         pooled = np.maximum(first, second, out=second)
         return pooled.reshape(-1, c), first_wins
@@ -658,9 +550,9 @@ def non_local(x, pairs: Sequence[Sequence[int]], theta_w, theta_b, phi_w,
         gf *= f > 0  # the ReLU's subgradient at 0 is 0
         # logits = q_score + k_score^T + bq + bk + wf_b; the three (1,)
         # terms share one gradient
-        gq = _sum_to_shape(gf, (b, k, 1)).reshape(-1, 1)
-        gk = _sum_to_shape(gf, (b, 1, n_groups)).reshape(-1, 1)
-        gbias = _sum_to_shape(gf, (1,))
+        gq = gf.sum(axis=2, keepdims=True).reshape(-1, 1)
+        gk = gf.sum(axis=1, keepdims=True).reshape(-1, 1)
+        gbias = gf.sum(axis=(0, 1)).sum(axis=0, keepdims=True)
         tq, tk = np.matmul(tw, wq), np.matmul(pw, wk)
         gtq = x_data.reshape(-1, c).T @ gq
         gtk = pooled_flat.T @ gk
@@ -670,7 +562,7 @@ def non_local(x, pairs: Sequence[Sequence[int]], theta_w, theta_b, phi_w,
         gwf_k += np.matmul(np.swapaxes(pw, -1, -2), gtk)
         grads = (np.matmul(gtq, np.swapaxes(wq, -1, -2)), wq @ gbias,
                  np.matmul(gtk, np.swapaxes(wk, -1, -2)), wk @ gbias,
-                 pooled_flat.T @ gval.reshape(-1, e), _sum_to_shape(gval, (e,)),
+                 pooled_flat.T @ gval.reshape(-1, e), gval.sum(axis=(0, 1)),
                  gwf_q, gwf_k, gbias, gwx)
         gx = None
         if x.requires_grad:
@@ -687,13 +579,53 @@ def non_local(x, pairs: Sequence[Sequence[int]], theta_w, theta_b, phi_w,
             del gvalue
             # each pair's gradient goes to its max; every node is in one pair
             routed_first = gpooled * first_wins
-            gx[:, idx[:, 0]] += routed_first
+            gx[:, pairs[:, 0]] += routed_first
             gpooled -= routed_first
-            gx[:, idx[:, 1]] += gpooled
+            gx[:, pairs[:, 1]] += gpooled
         return (gx, *(grad if t.requires_grad else None
                       for t, grad in zip(weights, grads)))
 
     return _maybe_record("matmul", (x, *weights), out_data, vjp)
+
+
+def squared_error(pred, target, scale, incidence=None,
+                  bone_target=None) -> Tensor:
+    """``scale * (sum((pred - target)^2) + sum((I @ pred - bone_target)^2))``
+    as one ``sum`` tape node that keeps two differences of ``pred``'s size
+    and a scalar output; the bone term, with the (E, K) incidence matrix
+    ``I``, only when ``incidence`` is given.
+
+    The constants are rounded to the compute dtype as any tensor is, and
+    every sum is formed as the chain of add, mul, sum and matmul nodes
+    that it replaces formed it, so values and gradients are that chain's
+    bit for bit: a term ``sum(d^2)`` hands ``d`` the gradient ``c d + c
+    d``, where ``c`` is the output gradient times ``scale``, and ``pred``
+    gets ``I^T`` times its bone term first, then its joint term.
+    """
+    pred = _as_tensor(pred)
+    c = _as_tensor(scale).data
+    d = pred.data - _as_tensor(target).data
+    total = (d * d).sum()
+    if incidence is not None:
+        inc = _as_tensor(incidence).data
+        bone_d = np.matmul(inc, pred.data) - _as_tensor(bone_target).data
+        total = total + (bone_d * bone_d).sum()
+    out_data = np.asarray(total * c)
+    _ensure_finite(out_data, "sum")
+
+    def vjp(g: np.ndarray):
+        gc = g * c
+        joint = d * gc
+        joint += joint
+        if incidence is None:
+            return (joint,)
+        bone = bone_d * gc
+        bone += bone
+        gpred = np.matmul(inc.T, bone)
+        gpred += joint
+        return (gpred,)
+
+    return _maybe_record("sum", (pred,), out_data, vjp)
 
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in the running ones
@@ -732,19 +664,21 @@ def _batch_norm_forward(x2: np.ndarray, gamma: Tensor, beta: Tensor,
     state.running_var *= 1.0 - BN_MOMENTUM
     state.running_var += BN_MOMENTUM * var
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    return _normalize_relu(xc, gamma.data * inv, beta.data), mu, inv
+    return _normalize_relu(xc, gamma.data * inv, beta.data, scan=True), mu, inv
 
 
-def _normalize_relu(centered: np.ndarray, a: np.ndarray,
-                    beta: np.ndarray) -> np.ndarray:
+def _normalize_relu(centered: np.ndarray, a: np.ndarray, beta: np.ndarray,
+                    scan: bool) -> np.ndarray:
     """``relu(centered * a + beta)`` in ``centered``'s buffer, where ``a``
-    is ``gamma / sqrt(var + BN_EPS)``; a vjp that recomputes a batch
-    norm's output calls it with the forward's operands, so the bits are
-    the forward's."""
+    is ``gamma / sqrt(var + BN_EPS)``; with ``scan``, the forward's, the
+    values are checked for finiteness before the ReLU, which would turn
+    -Inf into 0.  A vjp that recomputes a batch norm's output calls it
+    with the forward's operands and no scan: the bits are the forward's,
+    which passed it."""
     centered *= a
     centered += beta
-    # checked before the ReLU, which would turn -Inf into 0
-    _ensure_finite(centered, "batch_norm")
+    if scan:
+        _ensure_finite(centered, "batch_norm")
     return np.maximum(centered, 0.0, out=centered)
 
 
@@ -785,8 +719,8 @@ def batch_norm(x, gamma, beta, state: BatchNormState, skip=None) -> Tensor:
     has no backward.
 
     A ``skip`` of ``x``'s shape closes a residual block: it is added after
-    the ReLU into the same buffer, as ``matmul`` adds its addends, so the
-    block's sum is no node of its own.  The node then keeps the ReLU's
+    the ReLU into the same buffer, so the block's sum is no node of its
+    own.  The node then keeps the ReLU's
     mask (one byte per value) in place of reading it from the output, and
     its vjp hands the skip an unmasked copy of ``g``.
     """
@@ -843,11 +777,15 @@ def oracle_precision() -> Iterator[None]:
 
 
 def grad_check(f: Callable[..., Tensor], inputs: Iterable[Tensor],
-               eps: float = 1e-5) -> float:
+               probe: np.ndarray | None = None, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``f`` must be a deterministic scalar-valued function of the given
-    tensors.  The numeric side never touches the tape, so it stays
+    The checked scalar is ``f``'s output itself, or with a ``probe`` of
+    the output's shape the projection ``<f(...), probe>``: the analytic
+    side seeds the backward pass with the probe, and the numeric side
+    takes the dot product in numpy.  A projection on fixed random weights
+    sees directions that a plain sum is blind to.  ``f`` must be
+    deterministic.  The numeric side never touches the tape, so it stays
     independent of the backward implementation it is checking.  The check
     runs under :func:`oracle_precision`, and every input must already
     hold :data:`ORACLE_DTYPE`: build the case under it too.
@@ -866,14 +804,18 @@ def grad_check(f: Callable[..., Tensor], inputs: Iterable[Tensor],
 
         with Tape() as tape:
             out = f(*inputs)
-            if out.size != 1:
+            if probe is None and out.size != 1:
                 raise ShapeError(
                     f"grad_check needs a scalar output, got {out.shape}")
-            tape.backward(out)
+            tape.backward(out, probe)
         analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
                     for t in inputs]
         for t in inputs:
             t.grad = None
+
+        def value() -> float:
+            out = f(*inputs)
+            return out.item() if probe is None else np.vdot(out.data, probe)
 
         max_rel = 0.0
         for t, ana in zip(inputs, analytic):
@@ -882,9 +824,9 @@ def grad_check(f: Callable[..., Tensor], inputs: Iterable[Tensor],
             for i in range(t.data.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                f_plus = f(*inputs).item()
+                f_plus = value()
                 flat[i] = orig - eps
-                f_minus = f(*inputs).item()
+                f_minus = value()
                 flat[i] = orig
                 num = (f_plus - f_minus) / (2.0 * eps)
                 denom = max(1e-8, abs(ana_flat[i]) + abs(num))

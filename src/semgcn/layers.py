@@ -35,13 +35,11 @@ from .autodiff import (
     NonFiniteError,
     ShapeError,
     Tensor,
-    add,
     batch_norm,
+    edge_softmax,
     graph_conv,
-    mul,
     non_local,
     parameter,
-    softmax_lastdim,
 )
 from .skeleton import mask_logit_bias
 
@@ -69,10 +67,10 @@ class Layer:
 
 
 class GraphConv(Layer):
-    """One :func:`graph_conv` node over the aggregations a subclass supplies."""
+    """One :func:`graph_conv` node over the graph a subclass supplies."""
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        return graph_conv(x, self.w, self.b, *self.aggregations())
+        return graph_conv(x, self.w, self.b, *self.graph())
 
 
 class VanillaGConv(GraphConv):
@@ -88,7 +86,8 @@ class VanillaGConv(GraphConv):
         self.w = parameter(glorot_uniform(rng, in_dim, out_dim, (in_dim, out_dim)))
         self.b = parameter(np.zeros(out_dim))
 
-    def aggregations(self) -> tuple[Tensor, ...]:
+    def graph(self) -> tuple[Tensor]:
+        """:func:`graph_conv`'s graph arguments: the fixed propagation."""
         return (self.propagation,)
 
 
@@ -100,8 +99,9 @@ class SemGConv(GraphConv):
     exactly zero.  The logits start at zero, so the layer starts as uniform
     neighbor averaging.  ``w`` is (2, in, out): the self contribution goes
     through ``w[0]`` and neighbor contributions through ``w[1]``, followed
-    by a bias.  One (K, K) mask is shared by every channel, and the
-    aggregations are the self and neighbor parts of the edge weights.
+    by a bias.  One (K, K) mask is shared by every channel; the
+    :func:`graph_conv` node forms the edge weights from it and splits them
+    into their self and neighbor parts.
     """
 
     _param_names = ("w", "mask", "b")
@@ -110,20 +110,20 @@ class SemGConv(GraphConv):
                  rng: np.random.Generator):
         k = adjacency.shape[0]
         self._mask_bias = Tensor(mask_logit_bias(adjacency))
-        self._self_sel = Tensor(np.eye(k))
-        self._neigh_sel = Tensor(1.0 - np.eye(k))
         self.w = parameter(glorot_uniform(rng, in_dim, out_dim,
                                           (2, in_dim, out_dim)))
         self.mask = parameter(np.zeros((k, k)))
         self.b = parameter(np.zeros(out_dim))
 
-    def edge_weights(self) -> Tensor:
-        """Row-stochastic (K, K) weights over the adjacency support."""
-        return softmax_lastdim(add(self.mask, self._mask_bias))
+    def edge_weights(self) -> np.ndarray:
+        """Row-stochastic (K, K) weights over the adjacency support, the
+        ones the conv multiplies by."""
+        return edge_softmax(self.mask.data, self._mask_bias.data)
 
-    def aggregations(self) -> tuple[Tensor, ...]:
-        s = self.edge_weights()
-        return mul(s, self._self_sel), mul(s, self._neigh_sel)
+    def graph(self) -> tuple[Tensor, Tensor]:
+        """:func:`graph_conv`'s graph arguments: the support and the
+        edge logits."""
+        return self._mask_bias, self.mask
 
 
 class NonLocalBlock(Layer):
@@ -146,11 +146,13 @@ class NonLocalBlock(Layer):
 
     def __init__(self, channels: int, groups: tuple[tuple[int, ...], ...],
                  num_nodes: int, rng: np.random.Generator):
-        flat = sorted(i for grp in groups for i in grp)
-        if flat != list(range(num_nodes)):
-            raise ShapeError("node grouping must be a perfect partition")
+        pairs = [sorted(int(i) for i in grp) for grp in groups]
+        if any(len(pair) != 2 for pair in pairs) or \
+                sorted(i for pair in pairs for i in pair) != list(range(num_nodes)):
+            raise ShapeError(f"groups {pairs!r} do not split {num_nodes} "
+                             "nodes into disjoint pairs")
         e = max(1, channels // 2)
-        self.groups = tuple(tuple(sorted(grp)) for grp in groups)
+        self.pairs = np.asarray(pairs, dtype=np.intp)  # (G, 2), lower first
         self.theta_w = parameter(glorot_uniform(rng, channels, e, (channels, e)))
         self.theta_b = parameter(np.zeros(e))
         self.phi_w = parameter(glorot_uniform(rng, channels, e, (channels, e)))
@@ -167,7 +169,7 @@ class NonLocalBlock(Layer):
         self.wx = parameter(np.zeros((e, channels)))  # zero: identity at init
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        return non_local(x, self.groups, self.theta_w, self.theta_b,
+        return non_local(x, self.pairs, self.theta_w, self.theta_b,
                          self.phi_w, self.phi_b, self.g_w, self.g_b,
                          self.wf_q, self.wf_k, self.wf_b, self.wx)
 
@@ -231,7 +233,7 @@ def conv_bn_relu(conv: GraphConv, bn: BatchNormNodes, x: Tensor, train: bool,
     # checked before the GEMM; a non-finite scale leaves the shift non-finite
     if not np.isfinite(shift).all():
         raise NonFiniteError("eval-mode batch norm: non-finite scale or shift")
-    return graph_conv(x, conv.w, shift, *conv.aggregations(), scale=scale,
+    return graph_conv(x, conv.w, shift, *conv.graph(), scale=scale,
                       skip=skip)
 
 
@@ -244,9 +246,9 @@ class ResidualGConvBlock:
     three nodes for its stages: ``conv1``, then ``bn1`` → ReLU →
     ``conv2`` as one :func:`graph_conv` node with a batch-norm prologue,
     which keeps ``conv1``'s output and not ``bn1``'s, then ``bn2`` as a
-    :func:`batch_norm` node that adds the skip, so the block records no
-    ``add``.  Neither of the last two goes through a layer's ``forward``,
-    which takes ``(x, train)`` alone.
+    :func:`batch_norm` node that adds the skip, so the block's sum is no
+    node of its own.  Neither of the last two goes through a layer's
+    ``forward``, which takes ``(x, train)`` alone.
 
     The block is not a ``Layer``: it owns no tensors, so it has no tensor
     walk that could quietly yield nothing.  ``Network.named_layers`` walks
@@ -264,7 +266,7 @@ class ResidualGConvBlock:
         if train:
             bn1, bn2 = self.bn1, self.bn2
             z = graph_conv(self.conv1(x, train), self.conv2.w, self.conv2.b,
-                           *self.conv2.aggregations(),
+                           *self.conv2.graph(),
                            norm=(bn1.gamma, bn1.beta, bn1.state))
             y = batch_norm(z, bn2.gamma, bn2.beta, bn2.state, skip=x)
         else:

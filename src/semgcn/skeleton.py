@@ -3,7 +3,9 @@
 The skeleton is a fixed tree rooted at the pelvis: pelvis to both hips
 and the spine, limbs as two-bone chains, spine to neck and both
 shoulders, neck to head.  The adjacency defined here is the support of
-the edge-weighted convolutions' masked softmax (``SemGConv.edge_weights``).
+the masked softmax (``autodiff.edge_softmax``) that forms an
+edge-weighted convolution's edge weights inside its ``graph_conv`` node;
+``mask_logit_bias`` turns it into that softmax's additive support.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .autodiff import NonFiniteError, ShapeError, Tape, Tensor, add, matmul, mul
+from .autodiff import NonFiniteError, ShapeError, Tape, Tensor, squared_error
 from .network import ConfigError, Network, check_field_types
 from .posedata import PoseDataset, centered_arrays, mpjpe
 from .skeleton import SkeletonGraph
@@ -60,36 +60,34 @@ class TrainConfig:
         return asdict(self)
 
 
-def bone_vectors(j3d, g: SkeletonGraph):
-    """Parent-minus-child vector for every non-root joint, (..., K-1, 3).
-
-    Accepts a Tensor (differentiable) or a plain array.  Both are one
-    product with the (K-1, K) incidence matrix, which holds +1 at each
-    bone's parent joint and -1 at its child.
-    """
+def _incidence(g: SkeletonGraph) -> np.ndarray:
+    """The (K-1, K) bone incidence matrix: +1 at each bone's parent joint
+    and -1 at its child."""
     incidence = np.zeros((len(g.edges), g.num_joints))
     for bone, (parent, child) in enumerate(g.edges):
         incidence[bone, parent] = 1.0
         incidence[bone, child] = -1.0
-    if isinstance(j3d, Tensor):
-        return matmul(incidence, j3d)
-    return incidence @ np.asarray(j3d)
+    return incidence
+
+
+def bone_vectors(j3d, g: SkeletonGraph) -> np.ndarray:
+    """Parent-minus-child vector for every non-root joint, (..., K-1, 3):
+    one product with the incidence matrix."""
+    return _incidence(g) @ np.asarray(j3d)
 
 
 def pose_loss(pred: Tensor, gt, g: SkeletonGraph, use_bone: bool = False) -> Tensor:
     """Squared joint error (plus optional squared bone error) per pose,
-    averaged over the batch.  The target ``gt`` is a constant."""
+    averaged over the batch, as one tape node (:func:`squared_error`).
+    The target ``gt`` is a constant."""
     gt = gt.data if isinstance(gt, Tensor) else np.asarray(gt)
     if pred.shape != gt.shape:
         raise ShapeError(f"loss shape mismatch: {pred.shape} vs {gt.shape}")
     batch = pred.shape[0] if pred.ndim == 3 else 1
-    # a - b is a + (-b) in IEEE arithmetic, bit for bit
-    diff = add(pred, -gt)
-    loss = mul(diff, diff).sum()
-    if use_bone:
-        bdiff = add(bone_vectors(pred, g), -bone_vectors(gt, g))
-        loss = add(loss, mul(bdiff, bdiff).sum())
-    return mul(loss, 1.0 / batch)
+    if not use_bone:
+        return squared_error(pred, gt, 1.0 / batch)
+    return squared_error(pred, gt, 1.0 / batch, _incidence(g),
+                         bone_vectors(gt, g))
 
 
 # Adam's moments and update temporaries are float32 whatever the compute

@@ -18,7 +18,6 @@ from .autodiff import (
     batch_norm,
     grad_check,
     graph_conv,
-    mul,
     oracle_precision,
 )
 from .layers import BatchNormNodes, NonLocalBlock, SemGConv, VanillaGConv
@@ -53,12 +52,12 @@ def _layer_case(layer, x_shape: tuple[int, ...], rng: np.random.Generator,
     # Project with fixed random weights: a plain sum is blind to directions
     # the layer's output cannot move in (batch norm output sums to beta).
     # Each layer checked here keeps the input's width.
-    probe = Tensor(rng.standard_normal(x_shape))
+    probe = rng.standard_normal(x_shape)
 
     def f(*_):
-        return mul(layer.forward(x, train=train), probe).sum()
+        return layer.forward(x, train=train)
 
-    return f, [x] + params
+    return f, [x] + params, probe
 
 
 def _random_bn(rng: np.random.Generator) -> BatchNormNodes:
@@ -76,35 +75,33 @@ def _skip_stage_case(propagation: np.ndarray, x_shape: tuple[int, ...],
     bn = _random_bn(rng)
     x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
     skip = Tensor(rng.standard_normal(x_shape), requires_grad=True)
-    probe = Tensor(rng.standard_normal(x_shape))
+    probe = rng.standard_normal(x_shape)
 
     def f(*_):
-        return mul(batch_norm(conv(x, True), bn.gamma, bn.beta, bn.state,
-                              skip), probe).sum()
+        return batch_norm(conv(x, True), bn.gamma, bn.beta, bn.state, skip)
 
     # not the conv bias: the batch mean cancels it, so its exact gradient
     # is 0 and a relative error would measure rounding alone
-    return f, [x, skip, conv.w, bn.gamma, bn.beta]
+    return f, [x, skip, conv.w, bn.gamma, bn.beta], probe
 
 
 def _prologue_stage_case(adj: np.ndarray, x_shape: tuple[int, ...],
                          rng: np.random.Generator):
     """A residual block's first batch norm → ReLU → second conv: one
-    graph_conv node with a train-mode batch-norm prologue, over the two
-    aggregations of an edge-weighted conv."""
+    graph_conv node with a train-mode batch-norm prologue, over the edge
+    logits of an edge-weighted conv."""
     conv = SemGConv(_CHANNELS, _CHANNELS, adj, rng)
     conv.mask.data[...] = rng.standard_normal(conv.mask.shape) * 0.1
     conv.b.data[...] = rng.standard_normal(_CHANNELS) * 0.1
     bn = _random_bn(rng)
     x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
-    probe = Tensor(rng.standard_normal(x_shape))
+    probe = rng.standard_normal(x_shape)
 
     def f(*_):
-        return mul(graph_conv(x, conv.w, conv.b, *conv.aggregations(),
-                              norm=(bn.gamma, bn.beta, bn.state)),
-                   probe).sum()
+        return graph_conv(x, conv.w, conv.b, *conv.graph(),
+                          norm=(bn.gamma, bn.beta, bn.state))
 
-    return f, [x, conv.w, conv.mask, conv.b, bn.gamma, bn.beta]
+    return f, [x, conv.w, conv.mask, conv.b, bn.gamma, bn.beta], probe
 
 
 def _pose_loss_case(g, rng: np.random.Generator):

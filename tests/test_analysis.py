@@ -59,7 +59,7 @@ class TestExport:
             "blocks.1.conv1", "blocks.1.conv2", "output.conv"]
         assert report.block_layer_indices == [1, 2, 3, 4]
         for matrix, (_, conv) in zip(report.matrices, layers):
-            np.testing.assert_array_equal(matrix, conv.edge_weights().data)
+            np.testing.assert_array_equal(matrix, conv.edge_weights())
 
     def test_reports_round_trip(self, skel):
         report = export_weights(perturbed_net(skel))

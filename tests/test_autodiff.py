@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chain_ops import add, matmul, mul, softmax_lastdim, tensor_sum
 from semgcn import autodiff
 from semgcn.autodiff import (
     BN_EPS,
@@ -16,17 +17,14 @@ from semgcn.autodiff import (
     ShapeError,
     Tape,
     Tensor,
-    add,
     batch_norm,
+    edge_softmax,
     grad_check,
     graph_conv,
-    matmul,
-    mul,
     non_local,
-    softmax_lastdim,
-    tensor_sum,
 )
 from semgcn.layers import BatchNormNodes, NonLocalBlock, VanillaGConv, conv_bn_relu
+from semgcn.skeleton import mask_logit_bias
 
 
 def backward_of(f, *arrays):
@@ -57,14 +55,15 @@ class TestMatmul:
 
     def test_gradient_matches_hand_value(self):
         # d/da sum(a @ b) at a = I2, b = [[2,3],[4,5]] is ones @ b^T
-        (ga, _) = backward_of(lambda a, b: matmul(a, b).sum(),
+        (ga, _) = backward_of(lambda a, b: tensor_sum(matmul(a, b)),
                               np.eye(2), np.array([[2.0, 3.0], [4.0, 5.0]]))
         np.testing.assert_allclose(ga, [[5.0, 9.0], [5.0, 9.0]])
 
     def test_gradient_against_oracle(self):
         a = Tensor(np.eye(2), requires_grad=True)
         b = Tensor(np.array([[2.0, 3.0], [4.0, 5.0]]), requires_grad=True)
-        err = grad_check(lambda a, b: matmul(a, b).sum(), [a, b], eps=1e-5)
+        err = grad_check(lambda a, b: matmul(a, b), [a, b], np.ones((2, 2)),
+                         eps=1e-5)
         assert err < 1e-6
 
     def test_shape_mismatch_names_both_shapes(self):
@@ -77,7 +76,7 @@ class TestMatmul:
         x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
         w = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
         s = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-        err = grad_check(lambda x, w, s: matmul(s, matmul(x, w)).sum(),
+        err = grad_check(lambda x, w, s: tensor_sum(matmul(s, matmul(x, w))),
                          [x, w, s])
         assert err < 1e-6
 
@@ -102,8 +101,8 @@ class TestMatmul:
         v = Tensor(rng.standard_normal(5), requires_grad=True)
         w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         np.testing.assert_array_equal(matmul(v, w).data, v.data @ w.data)
-        probe = Tensor(rng.standard_normal(3))
-        err = grad_check(lambda v, w: mul(matmul(v, w), probe).sum(), [v, w])
+        err = grad_check(lambda v, w: matmul(v, w), [v, w],
+                         rng.standard_normal(3))
         assert err < 1e-6
 
     @pytest.mark.parametrize("shapes", [((5,), (2, 5, 3)), ((3, 5), (5,)),
@@ -117,13 +116,12 @@ class TestMatmul:
         rng = np.random.default_rng(11)
         a, b, t, bias = (Tensor(rng.standard_normal(s), requires_grad=True)
                          for s in ADDEND_FORMS[form])
-        probe = Tensor(rng.standard_normal(t.shape))
+        probe = rng.standard_normal(t.shape)
         with Tape() as tape:
             matmul(a, b, t, bias)
         assert [node.op for node in tape.nodes] == ["matmul"]
-        err = grad_check(lambda a, b, t, bias: mul(matmul(a, b, t, bias),
-                                                   probe).sum(),
-                         [a, b, t, bias])
+        err = grad_check(lambda a, b, t, bias: matmul(a, b, t, bias),
+                         [a, b, t, bias], probe)
         assert err < 1e-6
 
     @pytest.mark.parametrize("form", sorted(ADDEND_FORMS))
@@ -160,13 +158,33 @@ class TestMatmul:
 
 
 def graph_conv_inputs(rng, batch=3, k=5, c_in=4, c_out=6):
-    """x, w, b, and a diagonal (self) and an off-diagonal (neighbor)
-    aggregation, shaped as a SemGConv uses them."""
+    """x, w, b, the additive support of a random graph with self-loops,
+    and edge logits on it, shaped as a SemGConv uses them."""
     x = rng.standard_normal((batch, k, c_in))
     w = rng.standard_normal((2, c_in, c_out))
     b = rng.standard_normal(c_out)
-    s = rng.random((k, k))
-    return x, w, b, s * np.eye(k), s * (1.0 - np.eye(k))
+    adj = rng.random((k, k)) < 0.5
+    adj = adj | adj.T | np.eye(k, dtype=bool)
+    return x, w, b, mask_logit_bias(adj), rng.standard_normal((k, k))
+
+
+def chain_edge_weights(mask, support, g_self=None, g_neigh=None):
+    """A SemGConv's self and neighbour aggregations as the chain of single
+    ops formed them (add, softmax, two masking products), and, handed
+    their gradients, the logits' gradient that chain's backward formed."""
+    k = mask.shape[0]
+    m = Tensor(mask, requires_grad=True)
+    with Tape() as tape:
+        s = softmax_lastdim(add(m, support))
+        aggs = (mul(s, np.eye(k)), mul(s, 1.0 - np.eye(k)))
+        if g_self is not None:
+            # a stand-in for the conv node, which handed each aggregation
+            # its gradient
+            out = autodiff._maybe_record("matmul", aggs, np.zeros(()),
+                                         lambda g: (g_self.copy(),
+                                                    g_neigh.copy()))
+            tape.backward(out)
+    return aggs[0].data, aggs[1].data, m.grad
 
 
 def arrays_held_by(fn, seen=None):
@@ -192,61 +210,66 @@ def arrays_held_by(fn, seen=None):
 
 class TestGraphConv:
     def test_matches_the_composition_it_replaces(self):
-        # the SemGConv form before graph_conv: two products, the self
-        # weight as row sums of the diagonal aggregation, one addend each
+        # the SemGConv form before graph_conv: the edge-weight chain, then
+        # two products, the self weight as row sums of the diagonal
+        # aggregation, one addend each
         rng = np.random.default_rng(30)
-        x, w, b, a_self, a_neigh = graph_conv_inputs(rng)
+        x, w, b, support, mask = graph_conv_inputs(rng)
         probe = Tensor(rng.standard_normal((3, 5, 6)))
-        row_sums = Tensor(np.ones((a_self.shape[-1], 1)))
+        k = mask.shape[0]
+        row_sums = Tensor(np.ones((k, 1)))
 
-        def old(x, w0, w1, b, a_self, a_neigh):
+        def old(x, w0, w1, b, mask):
+            s = softmax_lastdim(add(mask, support))
+            a_self, a_neigh = mul(s, np.eye(k)), mul(s, 1.0 - np.eye(k))
             self_weight = matmul(a_self, row_sums)
             return matmul(a_neigh, matmul(x, w1),
                           mul(matmul(x, w0), self_weight), b)
 
-        def new(x, w, b, a_self, a_neigh):
-            return graph_conv(x, w, b, a_self, a_neigh)
+        def new(x, w, b, mask):
+            return graph_conv(x, w, b, support, mask)
 
-        np.testing.assert_allclose(new(*map(Tensor, (x, w, b, a_self, a_neigh))).data,
-                                   old(*map(Tensor, (x, w[0], w[1], b, a_self,
-                                                     a_neigh))).data,
+        np.testing.assert_allclose(new(*map(Tensor, (x, w, b, mask))).data,
+                                   old(*map(Tensor, (x, w[0], w[1], b,
+                                                     mask))).data,
                                    rtol=1e-12, atol=0)
-        gx, gw0, gw1, gb, gself, gneigh = backward_of(
-            lambda *t: mul(old(*t), probe).sum(), x, w[0], w[1], b, a_self,
-            a_neigh)
-        nx, nw, nb, nself, nneigh = backward_of(
-            lambda *t: mul(new(*t), probe).sum(), x, w, b, a_self, a_neigh)
+        gx, gw0, gw1, gb, gmask = backward_of(
+            lambda *t: tensor_sum(mul(old(*t), probe)), x, w[0], w[1], b, mask)
+        nx, nw, nb, nmask = backward_of(
+            lambda *t: tensor_sum(mul(new(*t), probe)), x, w, b, mask)
         for got, want in ((nx, gx), (nw, np.stack([gw0, gw1])), (nb, gb),
-                          (nneigh, gneigh)):
+                          (nmask, gmask)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        # the old form reads only the diagonal's row sums, so only the
-        # diagonal entries of the self gradient share a meaning
-        np.testing.assert_allclose(np.diag(nself), np.diag(gself),
-                                   rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("leading", [(3,), (), (2, 3)])
     def test_every_input_against_oracle(self, leading):
-        # a full first aggregation: the engine does not rely on a diagonal;
-        # with one aggregation the weight is 2-D
+        # the edge logits with their support, and a full fixed propagation
+        # with a 2-D weight
         rng = np.random.default_rng(31)
-        _, w, b, _, a_neigh = graph_conv_inputs(rng)
+        _, w, b, support, mask = graph_conv_inputs(rng)
         x = rng.standard_normal(leading + (5, 4))
         a_full = rng.random((5, 5))
-        probe = Tensor(rng.standard_normal(leading + (5, 6)))
-        for inputs in ((x, w, b, a_full, a_neigh), (x, w[0], b, a_full)):
+        probe = rng.standard_normal(leading + (5, 6))
+        for inputs, a in (((x, w, b, mask), support), ((x, w[0], b), a_full)):
             tensors = [Tensor(v) for v in inputs]
-            err = grad_check(lambda *t: mul(graph_conv(*t), probe).sum(),
-                             tensors)
+            err = grad_check(lambda *t: graph_conv(*t[:3], a, *t[3:]), tensors,
+                             probe)
             assert err < 1e-6
 
     def test_input_alone_against_oracle(self):
         rng = np.random.default_rng(32)
-        x, *rest = (Tensor(v) for v in graph_conv_inputs(rng))
-        probe = Tensor(rng.standard_normal((3, 5, 6)))
-        err = grad_check(lambda x: mul(graph_conv(x, *rest), probe).sum(), [x])
+        x, w, b, support, mask = graph_conv_inputs(rng)
+        x = Tensor(x)
+        rest = [Tensor(v) for v in (w, b)]
+        logits = Tensor(mask)
+        probe = rng.standard_normal((3, 5, 6))
+        err = grad_check(lambda x: graph_conv(x, *rest, support, logits), [x],
+                         probe)
         assert err < 1e-6
-        assert not any(t.requires_grad for t in rest)
+        assert not any(t.requires_grad for t in (*rest, logits))
 
+    # the shapes of the graph arguments: a propagation, or a support and
+    # its edge logits
     @pytest.mark.parametrize("w_shape, agg_shapes, b_shape", [
         ((2, 4, 6), [(5, 5), (5, 4)], (6,)),
         ((2, 4, 6), [(5, 5), (4, 4)], (6,)),
@@ -254,8 +277,8 @@ class TestGraphConv:
         ((2, 3, 6), [(5, 5), (5, 5)], (6,)),
         ((8, 6), [(5, 5), (5, 5)], (6,)),
         ((2, 4, 6), [(5, 5), (5, 5)], (5,)),
-        ((0, 4, 6), [], (6,)),
-        ((4, 6), [(5, 5), (5, 5)], (6,)),
+        ((0, 4, 6), [(5, 5)], (6,)),
+        ((4, 6), [(4, 5)], (6,)),
     ])
     def test_mismatched_shapes_raise(self, w_shape, agg_shapes, b_shape):
         with pytest.raises(ShapeError):
@@ -265,56 +288,72 @@ class TestGraphConv:
 
     def test_one_matmul_node_that_keeps_only_its_output(self):
         rng = np.random.default_rng(33)
-        x, w, b, a_self, a_neigh = graph_conv_inputs(rng)
+        x, w, b, support, mask = graph_conv_inputs(rng)
+        a_full = rng.random((5, 5))
         g = rng.standard_normal((3, 5, 6))
-        # two aggregations, and one with a 2-D weight
-        for inputs in ((x, w, b, a_self, a_neigh), (x, w[1], b, a_neigh)):
+        # edge logits, and a fixed propagation with a 2-D weight
+        for inputs, a in (((x, w, b, mask), support), ((x, w[1], b), a_full)):
             tensors = [Tensor(v, requires_grad=True) for v in inputs]
             with Tape() as tape:
-                out = graph_conv(*tensors)
+                out = graph_conv(*tensors[:3], a, *tensors[3:])
             (node,) = tape.nodes
             assert node.op == "matmul" and node.output is out
             assert node.inputs == tuple(tensors)
             held = arrays_held_by(node.vjp)
             assert held
-            for arr in held:  # views of the inputs, nothing of its own
-                assert any(np.shares_memory(arr, t.data) for t in tensors)
+            # views of the inputs and (K, K) edge weights, nothing the
+            # size of an activation
+            for arr in held:
+                assert arr.shape == (5, 5) or any(
+                    np.shares_memory(arr, t.data) for t in tensors)
             gx, gw, *_ = node.vjp(g.copy())
             assert gx.flags.owndata and gw.flags.owndata
             assert gw.shape == tensors[1].shape
 
     @pytest.mark.parametrize("c_in, c_out", [(4, 6), (32, 24), (128, 128)])
-    def test_vjp_matches_the_side_by_side_gemms_bitwise(self, c_in, c_out):
+    def test_vjp_matches_the_side_by_side_gemms_bitwise(self, c_in, c_out,
+                                                        monkeypatch):
         # the vjp forms gw and g @ w_flat.T one aggregation at a time:
         # row and column blocks of the GEMMs over the (N, R*C_in)
         # side-by-side operand, so the bits are those GEMMs'.  Batch 20
         # takes the second aggregation's input gradient in two full
-        # batch-row chunks and a partial one
-        rng = np.random.default_rng(36)
-        batch = 20
-        x, w, b, a_self, a_neigh = graph_conv_inputs(rng, batch, 16, c_in,
-                                                     c_out)
-        g = rng.standard_normal((batch, 16, c_out))
-        tensors = [Tensor(v, requires_grad=True)
-                   for v in (x, w, b, a_self, a_neigh)]
-        with Tape() as tape:
-            graph_conv(*tensors)
-        gx, gw, _, gself, gneigh = tape.nodes[0].vjp(g.copy())
-        g2 = g.reshape(-1, c_out)
-        z = np.concatenate([a_self @ x, a_neigh @ x], axis=-1)
-        gz = (g2 @ w.reshape(2 * c_in, c_out).T).reshape(batch, 16, 2 * c_in)
-        parts = gz[..., :c_in], gz[..., c_in:]
-        want_gx = np.matmul(a_self.T, parts[0])
-        want_gx += np.matmul(a_neigh.T, parts[1])
-        want = {
-            "gw": (z.reshape(-1, 2 * c_in).T @ g2).reshape(w.shape),
-            "gx": want_gx,
-            "gself": np.matmul(parts[0], x.swapaxes(-1, -2)).sum(axis=0),
-            "gneigh": np.matmul(parts[1], x.swapaxes(-1, -2)).sum(axis=0),
-        }
-        for name, got in (("gw", gw), ("gx", gx), ("gself", gself),
-                          ("gneigh", gneigh)):
-            assert got.tobytes() == want[name].tobytes(), name
+        # batch-row chunks and a partial one.  The edge weights and the
+        # logits' gradient are the edge-weight chain's, at either dtype
+        for dtype in (np.float64, np.float32):
+            monkeypatch.setattr(autodiff, "DTYPE", dtype)
+            rng = np.random.default_rng(36)
+            batch = 20
+            x, w, b, support, mask = (
+                Tensor(v).data for v in graph_conv_inputs(rng, batch, 16, c_in,
+                                                          c_out))
+            g = Tensor(rng.standard_normal((batch, 16, c_out))).data
+            tensors = [Tensor(v, requires_grad=True) for v in (x, w, b, mask)]
+            with Tape() as tape:
+                out = graph_conv(*tensors[:3], support, tensors[3])
+            gx, gw, _, gmask = tape.nodes[0].vjp(g.copy())
+            a_self, a_neigh, _ = chain_edge_weights(mask, support)
+            g2 = g.reshape(-1, c_out)
+            z = np.concatenate([a_self @ x, a_neigh @ x], axis=-1)
+            gz = (g2 @ w.reshape(2 * c_in, c_out).T).reshape(batch, 16,
+                                                             2 * c_in)
+            parts = gz[..., :c_in], gz[..., c_in:]
+            want_gx = np.matmul(a_self.T, parts[0])
+            want_gx += np.matmul(a_neigh.T, parts[1])
+            *_, want_gmask = chain_edge_weights(
+                mask, support,
+                np.matmul(parts[0], x.swapaxes(-1, -2)).sum(axis=0),
+                np.matmul(parts[1], x.swapaxes(-1, -2)).sum(axis=0))
+            want = {
+                "out": (z.reshape(-1, 2 * c_in) @ w.reshape(2 * c_in, c_out)
+                        + b).reshape(out.shape),
+                "gw": (z.reshape(-1, 2 * c_in).T @ g2).reshape(w.shape),
+                "gx": want_gx,
+                "gmask": want_gmask,
+            }
+            for name, got in (("out", out.data), ("gw", gw), ("gx", gx),
+                              ("gmask", gmask)):
+                assert got.dtype == dtype, name
+                assert got.tobytes() == want[name].tobytes(), name
 
     def test_vjp_holds_one_scratch_beside_the_input_gradient(self):
         # beyond the gradients it returns, the vjp holds one (N, C_in)
@@ -322,11 +361,11 @@ class TestGraphConv:
         # gradient a few batch rows at a time, so a full-size temporary
         # for it (one activation) would break this bound
         rng = np.random.default_rng(37)
-        x, w, b, a_self, a_neigh = graph_conv_inputs(rng, 32, 16, 64, 64)
+        x, w, b, support, mask = graph_conv_inputs(rng, 32, 16, 64, 64)
         tensors = [Tensor(v, requires_grad=i < 3)
-                   for i, v in enumerate((x, w, b, a_self, a_neigh))]
+                   for i, v in enumerate((x, w, b, mask))]
         with Tape() as tape:
-            graph_conv(*tensors)
+            graph_conv(*tensors[:3], support, tensors[3])
         g = rng.standard_normal((32, 16, 64))
         tracemalloc.start()
         try:
@@ -342,51 +381,60 @@ class TestGraphConv:
 
     def test_scale_epilogue_is_inference_only(self):
         # an eval-mode stage has no backward: under a tape, any input that
-        # needs a gradient makes it raise before it records anything
+        # needs a gradient, the edge logits alone included, makes it raise
+        # before it records anything
         rng = np.random.default_rng(34)
-        inputs = graph_conv_inputs(rng)
+        x, w, b, support, mask = graph_conv_inputs(rng)
+        inputs = (x, w, b, mask)
         scale = rng.standard_normal(6)
         for i in range(len(inputs)):
             tensors = [Tensor(v, requires_grad=j == i)
                        for j, v in enumerate(inputs)]
             with Tape() as tape:
                 with pytest.raises(AutodiffError, match="no backward"):
-                    graph_conv(*tensors, scale=scale)
+                    graph_conv(*tensors[:3], support, tensors[3], scale=scale)
             assert tape.nodes == []
         # with nothing to differentiate it runs, taped or not
-        x, w, b, a_self, a_neigh = (Tensor(v) for v in inputs)
-        conv = graph_conv(x, w, Tensor(np.zeros(6)), a_self, a_neigh).data
+        x, w, b, mask = (Tensor(v) for v in inputs)
+        conv = graph_conv(x, w, Tensor(np.zeros(6)), support, mask).data
         want = np.maximum(conv * scale + b.data, 0.0)
         with Tape() as tape:
-            out = graph_conv(x, w, b, a_self, a_neigh, scale=scale)
+            out = graph_conv(x, w, b, support, mask, scale=scale)
         assert tape.nodes == []
         np.testing.assert_array_equal(out.data, want)
 
-
     def test_scale_epilogue_adds_a_skip_after_the_relu(self):
         rng = np.random.default_rng(35)
-        x, w, b, a_self, a_neigh = (Tensor(v) for v in graph_conv_inputs(rng))
+        x, w, b, support, mask = graph_conv_inputs(rng)
+        x, w, b, mask = (Tensor(v) for v in (x, w, b, mask))
         scale = rng.standard_normal(6)
         skip = Tensor(rng.standard_normal((3, 5, 6)))
-        stage = graph_conv(x, w, b, a_self, a_neigh, scale=scale).data
-        out = graph_conv(x, w, b, a_self, a_neigh, scale=scale, skip=skip)
+        stage = graph_conv(x, w, b, support, mask, scale=scale).data
+        out = graph_conv(x, w, b, support, mask, scale=scale, skip=skip)
         np.testing.assert_array_equal(out.data, stage + skip.data)
         # inference only, like the rest of the epilogue
         with Tape() as tape, pytest.raises(AutodiffError, match="no backward"):
-            graph_conv(x, w, b, a_self, a_neigh, scale=scale,
+            graph_conv(x, w, b, support, mask, scale=scale,
                        skip=Tensor(skip.data, requires_grad=True))
         assert tape.nodes == []
         with pytest.raises(AutodiffError, match="eval-mode"):
-            graph_conv(x, w, b, a_self, a_neigh, skip=skip)
+            graph_conv(x, w, b, support, mask, skip=skip)
         with pytest.raises(ShapeError, match="skip"):
-            graph_conv(x, w, b, a_self, a_neigh, scale=scale,
+            graph_conv(x, w, b, support, mask, scale=scale,
                        skip=Tensor(np.ones((3, 5, 1))))
         # the sum is checked too: the ReLU's output was finite
         big = Tensor(np.full((3, 5, 6), np.finfo(np.float64).max))
         with np.errstate(over="ignore"), pytest.raises(
                 NonFiniteError, match="skip add"):
-            graph_conv(x, w, b, a_self, a_neigh, scale=np.abs(scale) + 1e300,
+            graph_conv(x, w, b, support, mask, scale=np.abs(scale) + 1e300,
                        skip=big)
+
+    def test_empty_support_is_an_error(self):
+        rng = np.random.default_rng(38)
+        x, w, b, support, mask = graph_conv_inputs(rng)
+        support[2] = -np.inf
+        with pytest.raises(AutodiffError, match="empty support"):
+            graph_conv(x, w, b, support, mask)
 
 
 class TestAdd:
@@ -401,12 +449,11 @@ class TestAdd:
         a = Tensor(rng.standard_normal((3, 4, 1)), requires_grad=True)
         b = Tensor(rng.standard_normal((3, 1, 5)), requires_grad=True)
         c = Tensor(rng.standard_normal(1), requires_grad=True)
-        probe = Tensor(rng.standard_normal((3, 4, 5)))
+        probe = rng.standard_normal((3, 4, 5))
         with Tape() as tape:
             add(a, b, c)
         assert [node.op for node in tape.nodes] == ["add"]
-        err = grad_check(lambda a, b, c: mul(add(a, b, c), probe).sum(),
-                         [a, b, c])
+        err = grad_check(lambda a, b, c: add(a, b, c), [a, b, c], probe)
         assert err < 1e-6
 
     def test_shape_mismatch_names_every_shape(self):
@@ -460,7 +507,7 @@ def probe(part, node0, node1):
     x = Tensor(x, requires_grad=True)
     with Tape() as tape:
         out = probe_layer(part)(x, True)
-        tape.backward(out.sum())
+        tape.backward(out, np.ones_like(out.data))
     return out.data[:, 0, 0] - x.data[:, 0, 0], x.grad[:, :, 0] - 1.0
 
 
@@ -486,26 +533,29 @@ class TestRelu:
 
 
 class TestSoftmax:
+    """The masked softmax that forms a SemGConv's edge weights
+    (:func:`edge_softmax`)."""
+
     def test_equal_logits_uniform(self):
-        out = softmax_lastdim(Tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, rtol=1e-12)
+        out = edge_softmax(np.zeros(3), 0.0)
+        np.testing.assert_allclose(out, [1 / 3] * 3, rtol=1e-12)
 
     def test_saturating_mask(self):
-        out = softmax_lastdim(Tensor([0.0, -np.inf]))
-        np.testing.assert_array_equal(out.data, [1.0, 0.0])
+        out = edge_softmax(np.zeros(2), np.array([0.0, -np.inf]))
+        np.testing.assert_array_equal(out, [1.0, 0.0])
 
     def test_hand_computed(self):
-        out = softmax_lastdim(Tensor([1.0, 2.0]))
-        np.testing.assert_allclose(out.data, [0.26894, 0.73106], atol=1e-5)
+        out = edge_softmax(np.array([1.0, 2.0]), 0.0)
+        np.testing.assert_allclose(out, [0.26894, 0.73106], atol=1e-5)
 
     def test_empty_support_is_an_error(self):
         with pytest.raises(AutodiffError, match="empty support"):
-            softmax_lastdim(Tensor([-np.inf, -np.inf]))
+            edge_softmax(np.zeros(2), np.full(2, -np.inf))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_rows_stochastic_and_bounded(self, seed):
         rng = np.random.default_rng(seed)
-        out = softmax_lastdim(Tensor(rng.standard_normal((4, 7)) * 10)).data
+        out = edge_softmax(rng.standard_normal((4, 7)) * 10, 0.0)
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
         assert ((out >= 0) & (out <= 1)).all()
 
@@ -701,12 +751,12 @@ class TestBatchNorm:
         gamma = Tensor(rng.standard_normal(4), requires_grad=True)
         beta = Tensor(rng.standard_normal(4), requires_grad=True)
         state = BatchNormState(4)
-        probe = Tensor(rng.standard_normal((2, 3, 4)))
+        probe = rng.standard_normal((2, 3, 4))
 
         def f(x, gamma, beta):
-            return mul(batch_norm(x, gamma, beta, state), probe).sum()
+            return batch_norm(x, gamma, beta, state)
 
-        assert grad_check(f, [x, gamma, beta]) < 1e-4
+        assert grad_check(f, [x, gamma, beta], probe) < 1e-4
 
     def test_train_needs_two_rows(self):
         x = Tensor(np.zeros((1, 1, 4)))
@@ -722,18 +772,19 @@ class TestBatchNorm:
         np.testing.assert_allclose(state.running_var, [1.0])   # 0.9*1 + 0.1*1
 
 
-def prologue_case(rng, r, aggs_grad, batch=6, k=5, c=4, c_out=3):
-    """x, w, b, r aggregations, gamma and beta of a batch norm → ReLU →
-    conv stage, every one a tensor that requires a gradient but the
-    aggregations unless ``aggs_grad``, and a state off its initial
-    statistics."""
-    x, w, b, a_self, a_neigh = graph_conv_inputs(rng, batch, k, c, c_out)
-    aggs = [Tensor(a, requires_grad=aggs_grad)
-            for a in ((a_self + a_neigh,) if r == 1 else (a_self, a_neigh))]
+def prologue_case(rng, r, mask_grad, batch=6, k=5, c=4, c_out=3):
+    """x, w, b, gamma and beta of a batch norm → ReLU → conv stage, every
+    one a tensor that requires a gradient, the stage's graph arguments (a
+    fixed propagation when ``r`` is 1; a support and edge logits, which
+    require a gradient with ``mask_grad``, when it is 2), and a state off
+    its initial statistics."""
+    x, w, b, support, mask = graph_conv_inputs(rng, batch, k, c, c_out)
+    graph = ((rng.random((k, k)),) if r == 1
+             else (support, Tensor(mask, requires_grad=mask_grad)))
     tensors = [Tensor(v, requires_grad=True) for v in (
         3.0 + 2.0 * x, w[0] if r == 1 else w, b, rng.standard_normal(c),
         rng.standard_normal(c))]
-    return tensors, aggs, perturbed_state(rng, c)
+    return tensors, graph, perturbed_state(rng, c)
 
 
 class TestBatchNormPrologue:
@@ -741,35 +792,35 @@ class TestBatchNormPrologue:
     # keeps conv's output alone and recomputes the normalized input
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("r, aggs_grad", [(1, False), (1, True),
+    @pytest.mark.parametrize("r, mask_grad", [(1, False), (2, False),
                                               (2, True)])
     def test_matches_batch_norm_then_graph_conv_bitwise(self, dtype, r,
-                                                        aggs_grad,
+                                                        mask_grad,
                                                         monkeypatch):
         monkeypatch.setattr(autodiff, "DTYPE", dtype)
         results = []
         for fused in (False, True):
             rng = np.random.default_rng([40, r])
-            (x, w, b, gamma, beta), aggs, state = prologue_case(
-                rng, r, aggs_grad)
+            (x, w, b, gamma, beta), graph, state = prologue_case(
+                rng, r, mask_grad)
             seed = rng.standard_normal((6, 5, 3))
             with Tape() as tape:
                 if fused:
-                    out = graph_conv(x, w, b, *aggs,
+                    out = graph_conv(x, w, b, *graph,
                                      norm=(gamma, beta, state))
                     (node,) = tape.nodes
                     assert node.op == "matmul"
-                    assert node.inputs == (x, w, b, *aggs, gamma, beta)
+                    assert node.inputs == (x, w, b, *graph[1:], gamma, beta)
                 else:
                     out = graph_conv(batch_norm(x, gamma, beta, state), w, b,
-                                     *aggs)
+                                     *graph)
                 tape.backward(out, seed)
             results.append([out.data, x.grad, gamma.grad, beta.grad, w.grad,
-                            b.grad, *(a.grad for a in aggs),
+                            b.grad, *(t.grad for t in graph[1:]),
                             state.running_mean, state.running_var])
         chain, fused = results
         for want, got in zip(chain, fused):
-            if want is None:  # a constant aggregation
+            if want is None:  # constant edge logits
                 assert got is None
                 continue
             assert got.dtype == want.dtype
@@ -778,14 +829,14 @@ class TestBatchNormPrologue:
 
     def test_needs_two_rows_and_takes_no_scale(self):
         rng = np.random.default_rng(42)
-        (x, w, b, gamma, beta), aggs, state = prologue_case(rng, 1, False)
+        (x, w, b, gamma, beta), graph, state = prologue_case(rng, 1, False)
         with pytest.raises(ShapeError, match="batch\\*nodes"):
-            graph_conv(Tensor(x.data[:1, :1]), w, b, Tensor(np.ones((1, 1))),
+            graph_conv(Tensor(x.data[:1, :1]), w, b, np.ones((1, 1)),
                        norm=(gamma, beta, state))
         with pytest.raises(ShapeError, match="parameter shapes"):
-            graph_conv(x, w, b, *aggs, norm=(beta, Tensor(np.ones(3)), state))
+            graph_conv(x, w, b, *graph, norm=(beta, Tensor(np.ones(3)), state))
         with pytest.raises(AutodiffError, match="not both"):
-            graph_conv(x, w, b, *aggs, norm=(gamma, beta, state),
+            graph_conv(x, w, b, *graph, norm=(gamma, beta, state),
                        scale=np.ones(3))
 
     # A taped stage at batch 32, 32 channels keeps its output (128 KiB);
@@ -796,9 +847,9 @@ class TestBatchNormPrologue:
 
     def test_taped_stage_keeps_only_its_output(self):
         rng = np.random.default_rng(43)
-        x, w, b, a_self, a_neigh = (
-            Tensor(v, requires_grad=True)
-            for v in graph_conv_inputs(rng, 32, 16, 32, 32))
+        x, w, b, support, mask = graph_conv_inputs(rng, 32, 16, 32, 32)
+        x, w, b, mask = (Tensor(v, requires_grad=True)
+                         for v in (x, w, b, mask))
         gamma, beta = (Tensor(rng.standard_normal(32), requires_grad=True)
                        for _ in range(2))
         state = BatchNormState(32)
@@ -806,7 +857,7 @@ class TestBatchNormPrologue:
         tracemalloc.start()
         try:
             with tape:
-                out = graph_conv(x, w, b, a_self, a_neigh,
+                out = graph_conv(x, w, b, support, mask,
                                  norm=(gamma, beta, state))
             kept, _ = tracemalloc.get_traced_memory()
         finally:
@@ -814,14 +865,6 @@ class TestBatchNormPrologue:
         assert out.data.nbytes == 128 << 10
         assert kept <= out.data.nbytes + self.TAPE_SLACK_BYTES
         assert len(tape.nodes) == 1
-
-
-def non_local_of(x, pairs):
-    """:func:`non_local` of ``x`` over ``pairs``, with a layer's weights."""
-    k = x.shape[1]
-    layer = NonLocalBlock(x.shape[2], tuple((i, i + 1) for i in range(0, k, 2)),
-                          k, np.random.default_rng(0))
-    return non_local(Tensor(x), pairs, *(p for _, p in layer.named_parameters()))
 
 
 class TestStructural:
@@ -846,9 +889,9 @@ class TestStructural:
         [],                      # no groups at all
     ])
     def test_max_over_set_rejects_non_disjoint_pairs(self, groups):
-        x = np.arange(24.0).reshape(2, 6, 2)
+        # the layer checks its pairing once, when it is built
         with pytest.raises(ShapeError, match="disjoint pairs"):
-            non_local_of(x, groups)
+            NonLocalBlock(2, groups, 6, np.random.default_rng(0))
 
     def test_max_over_set_with_ties_matches_the_selecting_form(self):
         # small integers force ties, signed zeros among them
@@ -864,10 +907,17 @@ class TestStructural:
 
     def test_max_over_set_rejects_out_of_range(self):
         with pytest.raises(ShapeError, match="disjoint pairs"):
-            non_local_of(np.zeros((1, 4, 2)), [(0, 1), (2, 4)])
+            NonLocalBlock(2, [(0, 1), (2, 4)], 4, np.random.default_rng(0))
+
+    def test_input_must_have_two_nodes_per_pair(self):
+        layer = NonLocalBlock(2, ((0, 1), (2, 3)), 4, np.random.default_rng(0))
+        weights = [p for _, p in layer.named_parameters()]
+        for k in (2, 6):
+            with pytest.raises(ShapeError, match=r"\(B, 4, C\)"):
+                non_local(Tensor(np.zeros((1, k, 2))), layer.pairs, *weights)
 
     def test_sum_gradient_is_ones(self):
-        (gx,) = backward_of(lambda x: x.sum(), np.arange(6.0).reshape(2, 3))
+        (gx,) = backward_of(tensor_sum, np.arange(6.0).reshape(2, 3))
         np.testing.assert_array_equal(gx, np.ones((2, 3)))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -887,7 +937,7 @@ class TestStructural:
             h = matmul(h, w)                                # (2, 4, 3)
             h = mul(h, Tensor(probe))
             p = softmax_lastdim(h)
-            return add(tensor_sum(p), tensor_sum(add(h, -0.5))).sum()
+            return tensor_sum(add(tensor_sum(p), tensor_sum(add(h, -0.5))))
 
         assert grad_check(f, [x, y, w]) < 1e-4
 
@@ -896,14 +946,14 @@ class TestGradCheckOracle:
     def test_quadratic_closed_form(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         with Tape() as tape:
-            tape.backward(mul(x, x).sum())
+            tape.backward(tensor_sum(mul(x, x)))
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
         x.grad = None
-        assert grad_check(lambda x: mul(x, x).sum(), [x]) < 1e-6
+        assert grad_check(lambda x: tensor_sum(mul(x, x)), [x]) < 1e-6
 
     def test_linear_is_exact(self):
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-        err = grad_check(lambda x: mul(x, 3.0).sum(), [x])
+        err = grad_check(lambda x: tensor_sum(mul(x, 3.0)), [x])
         assert err < 1e-9
 
     def test_detects_injected_wrong_backward(self):
@@ -918,8 +968,53 @@ class TestGradCheckOracle:
             return ad._maybe_record("broken_square", (x,), out_data, vjp)
 
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        err = grad_check(lambda x: broken_square(x).sum(), [x])
+        err = grad_check(lambda x: tensor_sum(broken_square(x)), [x])
         assert err > 1e-2
+
+    def test_probe_form_passes_a_conv_with_edge_logits(self):
+        rng = np.random.default_rng(18)
+        x, w, b, support, mask = graph_conv_inputs(rng)
+        tensors = [Tensor(v) for v in (x, w, b, mask)]
+        err = grad_check(lambda x, w, b, mask: graph_conv(x, w, b, support,
+                                                          mask),
+                         tensors, rng.standard_normal((3, 5, 6)))
+        assert err < 1e-6
+
+    def test_probe_of_another_shape_raises(self):
+        x = Tensor(np.array([1.0, 2.0]))
+        with pytest.raises(ShapeError, match="seed gradient shape"):
+            grad_check(lambda x: mul(x, 3.0), [x], np.ones(3))
+
+    def test_probe_form_detects_injected_wrong_backward(self):
+        from semgcn import autodiff as ad
+
+        def broken_square(x):
+            def vjp(g):
+                return (g,)  # wrong on purpose: should be 2 * x * g
+
+            return ad._maybe_record("broken_square", (x,), x.data * x.data,
+                                    vjp)
+
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        err = grad_check(broken_square, [x], np.array([0.5, -1.5]))
+        assert err > 1e-2
+
+    def test_probe_form_detects_a_softmax_backward_without_its_inner_term(
+            self, monkeypatch):
+        # the logits' gradient of a conv with edge logits, with the
+        # softmax's backward missing the row sum it subtracts
+        rng = np.random.default_rng(19)
+        x, w, b, support, mask = graph_conv_inputs(rng)
+        x, w, b, mask = (Tensor(v) for v in (x, w, b, mask))
+        probe = rng.standard_normal((3, 5, 6))
+
+        def check():
+            return grad_check(lambda mask: graph_conv(x, w, b, support, mask),
+                              [mask], probe)
+
+        assert check() < 1e-6
+        monkeypatch.setattr(autodiff, "_softmax_backward", lambda s, g: s * g)
+        assert check() > 1e-2
 
     def test_computes_in_double_whatever_the_compute_dtype(self, monkeypatch):
         from semgcn import autodiff as ad
@@ -927,13 +1022,13 @@ class TestGradCheckOracle:
         monkeypatch.setattr(ad, "DTYPE", np.float32)
         single = Tensor(np.array([1.0, 2.0]))
         with pytest.raises(AutodiffError, match="oracle_precision"):
-            grad_check(lambda x: mul(x, x).sum(), [single])
+            grad_check(lambda x: tensor_sum(mul(x, x)), [single])
         seen = []
 
         def f(x):
             out = mul(x, Tensor(np.array([0.5, 3.0])))
             seen.append(out.data.dtype)
-            return out.sum()
+            return tensor_sum(out)
 
         with ad.oracle_precision():
             x = Tensor(np.array([1.0, 2.0]))
@@ -997,7 +1092,7 @@ class TestBackwardBuffers:
         }
 
         def f(x, w):
-            return mul(cases[case](x, w), probe).sum()
+            return tensor_sum(mul(cases[case](x, w), probe))
 
         assert grad_check(f, [x, w]) < 1e-6
 
@@ -1019,7 +1114,7 @@ class TestBackwardBuffers:
         }
 
         def f(x, w):
-            return mul(cases[case](x, w), probe).sum()
+            return tensor_sum(mul(cases[case](x, w), probe))
 
         assert grad_check(f, [x, w]) < 1e-6
 
@@ -1035,7 +1130,7 @@ class TestBackwardBuffers:
         x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
         w = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
         probe = Tensor(rng.standard_normal((3, 4, 5)))
-        err = grad_check(lambda x, w: mul(matmul(x, w, x), probe).sum(),
+        err = grad_check(lambda x, w: tensor_sum(mul(matmul(x, w, x), probe)),
                          [x, w])
         assert err < 1e-6
 
@@ -1066,7 +1161,7 @@ class TestTensorAndTape:
 
         def run_once():
             with Tape() as tape:
-                tape.backward(matmul(Tensor(x), w).sum())
+                tape.backward(tensor_sum(matmul(Tensor(x), w)))
 
         run_once()
         single = w.grad.copy()
@@ -1082,7 +1177,7 @@ class TestTensorAndTape:
             t = Tensor(w, requires_grad=True)
             with Tape() as tape:
                 out = softmax_lastdim(matmul(Tensor(x), t))
-                loss = out.sum()
+                loss = tensor_sum(out)
                 tape.backward(loss)
             return out.data.copy(), t.grad.copy()
 

@@ -489,13 +489,13 @@ def test_grad_checks_compute_in_double_at_a_float32_compute_dtype(monkeypatch):
     monkeypatch.setattr(autodiff, "DTYPE", np.float32)
     checked = []  # the dtype of every checked tensor and of every output
 
-    def recording(f, inputs):
+    def recording(f, inputs, probe=None):
         def traced(*args):
             out = f(*args)
             checked.append(out.data.dtype)
             return out
         checked.extend(t.data.dtype for t in inputs)
-        return grad_check(traced, inputs)
+        return grad_check(traced, inputs, probe)
 
     monkeypatch.setattr(verification, "grad_check", recording)
     rows = run_grad_checks()

@@ -7,16 +7,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chain_ops import add, matmul, mul
 from semgcn import autodiff
-from semgcn.autodiff import Tape, Tensor, add, matmul, mul
+from semgcn.autodiff import Tape, Tensor
 from semgcn.layers import NonLocalBlock
 from semgcn.skeleton import DEFAULT_NODE_GROUPS
 
 K = 16
 
 
-# The three single ops the chain needs beyond matmul, add and mul, as the
-# engine defined them before the layer became one node.
+# The three single ops the chain needs beyond matmul, add and mul (from
+# ``chain_ops``), as the engine defined them before the layer became one
+# node.
 
 def reference_relu(x):
     def vjp(g):
@@ -55,8 +57,8 @@ def reference_max_over_set(x, pairs):
 def reference_non_local(layer, x):
     """The layer as the 14 single ops its forward recorded before it became
     one node."""
-    n_groups = len(layer.groups)
-    pooled = reference_max_over_set(x, layer.groups)
+    n_groups = len(layer.pairs)
+    pooled = reference_max_over_set(x, layer.pairs)
     val = matmul(pooled, layer.g_w, layer.g_b)
     q_score = matmul(x, matmul(layer.theta_w, layer.wf_q))
     k_score = matmul(pooled, matmul(layer.phi_w, layer.wf_k))
