@@ -6,9 +6,11 @@ inside it) and the non-local layer (:func:`non_local`) record ``matmul``
 nodes, the batch norm and its ReLU a ``batch_norm`` node, and the pose
 loss (:func:`squared_error`) a ``sum`` node.  Every operation records a
 node on the active :class:`Tape` (when one is open and an input requires
-gradients) holding a closure that maps the output gradient to input
-gradients.  Backward walks the tape once in reverse execution order,
-which is always a valid topological order.
+gradients, see :func:`records`) holding a closure that maps the output
+gradient to input gradients.  Backward walks the tape once in reverse
+execution order, which is always a valid topological order.  An
+eval-mode conv → batch norm → ReLU stage is no op: ``layers.conv_bn_relu``
+runs it in numpy on the convolution's product, :func:`graph_conv_product`.
 
 A vjp owns the output gradient ``g`` it is handed and may overwrite it,
 for instance to return ``g`` itself scaled in place.  The root is the
@@ -139,8 +141,10 @@ class TapeNode:
 _TAPES: list["Tape"] = []  # open tapes, innermost last
 
 
-def _current_tape() -> "Tape | None":
-    return _TAPES[-1] if _TAPES else None
+def records(inputs: Iterable[Tensor]) -> bool:
+    """Whether an op on ``inputs`` records a node: a tape is open and one
+    of them requires gradients."""
+    return bool(_TAPES) and any(t.requires_grad for t in inputs)
 
 
 class Tape:
@@ -217,14 +221,13 @@ def _maybe_record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
                   vjp: Callable[[np.ndarray], tuple]) -> Tensor:
     """The op's output; a tape node too when a tape is open and an input
     requires gradients."""
-    tape = _current_tape()
-    if tape is None or not any(t.requires_grad for t in inputs):
+    if not records(inputs):
         return Tensor(out_data)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
     out.requires_grad = True
-    tape.nodes.append(TapeNode(op, inputs, out, vjp))
+    _TAPES[-1].nodes.append(TapeNode(op, inputs, out, vjp))
     return out
 
 
@@ -271,8 +274,49 @@ def _softmax_backward(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     return s * (g - inner)
 
 
-def graph_conv(x, w, b, a, mask=None, *, scale=None, skip=None,
-               norm=None) -> Tensor:
+def graph_conv_product(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                       a: np.ndarray, mask: np.ndarray | None = None,
+                       norm=None):
+    """:func:`graph_conv`'s forward up to its bias, in numpy: the shapes
+    checked, then the (..., K, C_out) product ``[A_1 h | ... | A_R h] @
+    w``, where ``h`` is ``x`` or, with ``norm = (gamma, beta, state)``,
+    the prologue's ``relu(bn(x))``.  ``b`` is the (C_out,) array the
+    caller adds next; it is checked, not added.  Also returns the edge
+    weights (None without ``mask``) and the prologue's batch mean and
+    ``1 / sqrt(var + BN_EPS)`` (empty without ``norm``).  The eval-mode
+    conv stage, ``layers.conv_bn_relu``, runs its product here too."""
+    logits = () if mask is None else (mask,)
+    if x.ndim < 2:
+        raise ShapeError(f"graph_conv needs a (..., K, C) input, got {x.shape}")
+    k, c_in = x.shape[-2:]
+    r = 1 + len(logits)
+    if not (w.shape[:-1] == (r, c_in) or (r == 1 and w.shape[:-1] == (c_in,))):
+        raise ShapeError(f"graph_conv weight {w.shape} does not fit {r} "
+                         f"aggregations of {c_in} channels")
+    c_out = w.shape[-1]
+    if b.shape != (c_out,):
+        raise ShapeError(f"graph_conv bias {b.shape} does not fit {c_out} "
+                         "channels")
+    for shape in (a.shape, *(t.shape for t in logits)):
+        if shape != (k, k):
+            raise ShapeError(f"graph_conv aggregation or logits {shape} do "
+                             f"not fit {k} nodes")
+    x3 = x.reshape(-1, k, c_in)
+    s = edge_softmax(mask, a) if logits else None
+    conv_in, stats = x3, ()
+    if norm is not None:
+        h, *stats = _batch_norm_forward(x3.reshape(-1, c_in), *norm)
+        conv_in = h.reshape(x3.shape)
+        del h
+    z = np.empty((x3.shape[0], k, r * c_in), x3.dtype)
+    for i, agg in enumerate(_aggregations(a, s)):
+        np.matmul(agg, conv_in, out=z[..., i * c_in:(i + 1) * c_in])
+    del conv_in  # a normalized input is recomputed by the vjp, not kept
+    out = z.reshape(-1, r * c_in) @ w.reshape(r * c_in, c_out)
+    return out.reshape(x.shape[:-1] + (c_out,)), s, stats
+
+
+def graph_conv(x, w, b, a, mask=None, *, norm=None) -> Tensor:
     """Graph convolution ``[A_1 x | ... | A_R x] @ w + b`` as one tape node.
 
     ``x`` is (..., K, C_in) and ``b`` is (C_out,); each aggregation
@@ -285,15 +329,15 @@ def graph_conv(x, w, b, a, mask=None, *, scale=None, skip=None,
     ``w`` is (2, C_in, C_out).  ``a`` is a constant either way; the node's
     inputs are ``x, w, b`` and the logits.  The R aggregated inputs are
     laid side by side into one (N, R*C_in) operand, so ``w[r]`` transforms
-    ``A_r x`` and the product is one GEMM; the weight gradient takes
-    ``w``'s shape.  The node is a ``matmul`` that keeps only its output
-    (and the (K, K) edge weights): the vjp recomputes the small ``A_r x``
-    products for the weight gradient instead of storing them (Chen et
-    al., arXiv 1604.06174), one aggregation at a time.  The logits'
-    gradient is formed as the chain of an add, a softmax and the two
-    masking products formed it, in that chain's order: the neighbour
-    part's gradient first, then the self part's added, then the softmax's
-    backward.
+    ``A_r x`` and the product is one GEMM (:func:`graph_conv_product`);
+    the weight gradient takes ``w``'s shape.  The node is a ``matmul``
+    that keeps only its output (and the (K, K) edge weights): the vjp
+    recomputes the small ``A_r x`` products for the weight gradient
+    instead of storing them (Chen et al., arXiv 1604.06174), one
+    aggregation at a time.  The logits' gradient is formed as the chain
+    of an add, a softmax and the two masking products formed it, in that
+    chain's order: the neighbour part's gradient first, then the self
+    part's added, then the softmax's backward.
 
     With ``norm = (gamma, beta, state)`` a train-mode batch norm → ReLU
     prologue runs first, as :func:`batch_norm` runs it: the conv takes
@@ -306,81 +350,21 @@ def graph_conv(x, w, b, a, mask=None, *, scale=None, skip=None,
     feeds a conv keeps no output on the tape: of the two activations,
     before and after the norm, only the one before is kept, as in
     In-Place Activated BatchNorm (Rota Bulo et al., arXiv 1712.02616).
-
-    With a (C_out,) array ``scale`` the call is an eval-mode conv → batch
-    norm → ReLU stage, ``relu([A_1 x | ... | A_R x] @ w * scale + b)``,
-    where ``b`` is the stage's shift (see ``layers.conv_bn_relu``).  The
-    scale multiplies the product in its own buffer, never ``w``, so a
-    change to one weight keeps its effect on the output bits.  The stage
-    is inference only: it has no backward, so under an open tape, with an
-    input that requires gradients, it raises :class:`AutodiffError`.  An
-    eval stage may also close a residual block: a ``skip`` of the output's
-    shape is added after the ReLU, in the same buffer, and the sum is
-    checked for finiteness again.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     a = _as_tensor(a).data
     logits = () if mask is None else (_as_tensor(mask),)
-    skip = None if skip is None else _as_tensor(skip)
-    if scale is None:
-        if skip is not None:
-            raise AutodiffError("only an eval-mode conv stage adds a skip")
-    elif norm is not None:
-        raise AutodiffError("a conv stage takes a train-mode norm or an "
-                            "eval-mode scale, not both")
-    elif _current_tape() is not None and any(
-            t is not None and t.requires_grad for t in (x, w, b, skip, *logits)):
-        raise AutodiffError("an eval-mode conv stage has no backward")
-    if x.ndim < 2:
-        raise ShapeError(f"graph_conv needs a (..., K, C) input, got {x.shape}")
+    bn_inputs = () if norm is None else tuple(map(_as_tensor, norm[:2]))
+    out_data, s, stats = graph_conv_product(
+        x.data, w.data, b.data, a, *(t.data for t in logits),
+        norm=None if norm is None else (*(t.data for t in bn_inputs), norm[2]))
+    out_data += b.data
+    _ensure_finite(out_data, "matmul")
     k, c_in = x.shape[-2:]
-    r = 1 + len(logits)
-    if not (w.shape[:-1] == (r, c_in) or (r == 1 and w.shape[:-1] == (c_in,))):
-        raise ShapeError(f"graph_conv weight {w.shape} does not fit {r} "
-                         f"aggregations of {c_in} channels")
-    c_out = w.shape[-1]
-    for shape in (b.shape, b.shape if scale is None else scale.shape):
-        if shape != (c_out,):
-            raise ShapeError(f"graph_conv bias or scale {shape} does not fit "
-                             f"{c_out} channels")
-    for shape in (a.shape, *(t.shape for t in logits)):
-        if shape != (k, k):
-            raise ShapeError(f"graph_conv aggregation or logits {shape} do "
-                             f"not fit {k} nodes")
-    out_shape = x.shape[:-1] + (c_out,)
-    if skip is not None and skip.shape != out_shape:
-        raise ShapeError(f"graph_conv skip {skip.shape} does not fit the "
-                         f"output's shape {out_shape}")
+    r, c_out = 1 + len(logits), w.shape[-1]
     x3 = x.data.reshape(-1, k, c_in)
     x2 = x3.reshape(-1, c_in)
     w_flat = w.data.reshape(r * c_in, c_out)
-    s = edge_softmax(logits[0].data, a) if logits else None
-    conv_in = x3
-    bn_inputs = stats = ()  # (gamma, beta) and (mu, inv) of a prologue
-    if norm is not None:
-        gamma, beta, state = norm
-        bn_inputs = (_as_tensor(gamma), _as_tensor(beta))
-        h, *stats = _batch_norm_forward(x2, *bn_inputs, state)
-        conv_in = h.reshape(x3.shape)
-        del h
-
-    z = np.empty((x3.shape[0], k, r * c_in), x3.dtype)
-    for i, agg in enumerate(_aggregations(a, s)):
-        np.matmul(agg, conv_in, out=z[..., i * c_in:(i + 1) * c_in])
-    del conv_in  # a normalized input is recomputed by the vjp, not kept
-    out_flat = z.reshape(-1, r * c_in) @ w_flat
-    del z
-    if scale is not None:
-        out_flat *= scale
-    out_flat += b.data
-    # checked before the ReLU, which would turn -Inf into 0
-    _ensure_finite(out_flat, "matmul")
-    if scale is not None:
-        np.maximum(out_flat, 0.0, out=out_flat)
-    out_data = out_flat.reshape(out_shape)
-    if skip is not None:
-        out_data += skip.data
-        _ensure_finite(out_data, "skip add")
 
     def vjp(g: np.ndarray):
         # gradients are written into arrays of their final shape, so each
@@ -642,7 +626,7 @@ class BatchNormState:
         self.running_var = np.ones(channels)
 
 
-def _batch_norm_forward(x2: np.ndarray, gamma: Tensor, beta: Tensor,
+def _batch_norm_forward(x2: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                         state: BatchNormState):
     """Train-mode batch norm and ReLU of (N, C) rows by their batch
     statistics: the output in a fresh buffer, the batch mean and
@@ -664,7 +648,7 @@ def _batch_norm_forward(x2: np.ndarray, gamma: Tensor, beta: Tensor,
     state.running_var *= 1.0 - BN_MOMENTUM
     state.running_var += BN_MOMENTUM * var
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    return _normalize_relu(xc, gamma.data * inv, beta.data, scan=True), mu, inv
+    return _normalize_relu(xc, gamma * inv, beta, scan=True), mu, inv
 
 
 def _normalize_relu(centered: np.ndarray, a: np.ndarray, beta: np.ndarray,
@@ -711,12 +695,11 @@ def batch_norm(x, gamma, beta, state: BatchNormState, skip=None) -> Tensor:
 
     Every batch norm in the network feeds a ReLU, so the two are one tape
     node.  The vjp masks ``g`` with ``out > 0`` read from the output the
-    tape keeps: the subgradient at 0 is 0, as in :func:`relu`.  A batch
-    norm that feeds a conv may run instead as the prologue of that conv's
-    :func:`graph_conv` node (its ``norm``), which keeps no output for it.
-    Eval mode is a fixed per-channel affine map, which runs inside the
-    preceding conv's :func:`graph_conv` call (its ``scale`` epilogue) and
-    has no backward.
+    tape keeps: the subgradient at 0 is 0.  A batch norm that feeds a
+    conv may run instead as the prologue of that conv's :func:`graph_conv`
+    node (its ``norm``), which keeps no output for it.  Eval mode is a
+    fixed per-channel affine map of the preceding conv's product, and no
+    op: ``layers.conv_bn_relu`` applies it in numpy, with no backward.
 
     A ``skip`` of ``x``'s shape closes a residual block: it is added after
     the ReLU into the same buffer, so the block's sum is no node of its
@@ -733,7 +716,7 @@ def batch_norm(x, gamma, beta, state: BatchNormState, skip=None) -> Tensor:
                          f"{x.shape}")
     x2 = x.data.reshape(-1, x.shape[-1])
     # the vjp recomputes the centred input instead of keeping it
-    out, mu, inv = _batch_norm_forward(x2, gamma, beta, state)
+    out, mu, inv = _batch_norm_forward(x2, gamma.data, beta.data, state)
     out_data = out.reshape(x.shape)
     # once a skip is added in, the output no longer shows the ReLU's
     # zeros, so the node keeps them as a mask

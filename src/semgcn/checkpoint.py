@@ -6,9 +6,9 @@ shape and kind); the payload is every manifest entry's values, in
 manifest order (see ``container``).  Round-trips are bitwise exact.
 
 A loader accepts only what its writer writes: the manifest must be the
-one ``save_checkpoint`` writes for the network its config builds, and the
+one ``save_checkpoint`` writes for the network its config builds, the
 config exactly ``NetworkConfig``'s fields, so no older layout is
-converted.
+converted, and every running variance at least 0.
 """
 
 from __future__ import annotations
@@ -79,7 +79,11 @@ def load_checkpoint(path, skeleton: SkeletonGraph | None = None
 
     values = payload(sum(array.size for _, array in manifest))
     offset = 0
-    for _, array in manifest:
+    for entry, array in manifest:
         array[...] = values[offset:offset + array.size].reshape(array.shape)
         offset += array.size
+        # a variance below zero would make an eval stage's scale NaN
+        if entry["name"].endswith(".running_var") and (array < 0).any():
+            raise CheckpointError(f"checkpoint tensor {entry['name']} holds "
+                                  f"the negative variance {array.min()}")
     return net, header["training"]

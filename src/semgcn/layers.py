@@ -4,10 +4,10 @@ Four layer kinds: the vanilla shared-weight graph convolution (the
 baseline), the edge-weighted semantic convolution with one learned mask
 shared by all channels, the non-local attention layer with pairwise node
 grouping, and batch normalization over batch and node axes.  Each conv
-feeding a batch norm and its ReLU forms one stage, :func:`conv_bn_relu`,
-and a residual block's second stage also adds the block's skip; in train
-mode a block's first batch norm runs in its second conv's node.  Eval
-mode is inference only: an eval-mode stage has no backward.
+feeding a batch norm and its ReLU forms one stage, and a residual
+block's second stage also adds the block's skip; in train mode a block's
+first batch norm runs in its second conv's node.  An eval-mode stage is
+no op: :func:`conv_bn_relu` runs it in numpy, with no backward.
 
 A layer's widths are its weights' shapes: an input of another width
 fails in the op that reads the weight (:func:`graph_conv` or
@@ -38,8 +38,10 @@ from .autodiff import (
     batch_norm,
     edge_softmax,
     graph_conv,
+    graph_conv_product,
     non_local,
     parameter,
+    records,
 )
 from .skeleton import mask_logit_bias
 
@@ -178,8 +180,9 @@ class BatchNormNodes(Layer):
     """Per-channel batch normalization over the batch and node axes,
     followed by ReLU in the same tape node (see :func:`batch_norm`).
 
-    Its forward is train mode only: in eval mode the layer is its conv's
-    scale-and-shift epilogue, which has no backward (:func:`conv_bn_relu`).
+    Its forward is train mode only: in eval mode the layer is a scale and
+    shift of its conv's product, in numpy and with no backward
+    (:func:`conv_bn_relu`).
     """
 
     _param_names = ("gamma", "beta")
@@ -196,36 +199,28 @@ class BatchNormNodes(Layer):
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         if not train:
             raise AutodiffError("eval-mode batch norm runs in its conv's "
-                                "node: call conv_bn_relu")
+                                "stage: call conv_bn_relu")
         return batch_norm(x, self.gamma, self.beta, self.state)
 
 
-def conv_bn_relu(conv: GraphConv, bn: BatchNormNodes, x: Tensor, train: bool,
+def conv_bn_relu(conv: GraphConv, bn: BatchNormNodes, x: Tensor,
                  skip: Tensor | None = None) -> Tensor:
-    """One conv → batch norm → ReLU stage, plus ``skip`` in eval mode.
+    """One eval-mode conv → batch norm → ReLU stage, in numpy, then
+    ``skip`` added after the ReLU (a residual block's second stage).
 
-    In train mode it is ``bn(conv(x))``, a conv node and a
-    :func:`batch_norm` node, since the batch statistics need the conv's
-    output.  A residual block's train stages run in
-    :meth:`ResidualGConvBlock.forward`, so a train stage takes no skip.
-    In eval mode batch norm is a fixed per-channel affine map, so
-    the stage is the conv's one :func:`graph_conv` call with a
-    scale-and-shift epilogue (Jacob et al., arXiv 1712.05877): the
-    product is scaled by ``gamma / sqrt(running_var + BN_EPS)`` and the
-    shift ``(b - running_mean) * scale + beta`` takes the bias's place.
-    Scale and shift are plain arrays, each running-statistics term rounded
-    to the compute dtype first, so the stage is inference only: under a
-    tape it raises ``AutodiffError``.
-
-    A residual block's second eval stage passes the block input as
-    ``skip``; the call adds it after the ReLU, so the block's sum records
-    no node.
+    Eval-mode batch norm is a fixed per-channel affine map (Jacob et al.,
+    arXiv 1712.05877): the conv's product (:func:`graph_conv_product`) is
+    scaled by ``gamma / sqrt(running_var + BN_EPS)`` in its own buffer,
+    never through ``w``, and the shift ``(b - running_mean) * scale +
+    beta`` takes the bias's place.  Scale and shift are plain arrays, each
+    running-statistics term rounded to the compute dtype first, so the
+    stage is inference only: under an open tape, with a tensor that
+    requires gradients, it raises ``AutodiffError``.  A train-mode stage
+    is ``bn(conv(x, True), True)``.
     """
-    if train:
-        if skip is not None:
-            raise AutodiffError("a residual block's train stages run in "
-                                "ResidualGConvBlock.forward")
-        return bn(conv(x, train), train)
+    tensors = [x, bn.gamma, bn.beta, *(t for _, t in conv.named_parameters())]
+    if records(tensors + ([] if skip is None else [skip])):
+        raise AutodiffError("an eval-mode conv stage has no backward")
     inv = (1.0 / np.sqrt(bn.state.running_var + BN_EPS)).astype(bn.gamma.data.dtype)
     scale = bn.gamma.data * inv
     shift = ((conv.b.data + (-bn.state.running_mean).astype(inv.dtype)) * scale
@@ -233,8 +228,22 @@ def conv_bn_relu(conv: GraphConv, bn: BatchNormNodes, x: Tensor, train: bool,
     # checked before the GEMM; a non-finite scale leaves the shift non-finite
     if not np.isfinite(shift).all():
         raise NonFiniteError("eval-mode batch norm: non-finite scale or shift")
-    return graph_conv(x, conv.w, shift, *conv.graph(), scale=scale,
-                      skip=skip)
+    out, _, _ = graph_conv_product(x.data, conv.w.data, shift,
+                                   *(t.data for t in conv.graph()))
+    out *= scale
+    out += shift
+    # checked before the ReLU, which would turn -Inf into 0
+    if not np.isfinite(out).all():
+        raise NonFiniteError("eval-mode conv stage produced non-finite values")
+    np.maximum(out, 0.0, out=out)
+    if skip is not None:
+        if skip.shape != out.shape:
+            raise ShapeError(f"skip {skip.shape} does not fit the stage's "
+                             f"output {out.shape}")
+        out += skip.data
+        if not np.isfinite(out).all():
+            raise NonFiniteError("skip add produced non-finite values")
+    return Tensor(out)
 
 
 class ResidualGConvBlock:
@@ -270,8 +279,8 @@ class ResidualGConvBlock:
                            norm=(bn1.gamma, bn1.beta, bn1.state))
             y = batch_norm(z, bn2.gamma, bn2.beta, bn2.state, skip=x)
         else:
-            h = conv_bn_relu(self.conv1, self.bn1, x, train)
-            y = conv_bn_relu(self.conv2, self.bn2, h, train, skip=x)
+            h = conv_bn_relu(self.conv1, self.bn1, x)
+            y = conv_bn_relu(self.conv2, self.bn2, h, skip=x)
         if self.nonlocal_layer is not None:
             y = self.nonlocal_layer(y, train)
         return y

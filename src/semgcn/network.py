@@ -164,7 +164,8 @@ class Network:
                 f"got {x.shape}")
         if not np.isfinite(x.data).all():
             raise NonFiniteError("network input contains non-finite values")
-        h = conv_bn_relu(self.input_conv, self.input_bn, x, train)
+        h = (self.input_bn(self.input_conv(x, train), train) if train
+             else conv_bn_relu(self.input_conv, self.input_bn, x))
         if self.input_nonlocal is not None and not skip_nonlocal:
             h = self.input_nonlocal(h, train)
         for block in self.blocks:

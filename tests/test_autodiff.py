@@ -379,56 +379,6 @@ class TestGraphConv:
         assert returned == act + w.nbytes + b.nbytes
         assert peak <= returned + act + act // 2
 
-    def test_scale_epilogue_is_inference_only(self):
-        # an eval-mode stage has no backward: under a tape, any input that
-        # needs a gradient, the edge logits alone included, makes it raise
-        # before it records anything
-        rng = np.random.default_rng(34)
-        x, w, b, support, mask = graph_conv_inputs(rng)
-        inputs = (x, w, b, mask)
-        scale = rng.standard_normal(6)
-        for i in range(len(inputs)):
-            tensors = [Tensor(v, requires_grad=j == i)
-                       for j, v in enumerate(inputs)]
-            with Tape() as tape:
-                with pytest.raises(AutodiffError, match="no backward"):
-                    graph_conv(*tensors[:3], support, tensors[3], scale=scale)
-            assert tape.nodes == []
-        # with nothing to differentiate it runs, taped or not
-        x, w, b, mask = (Tensor(v) for v in inputs)
-        conv = graph_conv(x, w, Tensor(np.zeros(6)), support, mask).data
-        want = np.maximum(conv * scale + b.data, 0.0)
-        with Tape() as tape:
-            out = graph_conv(x, w, b, support, mask, scale=scale)
-        assert tape.nodes == []
-        np.testing.assert_array_equal(out.data, want)
-
-    def test_scale_epilogue_adds_a_skip_after_the_relu(self):
-        rng = np.random.default_rng(35)
-        x, w, b, support, mask = graph_conv_inputs(rng)
-        x, w, b, mask = (Tensor(v) for v in (x, w, b, mask))
-        scale = rng.standard_normal(6)
-        skip = Tensor(rng.standard_normal((3, 5, 6)))
-        stage = graph_conv(x, w, b, support, mask, scale=scale).data
-        out = graph_conv(x, w, b, support, mask, scale=scale, skip=skip)
-        np.testing.assert_array_equal(out.data, stage + skip.data)
-        # inference only, like the rest of the epilogue
-        with Tape() as tape, pytest.raises(AutodiffError, match="no backward"):
-            graph_conv(x, w, b, support, mask, scale=scale,
-                       skip=Tensor(skip.data, requires_grad=True))
-        assert tape.nodes == []
-        with pytest.raises(AutodiffError, match="eval-mode"):
-            graph_conv(x, w, b, support, mask, skip=skip)
-        with pytest.raises(ShapeError, match="skip"):
-            graph_conv(x, w, b, support, mask, scale=scale,
-                       skip=Tensor(np.ones((3, 5, 1))))
-        # the sum is checked too: the ReLU's output was finite
-        big = Tensor(np.full((3, 5, 6), np.finfo(np.float64).max))
-        with np.errstate(over="ignore"), pytest.raises(
-                NonFiniteError, match="skip add"):
-            graph_conv(x, w, b, support, mask, scale=np.abs(scale) + 1e300,
-                       skip=big)
-
     def test_empty_support_is_an_error(self):
         rng = np.random.default_rng(38)
         x, w, b, support, mask = graph_conv_inputs(rng)
@@ -597,9 +547,9 @@ def perturbed_state(rng, c):
 def batch_norm_on(x, gamma, beta, state, training):
     """Batch norm and its ReLU applied to ``x``: in train mode the
     ``batch_norm`` op itself, in eval mode the conv → batch norm → ReLU
-    stage of an identity conv, whose one graph_conv call takes the batch
-    norm as its scale-and-shift epilogue and hands it ``x`` exactly.  The
-    eval stage has no backward, so it runs outside a tape."""
+    stage of an identity conv, whose product hands the batch norm's scale
+    and shift ``x`` exactly.  The eval stage has no backward, so it runs
+    outside a tape."""
     if training:
         return batch_norm(x, gamma, beta, state)
     k, c = x.shape[-2:]
@@ -607,7 +557,7 @@ def batch_norm_on(x, gamma, beta, state, training):
     conv.w.data = np.eye(c)
     bn = BatchNormNodes(c)
     bn.gamma, bn.beta, bn.state = gamma, beta, state
-    return conv_bn_relu(conv, bn, x, train=False)
+    return conv_bn_relu(conv, bn, x)
 
 
 class TestBatchNorm:
@@ -835,7 +785,9 @@ class TestBatchNormPrologue:
                        norm=(gamma, beta, state))
         with pytest.raises(ShapeError, match="parameter shapes"):
             graph_conv(x, w, b, *graph, norm=(beta, Tensor(np.ones(3)), state))
-        with pytest.raises(AutodiffError, match="not both"):
+        # the conv is train mode only: an eval stage's scale is applied
+        # in layers.conv_bn_relu
+        with pytest.raises(TypeError, match="scale"):
             graph_conv(x, w, b, *graph, norm=(gamma, beta, state),
                        scale=np.ones(3))
 

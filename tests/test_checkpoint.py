@@ -244,6 +244,28 @@ def test_non_finite_value_rejected(ckpt, skel, value):
         load_checkpoint(ckpt, skel)
 
 
+@pytest.mark.parametrize("value", [-1e-300, -0.5])
+def test_negative_running_variance_rejected(ckpt, skel, value):
+    header, blob = read(ckpt)
+    _, hi = span(header, "blocks.0.bn1.running_var")
+    write(ckpt, header, blob[:hi - 8] + np.array(value, "<f8").tobytes()
+          + blob[hi:])
+    with pytest.raises(CheckpointError,
+                       match=f"tensor blocks.0.bn1.running_var holds the "
+                             f"negative variance {value}$"):
+        load_checkpoint(ckpt, skel)
+
+
+def test_zero_running_variance_loads(ckpt, skel):
+    # a channel that was constant in every batch has variance 0, which
+    # its eval stage handles (BN_EPS), so the writer can write it
+    header, blob = read(ckpt)
+    lo, _ = span(header, "input.bn.running_var")
+    write(ckpt, header, blob[:lo] + bytes(8) + blob[lo + 8:])
+    loaded, _ = load_checkpoint(ckpt, skel)
+    assert loaded.input_bn.state.running_var[0] == 0.0
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_value_is_not_written(net, tmp_path, value):
     net.input_conv.w.data[0, 1, 2] = value

@@ -445,6 +445,22 @@ def test_eval_of_checkpoint_with_non_finite_value_is_data_error(
         "index 0")
 
 
+def test_eval_of_checkpoint_with_negative_running_variance_is_data_error(
+        run_dir, data_dir, tmp_path, caplog, capsys):
+    # loading refuses it, so eval neither warns nor exits EXIT_NUMERIC
+    # on the stage's NaN scale
+    header, _, blob = (run_dir / "best.ckpt").read_bytes().partition(b"\n")
+    entries = json.loads(header)["tensors"]
+    i = [entry["name"] for entry in entries].index("input.bn.running_var")
+    offset = 8 * sum(int(np.prod(entry["shape"])) for entry in entries[:i])
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(header + b"\n" + blob[:offset]
+                       + np.array(-2.0, "<f8").tobytes() + blob[offset + 8:])
+    assert_one_line_data_error(
+        ["eval", "--checkpoint", str(broken), "--data", str(data_dir)],
+        caplog, capsys, "input.bn.running_var", "negative variance -2.0")
+
+
 def test_eval_of_header_with_channelwise_masks_is_data_error(run_dir, data_dir,
                                                             tmp_path, caplog):
     header, _, blob = (run_dir / "best.ckpt").read_bytes().partition(b"\n")

@@ -264,11 +264,11 @@ class TestConvBnReluStage:
         rng = rng_for(31)
         conv, bn = random_stage(kind, adj, rng)
         x = Tensor(rng.standard_normal((3, K, C)))
-        out, ops = ops_run(lambda: conv_bn_relu(conv, bn, x, train=False))
-        # the conv's own ops and nothing else: batch norm, its scale and
-        # its shift add no op
-        z, conv_ops = ops_run(lambda: conv(x).data)
-        assert ops == conv_ops and ops["matmul"] == 1
+        out, ops = ops_run(lambda: conv_bn_relu(conv, bn, x))
+        # the conv's one product and no tape op: the stage is numpy on
+        # it, so batch norm, its scale and its shift add no op either
+        assert not ops
+        z = conv(x).data
         # the conv's output, then batch norm by the running statistics
         inv = 1.0 / np.sqrt(bn.state.running_var + BN_EPS)
         want = np.maximum(
@@ -291,15 +291,47 @@ class TestConvBnReluStage:
         x = Tensor(rng.standard_normal((2, K, C)))
         with np.errstate(over="ignore"), pytest.raises(
                 NonFiniteError, match="non-finite scale or shift"):
-            conv_bn_relu(conv, bn, x, train=False)
+            conv_bn_relu(conv, bn, x)
 
-    def test_train_stage_takes_no_skip(self, adj):
-        # a residual block's train stages are its own forward's: bn1 runs
-        # in conv2's node, so no train stage closes a block
-        conv, bn = random_stage("vanilla", adj, rng_for(33))
-        x = Tensor(np.ones((2, K, C)))
-        with pytest.raises(AutodiffError, match="ResidualGConvBlock"):
-            conv_bn_relu(conv, bn, x, train=True, skip=x)
+    def test_eval_stage_is_inference_only(self, adj):
+        # under a tape, any tensor of the stage that needs a gradient,
+        # the edge logits or the skip alone included, makes it raise
+        # before it records anything; with nothing to differentiate it
+        # runs, taped or not, to the same bits
+        rng = rng_for(34)
+        conv, bn = random_stage("semgconv", adj, rng)
+        x, skip = (Tensor(rng.standard_normal((3, K, C))) for _ in range(2))
+        tensors = [x, skip, bn.gamma, bn.beta,
+                   *(t for _, t in conv.named_parameters())]
+        for t in tensors:
+            t.requires_grad = False
+        want = conv_bn_relu(conv, bn, x, skip).data
+        for t in tensors:
+            t.requires_grad = True
+            with Tape() as tape, pytest.raises(AutodiffError,
+                                               match="no backward"):
+                conv_bn_relu(conv, bn, x, skip)
+            assert tape.nodes == []
+            t.requires_grad = False
+        with Tape() as tape:
+            out = conv_bn_relu(conv, bn, x, skip)
+        assert tape.nodes == [] and out.data.tobytes() == want.tobytes()
+
+    def test_eval_stage_adds_a_skip_after_the_relu(self, adj):
+        rng = rng_for(35)
+        conv, bn = random_stage("semgconv", adj, rng)
+        x, skip = (Tensor(rng.standard_normal((3, K, C))) for _ in range(2))
+        stage = conv_bn_relu(conv, bn, x).data
+        np.testing.assert_array_equal(conv_bn_relu(conv, bn, x, skip).data,
+                                      stage + skip.data)
+        with pytest.raises(ShapeError, match="skip"):
+            conv_bn_relu(conv, bn, x, Tensor(np.ones((3, K, 1))))
+        # the sum is checked too: the ReLU's output was finite
+        bn.gamma.data = np.abs(bn.gamma.data) + 1e300
+        big = Tensor(np.full((3, K, C), np.finfo(np.float64).max))
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match="skip add"):
+            conv_bn_relu(conv, bn, x, big)
 
     def test_batch_norm_layer_alone_runs_train_mode_only(self):
         with pytest.raises(AutodiffError, match="conv_bn_relu"):
