@@ -12,12 +12,13 @@ execution order, which is always a valid topological order.  An
 eval-mode conv → batch norm → ReLU stage is no op: ``layers.conv_bn_relu``
 runs it in numpy on the convolution's product, :func:`graph_conv_product`.
 
-A vjp owns the output gradient ``g`` it is handed and may overwrite it,
-for instance to return ``g`` itself scaled in place.  The root is the
-exception to the buffer hand-over: its vjp gets a copy, so ``root.grad``
-and a seed array passed to :meth:`Tape.backward` stay untouched.  When a
-vjp returns ``g`` for several inputs, the first keeps the buffer and the
-others get copies.
+Every input of a training step's nodes but the network's input is
+trained, so a vjp returns a gradient for every input it was given, each
+in a buffer of its own, and :meth:`Tape.backward` adds into those inputs
+that require one.  A vjp owns the output gradient ``g`` it is handed and
+may overwrite it, or return it, scaled in place, as one input's gradient
+(never more than one's).  The root's vjp gets a copy, so ``root.grad``
+and a seed array passed to :meth:`Tape.backward` stay untouched.
 
 Values, and every buffer an op allocates, have the compute dtype
 :data:`DTYPE`.  Outputs are checked for NaN/Inf; a violation raises
@@ -126,7 +127,8 @@ def parameter(data) -> Tensor:
 
 
 class TapeNode:
-    """One recorded operation: inputs, output, and its vector-Jacobian product."""
+    """One recorded operation: inputs, output, and its vector-Jacobian
+    product, which maps the output gradient to one gradient per input."""
 
     __slots__ = ("op", "inputs", "output", "vjp")
 
@@ -166,9 +168,11 @@ class Tape:
     def backward(self, root: Tensor, grad: np.ndarray | None = None) -> None:
         """Accumulate d(root)/d(leaf) into every leaf's ``grad``.
 
-        Gradients add onto existing ``grad`` buffers; reset them to None
-        between steps when accumulation is not wanted.  A caller's ``grad``
-        array is never written to, and ``root.grad`` only takes the seed.
+        Each node's vjp returns a gradient for every input; those of the
+        inputs that require one add onto their ``grad`` buffers, and the
+        rest are dropped.  Reset the buffers to None between steps when
+        accumulation is not wanted.  A caller's ``grad`` array is never
+        written to, and ``root.grad`` only takes the seed.
         """
         if grad is None:
             grad = np.ones_like(root.data)
@@ -186,20 +190,9 @@ class Tape:
                 out_grad = out_grad.copy()
             else:
                 node.output.grad = None  # the vjp owns the buffer from here on
-            # The first input handed the buffer back keeps it; any later one
-            # (add(x, x)) gets a copy, made before the keeper adds into it.
-            keeper = None
             for tensor, g in zip(node.inputs, node.vjp(out_grad)):
-                if g is None:
-                    continue
-                if g is out_grad:
-                    if keeper is None:
-                        keeper = tensor
-                        continue
-                    g = g.copy()
-                _accumulate(tensor, g)
-            if keeper is not None:
-                _accumulate(keeper, out_grad)
+                if tensor.requires_grad:
+                    _accumulate(tensor, g)
 
 
 def _accumulate(tensor: Tensor, g: np.ndarray) -> None:
@@ -375,12 +368,8 @@ def graph_conv(x, w, b, a, mask=None, *, norm=None) -> Tensor:
         # the same, and no (N, R*C_in) operand is formed.  The node keeps
         # the edge weights alone and forms their parts again.
         g2 = g.reshape(-1, c_out)
-        gx = gw = gmask = None
-        gaggs = [None] * r
-        gb = g2.sum(axis=0) if b.requires_grad else None
-        # the gradient of the conv's input: x's own, or the prologue's
-        need_gx = x.requires_grad or any(t.requires_grad for t in bn_inputs)
-        need_gmask = any(t.requires_grad for t in logits)
+        gb = g2.sum(axis=0)
+        gaggs = []
         src = x3
         if bn_inputs:
             (gamma, beta), (mu, inv) = bn_inputs, stats
@@ -389,23 +378,19 @@ def graph_conv(x, w, b, a, mask=None, *, norm=None) -> Tensor:
             relu_mask = (src > 0).reshape(x2.shape)
         scratch = np.empty(x3.shape, x3.dtype)
         scratch_flat = scratch.reshape(-1, c_in)
-        if w.requires_grad:
-            gw = np.empty(w.shape, w.data.dtype)
-            gw_r = gw.reshape(r, c_in, c_out)
+        gw = np.empty(w.shape, w.data.dtype)
+        gw_r = gw.reshape(r, c_in, c_out)
         for i, agg in enumerate(_aggregations(a, s)):
-            if w.requires_grad:
-                np.matmul(agg, src, out=scratch)
-                np.matmul(scratch_flat.T, g2, out=gw_r[i])
-            if not (need_gx or need_gmask):
-                continue
+            np.matmul(agg, src, out=scratch)
+            np.matmul(scratch_flat.T, g2, out=gw_r[i])
             np.matmul(g2, w_flat[i * c_in:(i + 1) * c_in].T, out=scratch_flat)
-            if need_gmask:
-                gaggs[i] = np.matmul(scratch, src.swapaxes(-1, -2)).sum(axis=0)
+            if logits:
+                gaggs.append(
+                    np.matmul(scratch, src.swapaxes(-1, -2)).sum(axis=0))
             if i == r - 1:
                 del src  # read for the last time: a recomputed one is freed
-            if not need_gx:
-                continue
             if i == 0:
+                # the conv input's gradient: x's own, or the prologue's
                 gx = np.empty(x.shape, x.data.dtype)
                 gx3 = gx.reshape(x3.shape)
                 np.matmul(agg.T, scratch, out=gx3)
@@ -415,24 +400,18 @@ def graph_conv(x, w, b, a, mask=None, *, norm=None) -> Tensor:
                 for start in range(0, len(scratch), _GX_CHUNK_ROWS):
                     rows = slice(start, start + _GX_CHUNK_ROWS)
                     gx3[rows] += np.matmul(agg.T, scratch[rows])
-        if need_gmask:
+        grads = (gx, gw, gb)
+        if logits:
             # the masking products' vjps, the neighbour part's first
             eye = np.eye(k, dtype=s.dtype)
             gs = gaggs[1] * (1.0 - eye)
             gs += gaggs[0] * eye
-            gmask = _softmax_backward(s, gs)
-        grads = (gx, gw, gb) + ((gmask,) if logits else ())
-        if not bn_inputs:
-            return grads
-        del scratch, scratch_flat
-        ggamma = gbeta = None
-        if need_gx:
-            ggamma, gbeta = _batch_norm_backward(
-                gx.reshape(-1, c_in), relu_mask, x2 - mu, inv, gamma.data,
-                x.requires_grad)
-        return (gx if x.requires_grad else None, *grads[1:],
-                ggamma if gamma.requires_grad else None,
-                gbeta if beta.requires_grad else None)
+            grads += (_softmax_backward(s, gs),)
+        if bn_inputs:
+            del scratch, scratch_flat
+            grads += _batch_norm_backward(gx.reshape(-1, c_in), relu_mask,
+                                          x2 - mu, inv, gamma.data)
+        return grads
 
     return _maybe_record("matmul", (x, w, b, *logits, *bn_inputs), out_data,
                          vjp)
@@ -548,26 +527,23 @@ def non_local(x, pairs: np.ndarray, theta_w, theta_b, phi_w, phi_b, g_w,
                  np.matmul(gtk, np.swapaxes(wk, -1, -2)), wk @ gbias,
                  pooled_flat.T @ gval.reshape(-1, e), gval.sum(axis=(0, 1)),
                  gwf_q, gwf_k, gbias, gwx)
-        gx = None
-        if x.requires_grad:
-            gx = g  # the residual, which the two terms below add into
-            query = np.empty(x_data.shape, g.dtype)
-            np.matmul(gq, tq.T, out=query.reshape(-1, c))
-            gx += query
-            del query
-            gpooled = np.empty((b, n_groups, c), g.dtype)
-            np.matmul(gk, tk.T, out=gpooled.reshape(-1, c))
-            gvalue = np.empty_like(gpooled)
-            np.matmul(gval.reshape(-1, e), gw.T, out=gvalue.reshape(-1, c))
-            gpooled += gvalue
-            del gvalue
-            # each pair's gradient goes to its max; every node is in one pair
-            routed_first = gpooled * first_wins
-            gx[:, pairs[:, 0]] += routed_first
-            gpooled -= routed_first
-            gx[:, pairs[:, 1]] += gpooled
-        return (gx, *(grad if t.requires_grad else None
-                      for t, grad in zip(weights, grads)))
+        gx = g  # the residual, which the two terms below add into
+        query = np.empty(x_data.shape, g.dtype)
+        np.matmul(gq, tq.T, out=query.reshape(-1, c))
+        gx += query
+        del query
+        gpooled = np.empty((b, n_groups, c), g.dtype)
+        np.matmul(gk, tk.T, out=gpooled.reshape(-1, c))
+        gvalue = np.empty_like(gpooled)
+        np.matmul(gval.reshape(-1, e), gw.T, out=gvalue.reshape(-1, c))
+        gpooled += gvalue
+        del gvalue
+        # each pair's gradient goes to its max; every node is in one pair
+        routed_first = gpooled * first_wins
+        gx[:, pairs[:, 0]] += routed_first
+        gpooled -= routed_first
+        gx[:, pairs[:, 1]] += gpooled
+        return (gx, *grads)
 
     return _maybe_record("matmul", (x, *weights), out_data, vjp)
 
@@ -668,23 +644,22 @@ def _normalize_relu(centered: np.ndarray, a: np.ndarray, beta: np.ndarray,
 
 def _batch_norm_backward(g2: np.ndarray, relu_mask: np.ndarray,
                          centered: np.ndarray, inv: np.ndarray,
-                         gamma: np.ndarray, need_gx: bool):
+                         gamma: np.ndarray):
     """The gradients of ``gamma`` and ``beta`` for the (N, C) output
-    gradient ``g2`` of a train-mode batch norm and ReLU.  ``g2`` is
-    masked in place and, with ``need_gx``, becomes the input's gradient;
-    ``centered`` (the input minus the batch mean) is overwritten."""
+    gradient ``g2`` of a train-mode batch norm and ReLU.  ``g2`` becomes
+    the input's gradient in place; ``centered`` (the input minus the batch
+    mean) is overwritten."""
     n = g2.shape[0]
     g2 *= relu_mask  # the ReLU's subgradient at 0 is 0
     gbeta = g2.sum(axis=0)
     ggamma = np.einsum("ij,ij->j", g2, centered) * inv
-    if need_gx:
-        # Ioffe & Szegedy (arXiv 1502.03167); every sum over g is taken
-        # above, before g is overwritten
-        a = gamma * inv
-        g2 -= gbeta / n
-        g2 *= a
-        centered *= a * inv * ggamma / n
-        g2 -= centered
+    # Ioffe & Szegedy (arXiv 1502.03167); every sum over g is taken above,
+    # before g is overwritten
+    a = gamma * inv
+    g2 -= gbeta / n
+    g2 *= a
+    centered *= a * inv * ggamma / n
+    g2 -= centered
     return ggamma, gbeta
 
 
@@ -729,15 +704,12 @@ def batch_norm(x, gamma, beta, state: BatchNormState, skip=None) -> Tensor:
     def vjp(g):
         if not g.flags.c_contiguous:
             g = np.ascontiguousarray(g)
-        gskip = g.copy() if skip is not None and skip.requires_grad else None
+        gskip = () if skip is None else (g.copy(),)
         # g2 is a view, so gx is formed in g's buffer
         ggamma, gbeta = _batch_norm_backward(
             g.reshape(x2.shape), out > 0 if mask is None else mask, x2 - mu,
-            inv, gamma.data, x.requires_grad)
-        grads = (g if x.requires_grad else None,
-                 ggamma if gamma.requires_grad else None,
-                 gbeta if beta.requires_grad else None)
-        return grads if skip is None else (*grads, gskip)
+            inv, gamma.data)
+        return (g, ggamma, gbeta, *gskip)
 
     inputs = (x, gamma, beta) if skip is None else (x, gamma, beta, skip)
     return _maybe_record("batch_norm", inputs, out_data, vjp)

@@ -11,6 +11,7 @@ layers entirely.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, asdict, fields
 from typing import Iterator
 
@@ -56,6 +57,10 @@ def check_field_types(cfg) -> None:
         if not isinstance(value, _FIELD_TYPES[f.type]) or \
                 (isinstance(value, bool) and f.type != "bool"):
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        # JSON integers are unbounded; a float field's must fit a float
+        if f.type == "float" and isinstance(value, int) and \
+                abs(value) > sys.float_info.max:
+            raise ConfigError(f"{f.name} is an integer too large for a float")
 
 
 @dataclass(frozen=True)

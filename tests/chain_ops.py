@@ -27,6 +27,21 @@ def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _give_once(g: np.ndarray, grads) -> tuple:
+    """``grads`` with ``g`` itself kept by the first input it goes to and
+    copied for the rest, as ``Tape.backward`` takes it from a vjp: each
+    gradient in a buffer of its own."""
+    taken = False
+    out = []
+    for grad in grads:
+        if grad is g:
+            if taken:
+                grad = g.copy()
+            taken = True
+        out.append(grad)
+    return tuple(out)
+
+
 def matmul(a, b, *addends) -> Tensor:
     """Matrix product plus optional addends, recorded as one tape node.
 
@@ -66,10 +81,10 @@ def matmul(a, b, *addends) -> Tensor:
     autodiff._ensure_finite(out_data, "matmul")
 
     def vjp(g: np.ndarray):
-        # a full-shape addend hands ``g`` itself back; nothing here
-        # writes to ``g``, and Tape.backward gives it away last
-        rest = tuple(_sum_to_shape(g, t.shape) if t.requires_grad else None
-                     for t in terms)
+        # the first full-shape addend takes ``g`` itself and the others
+        # copies; nothing here writes to ``g``
+        rest = _give_once(g, (_sum_to_shape(g, t.shape) if t.requires_grad
+                              else None for t in terms))
         if vector:
             return (b_data @ g if a.requires_grad else None,
                     np.outer(a_data, g) if b.requires_grad else None, *rest)
@@ -110,8 +125,8 @@ def add(a, b, *more) -> Tensor:
     autodiff._ensure_finite(out_data, "add")
 
     def vjp(g):
-        return tuple(_sum_to_shape(g, t.shape) if t.requires_grad else None
-                     for t in terms)
+        return _give_once(g, (_sum_to_shape(g, t.shape) if t.requires_grad
+                              else None for t in terms))
 
     return autodiff._maybe_record("add", terms, out_data, vjp)
 

@@ -22,6 +22,7 @@ from semgcn.autodiff import (
     grad_check,
     graph_conv,
     non_local,
+    squared_error,
 )
 from semgcn.layers import BatchNormNodes, NonLocalBlock, VanillaGConv, conv_bn_relu
 from semgcn.skeleton import mask_logit_bias
@@ -375,8 +376,10 @@ class TestGraphConv:
             tracemalloc.stop()
         act = x.nbytes
         assert act == 256 << 10
-        returned = sum(grad.nbytes for grad in grads if grad is not None)
-        assert returned == act + w.nbytes + b.nbytes
+        # the constant logits get their gradient too: Tape.backward, not
+        # the vjp, drops it
+        returned = sum(grad.nbytes for grad in grads)
+        assert returned == act + w.nbytes + b.nbytes + mask.nbytes
         assert peak <= returned + act + act // 2
 
     def test_empty_support_is_an_error(self):
@@ -990,13 +993,78 @@ class TestGradCheckOracle:
         assert np.dtype(ad.ORACLE_DTYPE) == np.float64
 
 
+def contract_case(name, rng):
+    """The input arrays of one multi-input node of the network's kind,
+    and the function of their tensors that records it."""
+    if name == "non_local":
+        b, k, c, e = 3, 4, 5, 2
+        pairs = np.array([[0, 1], [2, 3]])
+        shapes = [(b, k, c), (c, e), (e,), (c, e), (e,), (c, e), (e,),
+                  (e, 1), (e, 1), (1,), (e, c)]
+        return ([rng.standard_normal(s) for s in shapes],
+                lambda x, *weights: non_local(x, pairs, *weights))
+    if name == "batch_norm_skip":
+        return ([rng.standard_normal(s) for s in ((3, 5, 4), (4,), (4,),
+                                                  (3, 5, 4))],
+                lambda x, gamma, beta, skip: batch_norm(
+                    x, gamma, beta, BatchNormState(4), skip))
+    x, w, b, support, mask = graph_conv_inputs(rng)
+    if name == "graph_conv":
+        return [x, w, b, mask], lambda *t: graph_conv(*t[:3], support, t[3])
+    return ([x, w, b, mask, *rng.standard_normal((2, 4))],
+            lambda *t: graph_conv(*t[:3], support, t[3],
+                                  norm=(*t[4:], BatchNormState(4))))
+
+
+class TestGradientContract:
+    """A vjp returns a gradient for every input, each in a buffer of its
+    own, and Tape.backward drops those of the constant inputs."""
+
+    @staticmethod
+    def run(case, constant=None):
+        """The inputs of one backward pass with input ``constant`` (an
+        index) constant, and the gradients its node's vjp returned."""
+        rng = np.random.default_rng(50)
+        arrays, f = contract_case(case, rng)
+        tensors = [Tensor(v, requires_grad=i != constant)
+                   for i, v in enumerate(arrays)]
+        returned = []
+        with Tape() as tape:
+            out = f(*tensors)
+            (node,) = tape.nodes
+            vjp = node.vjp
+            node.vjp = lambda g: returned.append(vjp(g)) or returned[0]
+            tape.backward(out, rng.standard_normal(out.shape))
+        return tensors, returned[0]
+
+    @pytest.mark.parametrize("case", ["graph_conv", "graph_conv_norm",
+                                      "non_local", "batch_norm_skip"])
+    def test_each_input_made_constant_in_turn(self, case):
+        tensors, _ = self.run(case)
+        want = [t.grad for t in tensors]
+        for constant in (None, *range(len(tensors))):
+            tensors, grads = self.run(case, constant)
+            assert len(grads) == len(tensors)
+            assert all(isinstance(grad, np.ndarray) for grad in grads)
+            for i, grad in enumerate(grads):
+                assert not any(np.shares_memory(grad, other)
+                               for other in grads[i + 1:])
+            for i, t in enumerate(tensors):
+                if i == constant:
+                    assert t.grad is None
+                else:
+                    assert t.grad.tobytes() == want[i].tobytes()
+
+
 class TestBackwardBuffers:
     """Each vjp may overwrite the output gradient it is handed."""
 
-    @pytest.mark.parametrize("root_op", ["scale", "add", "mul", "batch_norm"])
+    @pytest.mark.parametrize("root_op", [
+        "scale", "add", "mul", "batch_norm", "graph_conv_norm", "non_local",
+        "squared_error"])
     def test_seed_and_root_grad_are_left_alone(self, root_op):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
         ops = {
             "scale": lambda x: mul(x, -3.0),
             "add": lambda x: add(x, x),
@@ -1004,11 +1072,23 @@ class TestBackwardBuffers:
             "batch_norm": lambda x: batch_norm(
                 x, Tensor(np.full(4, 2.0)), Tensor(np.zeros(4)),
                 BatchNormState(4)),
+            "graph_conv_norm": lambda x: graph_conv(
+                x, np.eye(4), np.zeros(4), np.full((4, 4), 0.25),
+                norm=(np.full(4, 2.0), np.zeros(4), BatchNormState(4))),
+            # its vjp adds the input's other terms into the residual's g
+            "non_local": lambda x: non_local(
+                x, np.array([[0, 1], [2, 3]]), *(
+                    np.full(shape, 0.5) for shape in (
+                        (4, 2), (2,), (4, 2), (2,), (4, 2), (2,), (2, 1),
+                        (2, 1), (1,), (2, 4)))),
+            "squared_error": lambda x: squared_error(
+                x, np.ones((2, 4, 4)), 0.5, np.eye(3, 4) - np.eye(3, 4, 1),
+                np.zeros((2, 3, 4))),
         }
-        seed = rng.standard_normal((2, 3, 4))
-        kept = seed.copy()
         with Tape() as tape:
             out = ops[root_op](x)
+            seed = rng.standard_normal(out.shape)
+            kept = seed.copy()
             tape.backward(out, grad=seed)
         np.testing.assert_array_equal(seed, kept)
         np.testing.assert_array_equal(out.grad, kept)

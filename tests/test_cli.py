@@ -84,9 +84,10 @@ def test_invalid_training_setting_is_usage_error(data_dir, tmp_path, flags):
     assert not out.exists()
 
 
+# an lr of 10**400 is a valid JSON integer that no float can hold
 @pytest.mark.parametrize("setting", [{"channels": "8"}, {"lr": "0.1"},
                                      {"use_bone_loss": 1}, {"blocks": True},
-                                     5, ["variant"]])
+                                     5, ["variant"], {"lr": 10**400}])
 def test_config_of_wrong_type_is_usage_error(data_dir, tmp_path,
                                                    setting):
     config = tmp_path / "config.json"

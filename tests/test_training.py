@@ -15,7 +15,7 @@ from semgcn.autodiff import (
     grad_check,
     squared_error,
 )
-from semgcn.network import NetworkConfig, build_network
+from semgcn.network import ConfigError, NetworkConfig, build_network
 from semgcn.posedata import centered_arrays, generate_synthetic, mpjpe, split_dataset
 from semgcn.skeleton import SkeletonGraph, build_skeleton
 from semgcn.training import (
@@ -140,6 +140,19 @@ class TestPoseLoss:
         singles = [pose_loss(Tensor(pred[i:i + 1]), gt[i:i + 1], skel).item()
                    for i in range(4)]
         assert full == pytest.approx(np.mean(singles), rel=1e-12)
+
+
+class TestTrainConfig:
+    # a JSON config file can give a float field an integer of any size;
+    # one that no float holds is a config error, not an overflow in Adam
+    @pytest.mark.parametrize("field", ["lr", "adam_eps"])
+    def test_integer_too_large_for_a_float_is_a_config_error(self, field):
+        with pytest.raises(ConfigError, match=f"{field} is an integer too "
+                                              "large for a float"):
+            TrainConfig(**{field: 10**400}).validate()
+
+    def test_largest_float_sized_integer_passes(self):
+        TrainConfig(lr=int(np.finfo(float).max)).validate()
 
 
 class TestAdam:
