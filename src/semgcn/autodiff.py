@@ -4,7 +4,9 @@ The ops are the ones the network runs, each a fused node: the graph
 convolution (:func:`graph_conv`, with a SemGConv layer's edge softmax
 inside it) and the non-local layer (:func:`non_local`) record ``matmul``
 nodes, the batch norm and its ReLU a ``batch_norm`` node, and the pose
-loss (:func:`squared_error`) a ``sum`` node.  Every operation records a
+loss (:func:`squared_error`) a ``sum`` node.  A train-mode batch norm
+that feeds a conv or a non-local layer runs as that node's prologue
+(``norm``), and keeps no output of its own.  Every operation records a
 node on the active :class:`Tape` (when one is open and an input requires
 gradients, see :func:`records`) holding a closure that maps the output
 gradient to input gradients.  Backward walks the tape once in reverse
@@ -418,7 +420,7 @@ def graph_conv(x, w, b, a, mask=None, *, norm=None) -> Tensor:
 
 
 def non_local(x, pairs: np.ndarray, theta_w, theta_b, phi_w, phi_b, g_w,
-              g_b, wf_q, wf_k, wf_b, wx) -> Tensor:
+              g_b, wf_q, wf_k, wf_b, wx, *, norm=None, skip=None) -> Tensor:
     """The non-local layer of a (B, K, C) input, recorded as one ``matmul``
     node that keeps only ``f`` beside its output.
 
@@ -449,14 +451,36 @@ def non_local(x, pairs: np.ndarray, theta_w, theta_b, phi_w, phi_b, g_w,
     pooling route; ``p`` the key term, then the value term; ``wf_q`` and
     ``wf_k`` their bias term, then their weight term.  The ReLU's
     subgradient at 0 is 0.
+
+    With ``norm = (gamma, beta, state)`` a train-mode batch norm → ReLU
+    prologue runs first, as :func:`batch_norm` runs it, ``skip`` added
+    after the ReLU if given: the layer takes ``relu(bn(x)) + skip`` in
+    place of ``x``, and ``state``'s running statistics are updated once,
+    here.  The node's inputs are then followed by ``gamma``, ``beta`` and
+    the skip, and beside its output and ``f`` it keeps only the
+    per-channel batch mean and ``1 / sqrt(var + BN_EPS)``: the vjp
+    recomputes the layer's input from ``x`` (and the skip), an
+    elementwise pass, and drops it after its last read, before the
+    query and routing terms exist.  Then the skip takes a copy of the
+    input's gradient, and the batch norm's backward runs in its buffer.
+    So, as with :func:`graph_conv`'s ``norm``, a batch norm that feeds a
+    non-local layer keeps no output on the tape (Rota Bulo et al., arXiv
+    1712.02616).
     """
     x = _as_tensor(x)
     weights = tuple(_as_tensor(t) for t in (theta_w, theta_b, phi_w, phi_b,
                                             g_w, g_b, wf_q, wf_k, wf_b, wx))
+    bn_inputs = () if norm is None else tuple(map(_as_tensor, norm[:2]))
+    skips = () if skip is None else (_as_tensor(skip),)
+    if skips and not bn_inputs:
+        raise AutodiffError("non_local adds a skip only after its norm")
     n_groups = len(pairs)
     if x.ndim != 3 or x.shape[1] != 2 * n_groups:
         raise ShapeError(f"non_local needs a (B, {2 * n_groups}, C) input, "
                          f"got {x.shape}")
+    if skips and skips[0].shape != x.shape:
+        raise ShapeError(f"non_local skip {skips[0].shape} does not fit "
+                         f"{x.shape}")
     b, k, c = x.shape
     e = weights[0].shape[-1] if weights[0].ndim == 2 else None
     for t, shape in zip(weights, ((c, e), (e,), (c, e), (e,), (c, e), (e,),
@@ -464,15 +488,23 @@ def non_local(x, pairs: np.ndarray, theta_w, theta_b, phi_w, phi_b, g_w,
         if t.shape != shape:
             raise ShapeError(f"non_local weight {t.shape} does not fit {c} "
                              f"channels and {e}-wide embeddings")
-    x_data = x.data
     tw, tb, pw, pb, gw, gb, wq, wk, wb, wxd = (t.data for t in weights)
     inv_groups = np.asarray(1.0 / n_groups, wxd.dtype)
+    x2 = x.data.reshape(-1, c)
+    x_data, stats = x.data, ()
+    if bn_inputs:
+        x_data, *stats = _batch_norm_forward(
+            x2, *(t.data for t in bn_inputs), norm[2])
+        x_data = x_data.reshape(x.shape)
+        if skips:
+            x_data += skips[0].data
+            _ensure_finite(x_data, "skip add")
 
-    def pair_max():
+    def pair_max(src):
         # direct comparison beats a strided argmax; >= sends ties to the
         # lower index; both gathers are fresh copies
-        first = x_data[:, pairs[:, 0]]
-        second = x_data[:, pairs[:, 1]]
+        first = src[:, pairs[:, 0]]
+        second = src[:, pairs[:, 1]]
         first_wins = first >= second
         pooled = np.maximum(first, second, out=second)
         return pooled.reshape(-1, c), first_wins
@@ -482,7 +514,7 @@ def non_local(x, pairs: np.ndarray, theta_w, theta_b, phi_w, phi_b, g_w,
         val += gb
         return val
 
-    pooled_flat, _ = pair_max()
+    pooled_flat, _ = pair_max(x_data)
     val = values(pooled_flat)
     _ensure_finite(val, "non_local")
     logits = ((x_data.reshape(-1, c) @ np.matmul(tw, wq)).reshape(b, k, 1)
@@ -497,9 +529,19 @@ def non_local(x, pairs: np.ndarray, theta_w, theta_b, phi_w, phi_b, g_w,
                 @ (wxd * inv_groups)).reshape(x_data.shape)
     out_data += x_data
     _ensure_finite(out_data, "non_local")
+    del x_data  # a normalized input is recomputed by the vjp, not kept
 
     def vjp(g: np.ndarray):
-        pooled_flat, first_wins = pair_max()
+        src = x.data
+        if bn_inputs:
+            (gamma, beta), (mu, inv) = bn_inputs, stats
+            src = _normalize_relu(x2 - mu, gamma.data * inv, beta.data,
+                                  scan=False)
+            relu_mask = src > 0  # read before the skip is added
+            src = src.reshape(x.shape)
+            if skips:
+                src += skips[0].data
+        pooled_flat, first_wins = pair_max(src)
         val = values(pooled_flat)
         g_flat = g.reshape(-1, c)
         # out = message @ (wx * (1/G)) + x, with message = f @ val
@@ -517,7 +559,8 @@ def non_local(x, pairs: np.ndarray, theta_w, theta_b, phi_w, phi_b, g_w,
         gk = gf.sum(axis=1, keepdims=True).reshape(-1, 1)
         gbias = gf.sum(axis=(0, 1)).sum(axis=0, keepdims=True)
         tq, tk = np.matmul(tw, wq), np.matmul(pw, wk)
-        gtq = x_data.reshape(-1, c).T @ gq
+        gtq = src.reshape(-1, c).T @ gq
+        del src  # read for the last time: a recomputed one is freed
         gtk = pooled_flat.T @ gk
         gwf_q = np.outer(tb, gbias)
         gwf_q += np.matmul(np.swapaxes(tw, -1, -2), gtq)
@@ -528,7 +571,7 @@ def non_local(x, pairs: np.ndarray, theta_w, theta_b, phi_w, phi_b, g_w,
                  pooled_flat.T @ gval.reshape(-1, e), gval.sum(axis=(0, 1)),
                  gwf_q, gwf_k, gbias, gwx)
         gx = g  # the residual, which the two terms below add into
-        query = np.empty(x_data.shape, g.dtype)
+        query = np.empty(x.shape, g.dtype)
         np.matmul(gq, tq.T, out=query.reshape(-1, c))
         gx += query
         del query
@@ -543,9 +586,19 @@ def non_local(x, pairs: np.ndarray, theta_w, theta_b, phi_w, phi_b, g_w,
         gx[:, pairs[:, 0]] += routed_first
         gpooled -= routed_first
         gx[:, pairs[:, 1]] += gpooled
-        return (gx, *grads)
+        if not bn_inputs:
+            return (gx, *grads)
+        # the layer's buffers go before the batch norm's backward takes its own
+        del pooled_flat, first_wins, gval, gpooled, routed_first
+        gx = np.ascontiguousarray(gx)  # the batch norm's backward runs in it
+        gskip = tuple(gx.copy() for _ in skips)
+        # the reshape is a view, so x's gradient is formed in gx's buffer
+        ggamma, gbeta = _batch_norm_backward(
+            gx.reshape(x2.shape), relu_mask, x2 - mu, inv, gamma.data)
+        return (gx, *grads, ggamma, gbeta, *gskip)
 
-    return _maybe_record("matmul", (x, *weights), out_data, vjp)
+    return _maybe_record("matmul", (x, *weights, *bn_inputs, *skips),
+                         out_data, vjp)
 
 
 def squared_error(pred, target, scale, incidence=None,
@@ -671,8 +724,9 @@ def batch_norm(x, gamma, beta, state: BatchNormState, skip=None) -> Tensor:
     Every batch norm in the network feeds a ReLU, so the two are one tape
     node.  The vjp masks ``g`` with ``out > 0`` read from the output the
     tape keeps: the subgradient at 0 is 0.  A batch norm that feeds a
-    conv may run instead as the prologue of that conv's :func:`graph_conv`
-    node (its ``norm``), which keeps no output for it.  Eval mode is a
+    conv or a non-local layer may run instead as the prologue of that
+    layer's :func:`graph_conv` or :func:`non_local` node (its ``norm``),
+    which keeps no output for it.  Eval mode is a
     fixed per-channel affine map of the preceding conv's product, and no
     op: ``layers.conv_bn_relu`` applies it in numpy, with no backward.
 

@@ -5,9 +5,11 @@ baseline), the edge-weighted semantic convolution with one learned mask
 shared by all channels, the non-local attention layer with pairwise node
 grouping, and batch normalization over batch and node axes.  Each conv
 feeding a batch norm and its ReLU forms one stage, and a residual
-block's second stage also adds the block's skip; in train mode a block's
-first batch norm runs in its second conv's node.  An eval-mode stage is
-no op: :func:`conv_bn_relu` runs it in numpy, with no backward.
+block's second stage also adds the block's skip.  In train mode a
+block's first batch norm runs in its second conv's node, and a batch
+norm that feeds a non-local layer (with the skip, in a block) runs in
+that layer's node.  An eval-mode stage is no op: :func:`conv_bn_relu`
+runs it in numpy, with no backward.
 
 A layer's widths are its weights' shapes: an input of another width
 fails in the op that reads the weight (:func:`graph_conv` or
@@ -140,7 +142,8 @@ class NonLocalBlock(Layer):
     (E, C) weight ``wx`` rather than the (B, K, C) product: for the
     skeleton's G = 8 the scale is a power of two, so both orders round
     alike.  The layer is one :func:`non_local` node, which keeps only its
-    output and the affinity.
+    output and the affinity.  In train mode a batch norm that feeds the
+    layer runs in that node (:meth:`after_batch_norm`).
     """
 
     _param_names = ("theta_w", "theta_b", "phi_w", "phi_b",
@@ -171,9 +174,20 @@ class NonLocalBlock(Layer):
         self.wx = parameter(np.zeros((e, channels)))  # zero: identity at init
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        return non_local(x, self.pairs, self.theta_w, self.theta_b,
-                         self.phi_w, self.phi_b, self.g_w, self.g_b,
-                         self.wf_q, self.wf_k, self.wf_b, self.wx)
+        return non_local(x, self.pairs, *self._weights())
+
+    def after_batch_norm(self, z: Tensor, bn: "BatchNormNodes",
+                         skip: Tensor | None = None) -> Tensor:
+        """The layer on ``relu(bn(z))``, plus ``skip`` after the ReLU if
+        given, with ``bn`` in train mode: one :func:`non_local` node with a
+        batch-norm prologue, which keeps ``z`` (its input) and not the
+        normalized activation."""
+        return non_local(z, self.pairs, *self._weights(),
+                         norm=(bn.gamma, bn.beta, bn.state), skip=skip)
+
+    def _weights(self) -> tuple[Tensor, ...]:
+        # non_local's weight arguments, in parameter order
+        return tuple(t for _, t in self.named_parameters())
 
 
 class BatchNormNodes(Layer):
@@ -252,12 +266,16 @@ class ResidualGConvBlock:
 
     In eval mode each stage is one :func:`conv_bn_relu` call, and the
     second adds the skip after its ReLU.  In train mode the block records
-    three nodes for its stages: ``conv1``, then ``bn1`` → ReLU →
-    ``conv2`` as one :func:`graph_conv` node with a batch-norm prologue,
-    which keeps ``conv1``'s output and not ``bn1``'s, then ``bn2`` as a
-    :func:`batch_norm` node that adds the skip, so the block's sum is no
-    node of its own.  Neither of the last two goes through a layer's
-    ``forward``, which takes ``(x, train)`` alone.
+    three nodes: ``conv1``, then ``bn1`` → ReLU → ``conv2`` as one
+    :func:`graph_conv` node with a batch-norm prologue, which keeps
+    ``conv1``'s output and not ``bn1``'s, then ``bn2`` → ReLU with the
+    skip added.  With a non-local layer, that last one is the layer's
+    :func:`non_local` node with ``bn2`` and the skip as its prologue
+    (:meth:`NonLocalBlock.after_batch_norm`), which keeps the conv2 node's
+    output and not ``bn2``'s; without one, it is a :func:`batch_norm`
+    node that adds the skip.  Either way the block's sum is no node of
+    its own.  None of the last two goes through a layer's ``forward``,
+    which takes ``(x, train)`` alone.
 
     The block is not a ``Layer``: it owns no tensors, so it has no tensor
     walk that could quietly yield nothing.  ``Network.named_layers`` walks
@@ -272,15 +290,15 @@ class ResidualGConvBlock:
         self.nonlocal_layer = nonlocal_layer
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        if train:
-            bn1, bn2 = self.bn1, self.bn2
-            z = graph_conv(self.conv1(x, train), self.conv2.w, self.conv2.b,
-                           *self.conv2.graph(),
-                           norm=(bn1.gamma, bn1.beta, bn1.state))
-            y = batch_norm(z, bn2.gamma, bn2.beta, bn2.state, skip=x)
-        else:
+        nonlocal_layer = self.nonlocal_layer
+        if not train:
             h = conv_bn_relu(self.conv1, self.bn1, x)
             y = conv_bn_relu(self.conv2, self.bn2, h, skip=x)
-        if self.nonlocal_layer is not None:
-            y = self.nonlocal_layer(y, train)
-        return y
+            return y if nonlocal_layer is None else nonlocal_layer(y)
+        bn1, bn2 = self.bn1, self.bn2
+        z = graph_conv(self.conv1(x, train), self.conv2.w, self.conv2.b,
+                       *self.conv2.graph(),
+                       norm=(bn1.gamma, bn1.beta, bn1.state))
+        if nonlocal_layer is None:
+            return batch_norm(z, bn2.gamma, bn2.beta, bn2.state, skip=x)
+        return nonlocal_layer.after_batch_norm(z, bn2, skip=x)

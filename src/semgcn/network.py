@@ -158,6 +158,10 @@ class Network:
                 skip_nonlocal: bool = False) -> Tensor:
         """Predict root-relative 3D joints from root-centered 2D joints.
 
+        In train mode the input stage's batch norm runs in the input
+        non-local layer's node, when there is one
+        (:meth:`NonLocalBlock.after_batch_norm`), as each block's second
+        batch norm runs in its own (``ResidualGConvBlock.forward``).
         ``skip_nonlocal`` excises the non-local layers (used to verify
         their at-initialization identity).
         """
@@ -169,10 +173,16 @@ class Network:
                 f"got {x.shape}")
         if not np.isfinite(x.data).all():
             raise NonFiniteError("network input contains non-finite values")
-        h = (self.input_bn(self.input_conv(x, train), train) if train
-             else conv_bn_relu(self.input_conv, self.input_bn, x))
-        if self.input_nonlocal is not None and not skip_nonlocal:
-            h = self.input_nonlocal(h, train)
+        nonlocal_layer = None if skip_nonlocal else self.input_nonlocal
+        if not train:
+            h = conv_bn_relu(self.input_conv, self.input_bn, x)
+            if nonlocal_layer is not None:
+                h = nonlocal_layer(h)
+        elif nonlocal_layer is None:
+            h = self.input_bn(self.input_conv(x, train), train)
+        else:
+            h = nonlocal_layer.after_batch_norm(self.input_conv(x, train),
+                                                self.input_bn)
         for block in self.blocks:
             if skip_nonlocal and block.nonlocal_layer is not None:
                 saved, block.nonlocal_layer = block.nonlocal_layer, None

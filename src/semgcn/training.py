@@ -55,6 +55,11 @@ class TrainConfig:
             raise ConfigError("max_epochs must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1)")
+        if not 0 < self.adam_eps < math.inf:
+            raise ConfigError("adam_eps must be finite and > 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

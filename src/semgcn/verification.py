@@ -104,6 +104,23 @@ def _prologue_stage_case(adj: np.ndarray, x_shape: tuple[int, ...],
     return f, [x, conv.w, conv.mask, conv.b, bn.gamma, bn.beta], probe
 
 
+def _prologue_nonlocal_case(k: int, x_shape: tuple[int, ...],
+                            rng: np.random.Generator, skip: bool):
+    """A batch norm → ReLU → non-local layer as one non_local node with a
+    train-mode batch-norm prologue: the input stage's, or with ``skip``
+    a residual block's second batch norm, its skip and its non-local
+    layer."""
+    layer = NonLocalBlock(_CHANNELS, DEFAULT_NODE_GROUPS, k, rng)
+    _, inputs, probe = _layer_case(layer, x_shape, rng)
+    bn = _random_bn(rng)
+    skips = [Tensor(rng.standard_normal(x_shape))] if skip else []
+
+    def fused(*_):
+        return layer.after_batch_norm(inputs[0], bn, *skips)
+
+    return fused, inputs + skips + [bn.gamma, bn.beta], probe
+
+
 def _pose_loss_case(g, rng: np.random.Generator):
     pred = Tensor(rng.standard_normal((_BATCH, g.num_joints, 3)),
                   requires_grad=True)
@@ -132,6 +149,10 @@ def run_grad_checks(seeds=range(5)) -> list[GradCheckRow]:
             BatchNormNodes(_CHANNELS), x_shape, rng, train=True),
         "conv_bn_relu_skip": lambda rng: _skip_stage_case(norm, x_shape, rng),
         "bn_relu_conv": lambda rng: _prologue_stage_case(adj, x_shape, rng),
+        "bn_relu_nonlocal": lambda rng: _prologue_nonlocal_case(
+            k, x_shape, rng, skip=False),
+        "bn_relu_skip_nonlocal": lambda rng: _prologue_nonlocal_case(
+            k, x_shape, rng, skip=True),
         "pose_loss": lambda rng: _pose_loss_case(g, rng),
     }
     rows = []

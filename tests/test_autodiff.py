@@ -996,13 +996,24 @@ class TestGradCheckOracle:
 def contract_case(name, rng):
     """The input arrays of one multi-input node of the network's kind,
     and the function of their tensors that records it."""
-    if name == "non_local":
+    if name.startswith("non_local"):
+        # with norm, gamma and beta follow the weights, then the skip
         b, k, c, e = 3, 4, 5, 2
         pairs = np.array([[0, 1], [2, 3]])
         shapes = [(b, k, c), (c, e), (e,), (c, e), (e,), (c, e), (e,),
                   (e, 1), (e, 1), (1,), (e, c)]
-        return ([rng.standard_normal(s) for s in shapes],
-                lambda x, *weights: non_local(x, pairs, *weights))
+        shapes += {"non_local": [], "non_local_norm": [(c,), (c,)],
+                   "non_local_norm_skip": [(c,), (c,), (b, k, c)]}[name]
+
+        def f(x, *rest):
+            weights, norm, skip = rest[:10], rest[10:12], rest[12:]
+            if not norm:
+                return non_local(x, pairs, *weights)
+            return non_local(x, pairs, *weights,
+                             norm=(*norm, BatchNormState(c)),
+                             skip=skip[0] if skip else None)
+
+        return [rng.standard_normal(s) for s in shapes], f
     if name == "batch_norm_skip":
         return ([rng.standard_normal(s) for s in ((3, 5, 4), (4,), (4,),
                                                   (3, 5, 4))],
@@ -1038,7 +1049,9 @@ class TestGradientContract:
         return tensors, returned[0]
 
     @pytest.mark.parametrize("case", ["graph_conv", "graph_conv_norm",
-                                      "non_local", "batch_norm_skip"])
+                                      "non_local", "batch_norm_skip",
+                                      "non_local_norm",
+                                      "non_local_norm_skip"])
     def test_each_input_made_constant_in_turn(self, case):
         tensors, _ = self.run(case)
         want = [t.grad for t in tensors]
@@ -1061,10 +1074,15 @@ class TestBackwardBuffers:
 
     @pytest.mark.parametrize("root_op", [
         "scale", "add", "mul", "batch_norm", "graph_conv_norm", "non_local",
-        "squared_error"])
+        "squared_error", "non_local_norm", "non_local_norm_skip"])
     def test_seed_and_root_grad_are_left_alone(self, root_op):
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
+        pairs = np.array([[0, 1], [2, 3]])
+        nl_weights = [np.full(shape, 0.5) for shape in (
+            (4, 2), (2,), (4, 2), (2,), (4, 2), (2,), (2, 1), (2, 1), (1,),
+            (2, 4))]
+        norm = (np.full(4, 2.0), np.zeros(4), BatchNormState(4))
         ops = {
             "scale": lambda x: mul(x, -3.0),
             "add": lambda x: add(x, x),
@@ -1076,11 +1094,12 @@ class TestBackwardBuffers:
                 x, np.eye(4), np.zeros(4), np.full((4, 4), 0.25),
                 norm=(np.full(4, 2.0), np.zeros(4), BatchNormState(4))),
             # its vjp adds the input's other terms into the residual's g
-            "non_local": lambda x: non_local(
-                x, np.array([[0, 1], [2, 3]]), *(
-                    np.full(shape, 0.5) for shape in (
-                        (4, 2), (2,), (4, 2), (2,), (4, 2), (2,), (2, 1),
-                        (2, 1), (1,), (2, 4)))),
+            "non_local": lambda x: non_local(x, pairs, *nl_weights),
+            # ... and then runs the batch norm's backward in that buffer
+            "non_local_norm": lambda x: non_local(x, pairs, *nl_weights,
+                                                  norm=norm),
+            "non_local_norm_skip": lambda x: non_local(
+                x, pairs, *nl_weights, norm=norm, skip=np.ones((2, 4, 4))),
             "squared_error": lambda x: squared_error(
                 x, np.ones((2, 4, 4)), 0.5, np.eye(3, 4) - np.eye(3, 4, 1),
                 np.zeros((2, 3, 4))),

@@ -84,10 +84,12 @@ def test_invalid_training_setting_is_usage_error(data_dir, tmp_path, flags):
     assert not out.exists()
 
 
-# an lr of 10**400 is a valid JSON integer that no float can hold
+# an lr of 10**400 is a valid JSON integer that no float can hold, and an
+# adam_beta1 of 1.0 a float outside Adam's range
 @pytest.mark.parametrize("setting", [{"channels": "8"}, {"lr": "0.1"},
                                      {"use_bone_loss": 1}, {"blocks": True},
-                                     5, ["variant"], {"lr": 10**400}])
+                                     5, ["variant"], {"lr": 10**400},
+                                     {"adam_beta1": 1.0}])
 def test_config_of_wrong_type_is_usage_error(data_dir, tmp_path,
                                                    setting):
     config = tmp_path / "config.json"
@@ -494,9 +496,9 @@ def test_grad_check_passes(capsys):
 
 
 def test_grad_checks_pass_at_the_default_seeds():
-    # the sweep `semgcn grad-check` runs by default: 5 seeds of 7 cases
+    # the sweep `semgcn grad-check` runs by default: 5 seeds of 9 cases
     rows = run_grad_checks()
-    assert len(rows) == 35
+    assert len(rows) == 45
     assert [row for row in rows if not row.passed] == []
 
 
@@ -516,7 +518,7 @@ def test_grad_checks_compute_in_double_at_a_float32_compute_dtype(monkeypatch):
 
     monkeypatch.setattr(verification, "grad_check", recording)
     rows = run_grad_checks()
-    assert len(rows) == 35
+    assert len(rows) == 45
     assert [row for row in rows if not row.passed] == []
     assert set(checked) == {np.dtype(np.float64)}
     assert autodiff.DTYPE is np.float32

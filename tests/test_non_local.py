@@ -9,8 +9,8 @@ import pytest
 
 from chain_ops import add, matmul, mul
 from semgcn import autodiff
-from semgcn.autodiff import Tape, Tensor
-from semgcn.layers import NonLocalBlock
+from semgcn.autodiff import Tape, Tensor, batch_norm
+from semgcn.layers import BatchNormNodes, NonLocalBlock
 from semgcn.skeleton import DEFAULT_NODE_GROUPS
 
 K = 16
@@ -125,23 +125,78 @@ def test_matches_the_chain_of_single_ops_bitwise(dtype, integer_affinity,
         assert o.shape == w.shape and o.tobytes() == w.tobytes()
 
 
+def random_batch_norm(rng, channels):
+    bn = BatchNormNodes(channels)
+    bn.gamma.data[...] = rng.standard_normal(channels)
+    bn.beta.data[...] = rng.standard_normal(channels) * 0.5
+    bn.state.running_mean[...] = rng.standard_normal(channels)
+    bn.state.running_var[...] = rng.uniform(0.5, 2.0, channels)
+    return bn
+
+
+@pytest.mark.parametrize("skip", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batch_norm_prologue_matches_batch_norm_then_non_local_bitwise(
+        dtype, skip, monkeypatch):
+    # the input stage (no skip) and a block's bn2 → skip → non-local layer
+    # as one node, against the batch_norm and non_local nodes they were
+    monkeypatch.setattr(autodiff, "DTYPE", dtype)
+    results = []
+    for fused in (False, True):
+        rng = np.random.default_rng([32, skip])
+        layer, z = layer_and_input(rng, 16, 6, False)
+        bn = random_batch_norm(rng, 16)
+        skips = [Tensor(rng.standard_normal(z.shape), requires_grad=True)
+                 for _ in range(skip)]
+        g = rng.standard_normal(z.shape).astype(dtype)
+        params = [p for _, p in layer.named_parameters()]
+        with Tape() as tape:
+            if fused:
+                out = layer.after_batch_norm(z, bn, *skips)
+                (node,) = tape.nodes
+                assert node.op == "matmul"
+                assert node.inputs == (z, *params, bn.gamma, bn.beta, *skips)
+            else:
+                out = layer(batch_norm(z, bn.gamma, bn.beta, bn.state,
+                                       *skips), True)
+                assert len(tape.nodes) == 2
+            tape.backward(out, g)
+        results.append([out.data, z.grad, *(t.grad for t in skips),
+                        bn.gamma.grad, bn.beta.grad,
+                        *(p.grad for p in params),
+                        bn.state.running_mean, bn.state.running_var])
+    chain, fused = results
+    assert len(chain) == 16 + skip
+    for want, got in zip(chain, fused):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert chain[0].dtype == dtype
+
+
 # A taped forward of one layer at batch 32, 32 channels keeps its output
 # (128 KiB) and the affinity (32 KiB); the node, its output tensor and the
 # vjp's closure take well under this slack.  Any intermediate the node
 # kept on top would exceed it: the smallest, the value embedding, is
-# 32 KiB.
+# 32 KiB, and a batch-norm prologue's normalized input 128 KiB.
 TAPE_SLACK_BYTES = 8 << 10
 
 
-def test_taped_forward_keeps_only_the_output_and_the_affinity():
+def check_taped_forward_keeps_only_the_output_and_the_affinity(
+        prologue=None, skip=False):
+    """With ``prologue``, the layer runs after a batch norm (and a skip)
+    in its own node."""
     rng = np.random.default_rng(6)
     layer = NonLocalBlock(32, DEFAULT_NODE_GROUPS, K, rng)
     x = Tensor(rng.standard_normal((32, K, 32)), requires_grad=True)
+    bn = random_batch_norm(rng, 32)
+    skips = [Tensor(rng.standard_normal(x.shape), requires_grad=True)
+             for _ in range(skip)]
     tape = Tape()
     tracemalloc.start()
     try:
         with tape:
-            out = layer(x, True)
+            out = (layer.after_batch_norm(x, bn, *skips) if prologue
+                   else layer(x, True))
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -149,3 +204,12 @@ def test_taped_forward_keeps_only_the_output_and_the_affinity():
     assert out.data.nbytes == 128 << 10 and f_bytes == 32 << 10
     assert kept <= out.data.nbytes + f_bytes + TAPE_SLACK_BYTES
     assert len(tape.nodes) == 1
+
+
+def test_taped_forward_keeps_only_the_output_and_the_affinity():
+    check_taped_forward_keeps_only_the_output_and_the_affinity()
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_taped_prologue_keeps_only_the_output_and_the_affinity(skip):
+    check_taped_forward_keeps_only_the_output_and_the_affinity(True, skip)

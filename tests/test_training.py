@@ -2,6 +2,7 @@
 contracts (determinism, null updates, divergence handling)."""
 
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -153,6 +154,25 @@ class TestTrainConfig:
 
     def test_largest_float_sized_integer_passes(self):
         TrainConfig(lr=int(np.finfo(float).max)).validate()
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"adam_beta1": 1.0}, "adam_beta1 must be in"),
+        ({"adam_beta1": -0.1}, "adam_beta1 must be in"),
+        ({"adam_beta1": math.nan}, "adam_beta1 must be in"),
+        ({"adam_beta2": 2.0}, "adam_beta2 must be in"),
+        ({"adam_beta2": 1}, "adam_beta2 must be in"),
+        ({"adam_eps": -1.0}, "adam_eps must be finite and > 0"),
+        ({"adam_eps": 0.0}, "adam_eps must be finite and > 0"),
+        ({"adam_eps": math.nan}, "adam_eps must be finite and > 0"),
+        ({"adam_eps": math.inf}, "adam_eps must be finite and > 0"),
+    ])
+    def test_adam_setting_out_of_range_is_a_config_error(self, setting,
+                                                         message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**setting).validate()
+
+    def test_adam_settings_at_their_range_ends_pass(self):
+        TrainConfig(adam_beta1=0.0, adam_beta2=0, adam_eps=1e-300).validate()
 
 
 class TestAdam:
