@@ -785,9 +785,13 @@ def oracle_precision() -> Iterator[None]:
         DTYPE = saved
 
 
+GRAD_CHECK_EPS = 1e-5  # grad_check's central-difference step
+
+
 def grad_check(f: Callable[..., Tensor], inputs: Iterable[Tensor],
-               probe: np.ndarray | None = None, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+               probe: np.ndarray | None = None) -> float:
+    """Max relative error between analytic and central-difference
+    gradients, the difference taken at steps of :data:`GRAD_CHECK_EPS`.
 
     The checked scalar is ``f``'s output itself, or with a ``probe`` of
     the output's shape the projection ``<f(...), probe>``: the analytic
@@ -832,12 +836,12 @@ def grad_check(f: Callable[..., Tensor], inputs: Iterable[Tensor],
             ana_flat = ana.reshape(-1)
             for i in range(t.data.size):
                 orig = flat[i]
-                flat[i] = orig + eps
+                flat[i] = orig + GRAD_CHECK_EPS
                 f_plus = value()
-                flat[i] = orig - eps
+                flat[i] = orig - GRAD_CHECK_EPS
                 f_minus = value()
                 flat[i] = orig
-                num = (f_plus - f_minus) / (2.0 * eps)
+                num = (f_plus - f_minus) / (2.0 * GRAD_CHECK_EPS)
                 denom = max(1e-8, abs(ana_flat[i]) + abs(num))
                 rel = abs(ana_flat[i] - num) / denom
                 if rel > max_rel:

@@ -8,7 +8,9 @@ manifest order (see ``container``).  Round-trips are bitwise exact.
 A loader accepts only what its writer writes: the manifest must be the
 one ``save_checkpoint`` writes for the network its config builds, the
 config exactly ``NetworkConfig``'s fields, so no older layout is
-converted, and every running variance at least 0.
+converted, and every running variance at least 0.  A config that
+needs more values than the payload holds is refused before its network
+is built.
 """
 
 from __future__ import annotations
@@ -56,14 +58,21 @@ def load_checkpoint(path, skeleton: SkeletonGraph | None = None
     """Rebuild the network described by the file and fill its tensors."""
     if skeleton is None:
         skeleton = build_skeleton()
-    header, payload = container.read(path, ("format_version", FORMAT_VERSION),
-                                     _HEADER, CheckpointError)
+    header, payload, size = container.read(
+        path, ("format_version", FORMAT_VERSION), _HEADER, CheckpointError)
     if header["skeleton_hash"] != skeleton_hash(skeleton):
         raise CheckpointError("checkpoint was written for a different skeleton")
     try:
         config = NetworkConfig.from_dict(header["config"])
     except ConfigError as exc:
         raise CheckpointError(f"checkpoint config: {exc}") from exc
+    # a lower bound on the network's values, so an oversized header
+    # allocates nothing: each block's two c x c weights, a non-local
+    # layer's projections (c**2 or more), the input batch norm's c scales
+    c = config.channels
+    if (config.blocks + config.uses_nonlocal) * c ** 2 + c > size:
+        raise CheckpointError(f"checkpoint config {config.variant} needs more "
+                              f"values than the {size} its payload holds")
     net = build_network(config, skeleton, seed=0)
     manifest = _manifest(net)
 

@@ -1,6 +1,10 @@
 """Command-line entry point wiring data generation, training, evaluation,
 gradient verification, and weight export into reproducible runs.
 
+``train`` is configured by its flags alone: each sets the
+``NetworkConfig`` or ``TrainConfig`` field its ``dest`` names, and one
+left out keeps the field's default.
+
 Exit codes: 0 success, 2 usage error, 3 data/compatibility error,
 4 numeric failure.
 """
@@ -12,6 +16,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .analysis import AnalysisError, export_weights, joint_weight_csv, report_to_json
@@ -46,29 +51,10 @@ EXIT_NUMERIC = 4
 
 log = logging.getLogger("semgcn")
 
-_NETWORK_KEYS = set(NetworkConfig.__dataclass_fields__)
-_TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
-
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
-
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    # bad UTF-8 and bad JSON are ValueErrors, deep nesting a RecursionError
-    try:
-        values = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
-        raise DatasetError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(values, dict):
-        raise ConfigError(f"config file {path} does not hold a JSON object")
-    unknown = set(values) - _NETWORK_KEYS - _TRAIN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return values
 
 
 def cmd_gen_data(args) -> int:
@@ -97,24 +83,16 @@ def _load_split(path: Path, skeleton) -> PoseDataset:
     return ds
 
 
-def _resolve_run_config(args) -> dict:
-    merged = _load_config_file(args.config)
-    overrides = {
-        "variant": args.variant, "channels": args.channels,
-        "blocks": args.blocks, "lr": args.lr, "batch_size": args.batch_size,
-        "max_epochs": args.epochs, "seed": args.seed,
-        "use_bone_loss": args.use_bone_loss,
-    }
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return merged
+def _given(args, config_class) -> dict:
+    """The flags given that set a field of ``config_class``."""
+    return {f.name: getattr(args, f.name) for f in fields(config_class)
+            if getattr(args, f.name) is not None}
 
 
 def cmd_train(args) -> int:
-    merged = _resolve_run_config(args)
-    net_cfg = NetworkConfig.from_dict({k: v for k, v in merged.items()
-                                       if k in _NETWORK_KEYS})
-    train_cfg = TrainConfig(**{k: v for k, v in merged.items()
-                               if k in _TRAIN_KEYS})
+    network, training = _given(args, NetworkConfig), _given(args, TrainConfig)
+    net_cfg = NetworkConfig.from_dict(network)
+    train_cfg = TrainConfig(**training)
     train_cfg.validate()
 
     skeleton = build_skeleton()
@@ -125,7 +103,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", {
-        **merged, "resolved_network": net_cfg.to_dict(),
+        **network, **training, "resolved_network": net_cfg.to_dict(),
         "resolved_training": train_cfg.to_dict(),
         "data": str(data_dir), "param_count": count_params(net),
     })
@@ -227,11 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a variant on a generated dataset")
     p.add_argument("--data", required=True, help="directory with *.poses splits")
     p.add_argument("--out", required=True, help="run output directory")
-    p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--channels", type=int)
     p.add_argument("--blocks", type=int)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", type=int, dest="max_epochs")
     p.add_argument("--lr", type=float)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--seed", type=int)

@@ -36,14 +36,16 @@ def _reject_constant(name):
 
 
 def read(path, version: tuple[str, int], fields: dict[str, type], error):
-    """The header of the file at ``path`` and its payload reader.
+    """The header of the file at ``path``, its payload reader, and the
+    number of whole float64 values the payload holds.
 
     The header must hold the ``version`` key with exactly that integer,
     checked first so that a newer file is named as such, and otherwise
     exactly the keys of ``fields``, each of its JSON type (``true`` is no
     integer).  ``payload(count)`` returns the ``count`` float64 values
-    that follow the header, read-only, all finite.  Every failure raises
-    ``error``.
+    that follow the header, read-only, all finite.  The value count lets
+    a caller refuse a header that asks for more before it allocates
+    anything.  Every failure raises ``error``.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -87,4 +89,4 @@ def read(path, version: tuple[str, int], fields: dict[str, type], error):
                         f"payload index {i}")
         return values
 
-    return header, payload
+    return header, payload, len(blob) // 8

@@ -227,8 +227,8 @@ def save_dataset(ds: PoseDataset, path) -> None:
 
 
 def load_dataset(path) -> PoseDataset:
-    header, payload = container.read(path, ("version", FORMAT_VERSION),
-                                     _HEADER, DatasetError)
+    header, payload, _ = container.read(path, ("version", FORMAT_VERSION),
+                                        _HEADER, DatasetError)
     n, k = header["count"], header["joints"]
     if k != len(JOINT_NAMES):
         raise DatasetError(f"dataset in {path} has {k} joints per sample, "

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from semgcn import checkpoint
 from semgcn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from semgcn.network import VARIANTS, NetworkConfig, build_network
 from semgcn.posedata import centered_arrays, generate_synthetic
@@ -372,3 +373,30 @@ def test_tensor_entry_of_wrong_type_rejected(ckpt, skel, key, value):
     with pytest.raises(CheckpointError,
                        match=r'entry 1 is .*expected .*"input\.conv\.mask"'):
         load_checkpoint(ckpt, skel)
+
+
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("build_network was called")
+
+
+# each asks for more values than a toy payload holds: building the first
+# would allocate ~300 GiB, the second overflows, and the third builds a
+# billion blocks
+OVERSIZED_CONFIGS = [{"channels": 200_000}, {"channels": 10**400},
+                     {"blocks": 10**9}]
+
+
+@pytest.mark.parametrize("change", OVERSIZED_CONFIGS,
+                         ids=["channels-200000", "channels-1e400",
+                              "blocks-1e9"])
+def test_config_larger_than_its_payload_rejected_before_building(
+        skel, tmp_path, monkeypatch, change):
+    path = tmp_path / "resgcn.ckpt"
+    save_checkpoint(path, build_network(NetworkConfig("resgcn", 4, 1), skel))
+    header, blob = read(path)
+    header["config"].update(change)
+    write(path, header, blob)
+    monkeypatch.setattr(checkpoint, "build_network", refuse_to_build)
+    with pytest.raises(CheckpointError, match=r"needs more values than the "
+                       f"{len(blob) // 8} its payload holds"):
+        load_checkpoint(path, skel)

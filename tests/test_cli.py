@@ -1,5 +1,6 @@
-"""Command-line runs at toy size: exit codes, the eval report, and configs
-and checkpoints that name settings or tensors the network no longer has."""
+"""Command-line runs at toy size: exit codes, the eval report, the run's
+config record, and checkpoints that name settings or tensors the network
+no longer has, or ask for more values than they hold."""
 
 import json
 
@@ -39,21 +40,32 @@ def eval_report(capsys, checkpoint, data_dir, *flags):
     return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
 
 
-@pytest.mark.parametrize("removed", [
-    {"mask_init": "zeros"}, {"mask_init": "glorot"}, {"input_dim": 2},
-    {"output_dim": 3}, {"nonlocal_embed": None}, {"decay_factor": 0.5},
-    {"plateau_patience": 5}, {"plateau_threshold": 1e-3},
-    {"plateau_cooldown": None}, {"channelwise_masks": False},
-    {"channelwise_masks": True},
-])
-def test_config_naming_removed_setting_is_usage_error(data_dir, tmp_path,
-                                                      removed):
+def test_config_flag_is_usage_error(data_dir, tmp_path, capsys):
+    # train reads its settings from flags alone
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--config" not in capsys.readouterr().out
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"variant": "semgcn", **removed}))
+    config.write_text(json.dumps({"variant": "semgcn"}))
     out = tmp_path / "run"
-    assert main(["train", "--data", str(data_dir), "--out", str(out),
-                 "--config", str(config), *TOY]) == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(data_dir), "--out", str(out), *TOY,
+              "--config", str(config)])
+    assert exc.value.code == EXIT_USAGE
     assert not out.exists()
+
+
+def test_run_config_records_the_flags_given_and_the_resolved_configs(run_dir):
+    config = json.loads((run_dir / "config.json").read_text())
+    assert set(config) == {"variant", "channels", "blocks", "max_epochs",
+                           "batch_size", "resolved_network",
+                           "resolved_training", "data", "param_count"}
+    assert config["resolved_network"] == {"variant": "semgcn", "channels": 4,
+                                          "blocks": 1}
+    assert config["resolved_training"] == {
+        "lr": 1e-3, "batch_size": 8, "max_epochs": 1, "use_bone_loss": False,
+        "seed": 0}
 
 
 def test_channelwise_masks_flag_is_usage_error(data_dir, tmp_path):
@@ -81,22 +93,6 @@ def test_invalid_training_setting_is_usage_error(data_dir, tmp_path, flags):
     out = tmp_path / "run"
     assert main(["train", "--data", str(data_dir), "--out", str(out),
                  *TOY, *flags]) == EXIT_USAGE
-    assert not out.exists()
-
-
-# an lr of 10**400 is a valid JSON integer that no float can hold, and an
-# adam_beta1 of 1.0 a float outside Adam's range
-@pytest.mark.parametrize("setting", [{"channels": "8"}, {"lr": "0.1"},
-                                     {"use_bone_loss": 1}, {"blocks": True},
-                                     5, ["variant"], {"lr": 10**400},
-                                     {"adam_beta1": 1.0}])
-def test_config_of_wrong_type_is_usage_error(data_dir, tmp_path,
-                                                   setting):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(setting))
-    out = tmp_path / "run"
-    assert main(["train", "--data", str(data_dir), "--out", str(out),
-                 "--config", str(config), "--epochs", "1"]) == EXIT_USAGE
     assert not out.exists()
 
 
@@ -259,21 +255,6 @@ def assert_one_line_data_error(argv, caplog, capsys, *words):
     assert "\n" not in message
     for word in words:
         assert word in message
-
-
-@pytest.mark.parametrize("content", [
-    b"\xff{}", b"[" * 100_000 + b"]" * 100_000,
-], ids=["not-utf8", "nested-100k-deep"])
-def test_unreadable_config_file_is_data_error(data_dir, tmp_path, caplog,
-                                              capsys, content):
-    config = tmp_path / "config.json"
-    config.write_bytes(content)
-    out = tmp_path / "run"
-    assert_one_line_data_error(
-        ["train", "--data", str(data_dir), "--out", str(out),
-         "--config", str(config), *TOY],
-        caplog, capsys, "cannot read config file")
-    assert not out.exists()
 
 
 def test_eval_of_header_with_removed_settings_is_data_error(run_dir, data_dir,
@@ -462,6 +443,29 @@ def test_eval_of_checkpoint_with_negative_running_variance_is_data_error(
     assert_one_line_data_error(
         ["eval", "--checkpoint", str(broken), "--data", str(data_dir)],
         caplog, capsys, "input.bn.running_var", "negative variance -2.0")
+
+
+@pytest.mark.parametrize("command", ["eval", "export-weights"])
+@pytest.mark.parametrize("change", [
+    {"channels": 200_000}, {"channels": 10**400}, {"blocks": 10**9},
+], ids=["channels-200000", "channels-1e400", "blocks-1e9"])
+def test_checkpoint_config_larger_than_its_payload_is_data_error(
+        run_dir, data_dir, tmp_path, caplog, capsys, monkeypatch, command,
+        change):
+    header, _, blob = (run_dir / "best.ckpt").read_bytes().partition(b"\n")
+    header = json.loads(header)
+    header["config"].update(change)
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+
+    def refuse_to_build(*args, **kwargs):
+        raise AssertionError("build_network was called")
+
+    monkeypatch.setattr("semgcn.checkpoint.build_network", refuse_to_build)
+    target = ["--data", str(data_dir)] if command == "eval" \
+        else ["--out", str(tmp_path / "weights")]
+    assert_one_line_data_error([command, "--checkpoint", str(broken), *target],
+                               caplog, capsys, "needs more values than the")
 
 
 def test_eval_of_header_with_channelwise_masks_is_data_error(run_dir, data_dir,
